@@ -84,13 +84,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_side(text: str, n: int) -> ScaledDiagram:
     text = text.strip()
-    if text.startswith("{"):
-        data = json.loads(text)
+    if not text.startswith("{"):
+        return evaluate_word(parse_word(text, n))
+    data = json.loads(text)
+    try:
         if int(data.get("n", n)) != n:
             raise ValueError("diagram strand count disagrees with --n")
         coeff = parse_scalar(data["coeff"]) if "coeff" in data else RingElem.one()
         return ScaledDiagram(coeff, diagram_from_dict({**data, "n": n}))
-    return evaluate_word(parse_word(text, n))
+    except KeyError as exc:
+        raise ValueError(f"diagram JSON has no field {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed diagram JSON: {exc}") from None
 
 
 def _latex_word(w: Word) -> str:
@@ -100,6 +105,8 @@ def _latex_word(w: Word) -> str:
 
 
 def cmd_walks(args) -> int:
+    if args.n < 0:
+        raise ValueError("walk length --n must be nonnegative")
     walks = all_walks(args.n, args.m)
     if args.format == "json":
         print(json.dumps([{"sigma": list(w.sigma)} for w in walks]))
@@ -172,6 +179,11 @@ def cmd_dims(args) -> int:
 _SUITES = ["relations", "identities", "redux", "diamond", "walks",
            "ideals", "tower", "bases", "appendix"]
 
+# Smallest strand count each suite accepts; "all" skips the suites that
+# need more than it is given.
+_MIN_N = {"relations": 0, "identities": 0, "redux": 3, "diamond": 0, "walks": 0,
+          "ideals": 1, "tower": 2, "bases": 1, "appendix": 0, "all": 1}
+
 
 def run_suite(suite: str, n: int, seed: int, prime: int) -> List[Report]:
     points = draw_points(seed, 3, prime)
@@ -195,9 +207,7 @@ def run_suite(suite: str, n: int, seed: int, prime: int) -> List[Report]:
         return [check_diamond_walks(n), check_envelope_words(n)]
     out: List[Report] = []
     for name in _SUITES:
-        if name == "redux" and n < 3:
-            continue
-        if name in ("tower",) and n < 2:
+        if n < _MIN_N[name]:
             continue
         out.extend(run_suite(name, n, seed, prime))
     return out
@@ -211,6 +221,8 @@ def cmd_verify(args) -> int:
     if prime is None:
         prime = int(os.environ.get("BLOBALG_PRIME", str(DEFAULT_PRIME)))
     check_prime(prime)
+    if args.n < _MIN_N[args.suite]:
+        raise ValueError(f"suite {args.suite} needs n >= {_MIN_N[args.suite]}")
     reports = run_suite(args.suite, args.n, seed, prime)
     for rep in reports:
         for line in rep.lines():

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,28 +79,34 @@ def draw_points(seed: int, count: int = 3, prime: int = DEFAULT_PRIME) -> List[S
 class RowSpan:
     """A subspace of F_p^dim kept in reduced row echelon form.
 
-    Spans whose rows are all plain unit vectors (coordinate subspaces,
-    which is what ideal closures produce here) keep a flag so reduction
-    is just zeroing the pivot columns instead of a matrix product.
+    A coordinate subspace (every basis row a plain unit vector, which is
+    what ideal closures produce here) is stored as its pivot list alone:
+    reduction zeroes the pivot columns, containment between two coordinate
+    spans is a subset test, and `rows` is built only when asked for.  The
+    first vector with two or more nonzero entries switches the span to
+    dense rows for good.
     """
 
     def __init__(self, dim: int, p: int):
         self.dim = dim
         self.p = p
-        self.rows = np.zeros((0, dim), dtype=np.int64)
         self.pivots: List[int] = []
-        self._unit = True
+        self._rows: Optional[np.ndarray] = None  # None while a coordinate subspace
 
     @classmethod
-    def coordinate(cls, dim: int, p: int, indices: Sequence[int]) -> "RowSpan":
+    def coordinate(cls, dim: int, p: int, indices: Iterable[int]) -> "RowSpan":
         """The span of the unit vectors at the given coordinate indices."""
         out = cls(dim, p)
-        out.pivots = sorted(int(i) for i in set(indices))
-        rows = np.zeros((len(out.pivots), dim), dtype=np.int64)
-        for r, d in enumerate(out.pivots):
-            rows[r, d] = 1
-        out.rows = rows
+        out.pivots = sorted({int(i) for i in indices})
         return out
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The echelon rows, ordered by pivot (built on demand for a
+        coordinate span)."""
+        if self._rows is not None:
+            return self._rows
+        return _unit_rows(self.pivots, self.dim)
 
     @property
     def rank(self) -> int:
@@ -113,39 +119,29 @@ class RowSpan:
         if not self.pivots or not len(vecs):
             return vecs % self.p
         vecs = vecs % self.p
-        if self._unit:
-            out = vecs.copy()
-            out[:, self.pivots] = 0
-            return out
+        if self._rows is None:
+            vecs[:, self.pivots] = 0
+            return vecs
         coeffs = vecs[:, self.pivots]
-        return (vecs - mulmod(coeffs, self.rows, self.p)) % self.p
+        return (vecs - mulmod(coeffs, self._rows, self.p)) % self.p
 
-    def _insert_reduced(self, vec: np.ndarray) -> bool:
-        nz = np.nonzero(vec)[0]
-        if not len(nz):
-            return False
-        piv = int(nz[0])
-        inv = pow(int(vec[piv]), -1, self.p)
-        row = (vec * inv) % self.p
-        if len(self.pivots):
-            col = self.rows[:, piv].copy()
-            if col.any():
-                self.rows = (self.rows - np.outer(col, row)) % self.p
-        self.rows = np.vstack([self.rows, row[None, :]])
+    def _insert_reduced(self, vec: np.ndarray) -> None:
+        piv = int(np.nonzero(vec)[0][0])
+        col = self._rows[:, piv].copy()
+        if col.any():
+            self._rows = (self._rows - np.outer(col, vec)) % self.p
+        self._rows = np.vstack([self._rows, vec[None, :]])
         self.pivots.append(piv)
-        self._unit = self._unit and len(nz) == 1
         order = np.argsort(self.pivots, kind="stable")
-        self.rows = self.rows[order]
+        self._rows = self._rows[order]
         self.pivots = [self.pivots[i] for i in order]
-        return True
 
     def absorb(self, vecs: np.ndarray) -> np.ndarray:
         """Add vectors to the span; return the new basis rows added."""
         if vecs.ndim == 1:
             vecs = vecs[None, :]
-        if self._unit and vecs.shape[0]:
-            vecs = vecs % self.p
-            nz_rows, nz_cols = np.nonzero(vecs)
+        if self._rows is None:
+            nz_rows, nz_cols = np.nonzero(vecs % self.p)
             if len(nz_rows) == len(set(nz_rows.tolist())):  # <= 1 entry per row
                 seen = set(self.pivots)
                 new: List[int] = []
@@ -155,13 +151,8 @@ class RowSpan:
                         new.append(d)
                 if new:
                     self.pivots = sorted(seen)
-                    rows = np.zeros((len(self.pivots), self.dim), dtype=np.int64)
-                    rows[np.arange(len(self.pivots)), self.pivots] = 1
-                    self.rows = rows
-                out = np.zeros((len(new), self.dim), dtype=np.int64)
-                if new:
-                    out[np.arange(len(new)), new] = 1
-                return out
+                return _unit_rows(new, self.dim)
+            self._rows = self.rows
         added = []
         batch = self.reduce(vecs)
         for i in range(batch.shape[0]):
@@ -182,10 +173,19 @@ class RowSpan:
                     batch[i + 1:][mask] = (rest[mask] - np.outer(col[mask], row)) % self.p
         return np.array(added, dtype=np.int64).reshape(len(added), self.dim)
 
+    def absorb_span(self, other: "RowSpan") -> None:
+        """Add another span's basis; two coordinate spans merge pivot sets."""
+        if self._rows is None and other._rows is None:
+            self.pivots = sorted(set(self.pivots).union(other.pivots))
+        else:
+            self.absorb(other.rows)
+
     def contains(self, vecs: np.ndarray) -> bool:
         return not self.reduce(vecs).any()
 
     def contains_span(self, other: "RowSpan") -> bool:
+        if self._rows is None and other._rows is None:
+            return set(other.pivots) <= set(self.pivots)
         return self.contains(other.rows)
 
     def equals(self, other: "RowSpan") -> bool:
@@ -193,13 +193,16 @@ class RowSpan:
 
     def copy(self) -> "RowSpan":
         out = RowSpan(self.dim, self.p)
-        out.rows = self.rows.copy()
         out.pivots = list(self.pivots)
-        out._unit = self._unit
+        if self._rows is not None:
+            out._rows = self._rows.copy()
         return out
 
-    def sorted_rows(self) -> np.ndarray:
-        return self.rows
+
+def _unit_rows(indices: Sequence[int], dim: int) -> np.ndarray:
+    out = np.zeros((len(indices), dim), dtype=np.int64)
+    out[np.arange(len(indices)), indices] = 1
+    return out
 
 
 def span_of(vecs: np.ndarray, dim: int, p: int) -> RowSpan:

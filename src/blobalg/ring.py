@@ -83,12 +83,6 @@ class RingElem:
     def is_one(self) -> bool:
         return self._terms == {(0, 0, 0): 1}
 
-    def total_degree(self) -> int:
-        """Crude degree bound |a| + b + c over the terms (0 for 0)."""
-        if not self._terms:
-            return 0
-        return max(abs(a) + b + c for (a, b, c) in self._terms)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

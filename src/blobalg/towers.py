@@ -8,7 +8,16 @@ a Schwartz-Zippel failure bound recorded on each check.
 
 Ideal spans are computed by closure iteration: start from the generating
 word's vector and multiply by generators on the required side(s) until the
-rank stabilizes.
+rank stabilizes.  Every generator maps a basis diagram to a monomial times
+a diagram, so from unit-vector seeds this is a breadth-first search over
+the action tables that follows only the edges whose monomial is nonzero at
+the point, and the result is a coordinate span (a set of pivots).
+
+The tower's decompose claim is decided the same way: b_{n-1} + b_{n-1}
+U_{n-1} b_{n-1} is the closure of {1, U_{n-1}} under left and right
+multiplication by the letters of b_{n-1}.  Conjugates Er * w * Er of the
+regular basis are composed symbolically once per (n, Er) and only their
+scalars are specialized at each point.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .diagrams import ScaledDiagram, all_diagrams, compose, compose_scaled
-from .modlin import CoordSolver, RowSpan, SpecPoint, draw_points, mulmod, span_of
+from .modlin import CoordSolver, RowSpan, SpecPoint, draw_points, mulmod
 from .presentation import evaluate_word
 from .reports import Report
 from .ring import RingElem
@@ -93,6 +102,16 @@ class DiagramSpace:
     def word_vector(self, w: Word, point: SpecPoint) -> np.ndarray:
         return self.vector(evaluate_word(w), point)
 
+    def word_span(self, words: Sequence[Word], point: SpecPoint) -> RowSpan:
+        """Span of the word images.  Each is a monomial times one diagram,
+        so this is the coordinate span of the diagrams whose scalar is
+        nonzero at the point."""
+        images = (evaluate_word(w) for w in words)
+        return RowSpan.coordinate(self.dim, point.prime, (
+            self.index[s.diagram] for s in images
+            if s.coeff.specialize(point.q0, point.g0, point.d0, point.prime)
+        ))
+
     def word_matrix(self, words: Sequence[Word], point: SpecPoint) -> np.ndarray:
         out = np.zeros((len(words), self.dim), dtype=np.int64)
         for i, w in enumerate(words):
@@ -113,8 +132,10 @@ def _apply_action(action: Tuple[np.ndarray, np.ndarray], vecs: np.ndarray, p: in
     return (out_t.T) % p
 
 
-def _closure(space: DiagramSpace, seeds: np.ndarray, point: SpecPoint, sides: str) -> RowSpan:
-    """Span of the seeds closed under generator multiplication on `sides`.
+def _closure(space: DiagramSpace, seeds: np.ndarray, point: SpecPoint, sides: str,
+             letters: Optional[Sequence[int]] = None) -> RowSpan:
+    """Span of the seeds closed under multiplication on `sides` by the
+    generators in `letters` (default: all of b_n).
 
     Generators act monomially (diagram -> scalar * diagram), so when every
     seed is a scaled unit vector the closure is a coordinate subspace and
@@ -122,7 +143,9 @@ def _closure(space: DiagramSpace, seeds: np.ndarray, point: SpecPoint, sides: st
     back to rank-stabilizing iteration.
     """
     acts = space.actions(point)
-    used = [acts[(s, letter)] for s in sides for letter in space.letters]
+    if letters is None:
+        letters = space.letters
+    used = [acts[(s, letter)] for s in sides for letter in letters]
     seeds = np.asarray(seeds, dtype=np.int64) % point.prime
     span = RowSpan(space.dim, point.prime)
     if all(np.count_nonzero(row) <= 1 for row in seeds):
@@ -156,7 +179,7 @@ class Subspace:
 
     @property
     def matrix(self) -> np.ndarray:
-        return self.span.sorted_rows()
+        return self.span.rows
 
 
 def ideal_span(n: int, g: Word, two_sided: bool, point: SpecPoint) -> Subspace:
@@ -286,12 +309,12 @@ def check_word_basis(n: int, points: Optional[Sequence[SpecPoint]] = None,
             for m2 in range(-n, n + 1, 2):
                 if abs(m2) < abs(m) or (m < 0 and m2 == -m):
                     other = blob_ideal(n, m2, pt) if m2 > 0 else through_ideal(n, -m2, pt)
-                    below.absorb(other.span.rows)
+                    below.absorb_span(other.span)
             vecs = space.word_matrix(sq.words, pt)
             with_words = below.copy()
             with_words.absorb(vecs)
             with_ideal = below.copy()
-            with_ideal.absorb(ideal.span.rows)
+            with_ideal.absorb_span(ideal.span)
             ok_span &= with_words.rank == with_ideal.rank and with_words.contains_span(with_ideal)
             ok_indep &= with_words.rank == below.rank + len(sq.words)
             expected = sum(
@@ -364,10 +387,13 @@ def check_ideal_inclusions(n: int, points: Optional[Sequence[SpecPoint]] = None,
         rep.add(f"blob-inside m={m}", f"blobbed ideal m={m}", f"inside ideal m={m}", ok, note)
 
     for m in range(n % 2, n - 1, 2):
-        ok = True
-        for pt in points:
-            scaled = (through_ideal(n, m, pt).span.rows * pt.g0) % pt.prime
-            ok &= blob_ideal(n, m + 2, pt).span.contains(scaled)
+        # g times a subspace is the subspace itself when g is nonzero at
+        # the point and zero otherwise
+        ok = all(
+            pt.g0 % pt.prime == 0
+            or blob_ideal(n, m + 2, pt).span.contains_span(through_ideal(n, m, pt).span)
+            for pt in points
+        )
         rep.add(f"g-step m={m}", f"g * ideal m={m}", f"inside blobbed ideal m={m + 2}", ok, note)
     return rep
 
@@ -375,15 +401,27 @@ def check_ideal_inclusions(n: int, points: Optional[Sequence[SpecPoint]] = None,
 # -- tower identities ----------------------------------------------------------
 
 
-def _conjugated_span(space: DiagramSpace, left: Word, right: Word,
-                     words: Sequence[Word], pt: SpecPoint) -> RowSpan:
-    lv = evaluate_word(left.with_n(space.n))
-    rv = evaluate_word(right.with_n(space.n))
-    vecs = np.zeros((len(words), space.dim), dtype=np.int64)
-    for i, w in enumerate(words):
-        prod = compose_scaled(compose_scaled(lv, evaluate_word(w.with_n(space.n))), rv)
-        vecs[i] = space.vector(prod, pt)
-    return span_of(vecs, space.dim, pt.prime)
+@lru_cache(maxsize=64)
+def _conjugates(n: int, left: Word, right: Word) -> Tuple[Tuple[int, RingElem], ...]:
+    """(basis index, scalar) of left * w * right for each regular basis
+    word w of b_n.  The products are symbolic, so every point shares them."""
+    index = diagram_space(n).index
+    lv = evaluate_word(left.with_n(n))
+    rv = evaluate_word(right.with_n(n))
+    out = []
+    for w in regular_basis(n):
+        prod = compose_scaled(compose_scaled(lv, evaluate_word(w.with_n(n))), rv)
+        out.append((index[prod.diagram], prod.coeff))
+    return tuple(out)
+
+
+def _conjugated_span(space: DiagramSpace, left: Word, right: Word, pt: SpecPoint) -> RowSpan:
+    """The span of left * b_n * right at one point: the diagrams whose
+    conjugate scalar is nonzero there."""
+    return RowSpan.coordinate(space.dim, pt.prime, (
+        i for i, coeff in _conjugates(space.n, left, right)
+        if coeff.specialize(pt.q0, pt.g0, pt.d0, pt.prime)
+    ))
 
 
 def check_tower(n: int, points: Optional[Sequence[SpecPoint]] = None,
@@ -391,7 +429,13 @@ def check_tower(n: int, points: Optional[Sequence[SpecPoint]] = None,
     """The level decomposition b_n = b_{n-1} + b_{n-1} U_{n-1} b_{n-1}, the
     squeeze identities U_{n-1} b_n U_{n-1} = U_{n-1} b_{n-2} (rank one at
     n = 2, where [2] or g must be invertible), and the sandwich
-    Er_m b_n Er_m = Er_m b_m."""
+    Er_m b_n Er_m = Er_m b_m.
+
+    The decomposition is decided by closing {1, U_{n-1}} under left and
+    right multiplication by e, U_1, ..., U_{n-2} at each point and asking
+    for full rank; no product of two basis words is formed.  The squeeze
+    and sandwich left-hand sides come from `_conjugates`, composed once
+    and specialized per point."""
     if n < 2:
         raise ValueError("tower checks need n >= 2")
     if points is None:
@@ -401,39 +445,28 @@ def check_tower(n: int, points: Optional[Sequence[SpecPoint]] = None,
     space = diagram_space(n)
     note = _fail_note(n, space.dim, points)
 
-    lower = [w.with_n(n) for w in regular_basis(n - 1)]
     u_top = gen_u(n, n - 1)
     ok = True
     for pt in points:
-        span = RowSpan(space.dim, pt.prime)
-        span.absorb(space.word_matrix(lower, pt))
-        mid = [compose_scaled(evaluate_word(u_top), evaluate_word(b)) for b in lower]
-        vecs = np.zeros((len(lower) * len(mid), space.dim), dtype=np.int64)
-        k = 0
-        for a in lower:
-            sa = evaluate_word(a)
-            for sb in mid:
-                vecs[k] = space.vector(compose_scaled(sa, sb), pt)
-                k += 1
-        span.absorb(vecs)
-        ok &= span.rank == space.dim
+        seeds = space.word_matrix([unit(n), u_top], pt)
+        ok &= _closure(space, seeds, pt, "LR", range(n - 1)).rank == space.dim
     rep.add("decompose", f"b_{n-1} + b_{n-1} U{n-1} b_{n-1}", f"all of b_{n} (rank {space.dim})",
             ok, note)
 
     if n == 2:
         ok = True
         for pt in points:
-            got = _conjugated_span(space, u_top, u_top, regular_basis(2), pt)
-            want = span_of(space.word_matrix([gen_u(2, 1)], pt), space.dim, pt.prime)
+            got = _conjugated_span(space, u_top, u_top, pt)
+            want = space.word_span([gen_u(2, 1)], pt)
             ok &= got.equals(want)
         rep.add("squeeze n=2", "U1 b_2 U1", "([2]K + gK) U1 b_0 = K U1", ok,
                 note + "; needs [2] or g invertible, points have g nonzero")
     if n >= 3:
         ok = True
         for pt in points:
-            got = _conjugated_span(space, u_top, u_top, regular_basis(n), pt)
+            got = _conjugated_span(space, u_top, u_top, pt)
             rhs_words = [u_top * w.with_n(n) for w in regular_basis(n - 2)]
-            want = span_of(space.word_matrix(rhs_words, pt), space.dim, pt.prime)
+            want = space.word_span(rhs_words, pt)
             ok &= got.equals(want)
         rep.add("squeeze", f"U{n-1} b_{n} U{n-1}", f"U{n-1} b_{n-2}", ok, note)
 
@@ -441,9 +474,9 @@ def check_tower(n: int, points: Optional[Sequence[SpecPoint]] = None,
         er = cap_word_right(m, n)
         ok = True
         for pt in points:
-            got = _conjugated_span(space, er, er, regular_basis(n), pt)
+            got = _conjugated_span(space, er, er, pt)
             rhs_words = [er * w.with_n(n) for w in regular_basis(m)]
-            want = span_of(space.word_matrix(rhs_words, pt), space.dim, pt.prime)
+            want = space.word_span(rhs_words, pt)
             ok &= got.equals(want)
         extra = "; m=0 needs [2] or g invertible, points have g nonzero" if m == 0 else ""
         rep.add(f"sandwich m={m}", f"Er_{m} b_{n} Er_{m}", f"Er_{m} b_{m}", ok, note + extra)
@@ -473,9 +506,9 @@ def check_quotient_dims(n: int, points: Optional[Sequence[SpecPoint]] = None,
         ok_reps = True
         for pt in points:
             ideal = through_ideal(n, m - 2, pt)
-            conj = _conjugated_span(space, er, er, regular_basis(n), pt)
+            conj = _conjugated_span(space, er, er, pt)
             with_conj = ideal.span.copy()
-            with_conj.absorb(conj.rows)
+            with_conj.absorb_span(conj)
             ok_dim &= with_conj.rank - ideal.rank == 2
             with_reps = ideal.span.copy()
             with_reps.absorb(space.word_matrix(reps_words, pt))
@@ -497,11 +530,11 @@ def _quotient_span(n: int, m: int, pt: SpecPoint) -> RowSpan:
     space = diagram_space(n)
     out = RowSpan(space.dim, pt.prime)
     if m >= 2:
-        out.absorb(through_ideal(n, m - 2, pt).span.rows)
+        out.absorb_span(through_ideal(n, m - 2, pt).span)
     elif m <= -1:
-        out.absorb(_cached_ideal(n, str(blob_cap_word(-m, n)), False, pt).span.rows)
+        out.absorb_span(_cached_ideal(n, str(blob_cap_word(-m, n)), False, pt).span)
         if m <= -2:
-            out.absorb(through_ideal(n, -m - 2, pt).span.rows)
+            out.absorb_span(through_ideal(n, -m - 2, pt).span)
     return out
 
 

@@ -137,3 +137,21 @@ def test_verify_deterministic_output(capsys):
     assert out1 == out2
     _, out3, _ = run(capsys, "verify", "--suite", "tower", "--n", "3", "--seed", "12")
     assert "seed=12" in out3
+
+
+def test_mul_rejects_diagram_json_without_pairs(capsys):
+    code, out, err = run(capsys, "mul", "--n", "2", "--left", "{}", "--right", "U1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "pairs" in err and len(err.splitlines()) == 1
+
+
+def test_verify_rejects_n_below_suite_minimum(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "bases", "--n", "0")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: suite bases needs n >= 1"
+
+
+def test_walks_rejects_negative_n(capsys):
+    code, out, err = run(capsys, "walks", "--n", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from blobalg.diagrams import compose_scaled
-from blobalg.modlin import span_of
+from blobalg.modlin import RowSpan, SpecPoint, span_of
 from blobalg.presentation import evaluate_word
 from blobalg.towers import (
+    _closure,
+    _conjugated_span,
     check_ideal_inclusions,
     check_quotient_dims,
     check_span_closure,
@@ -21,9 +23,11 @@ from blobalg.towers import (
     standard_module,
     through_ideal,
 )
-from blobalg.words import cap_word, opposite, parse_word, unit
+from blobalg.words import cap_word, cap_word_right, gen_u, opposite, parse_word, unit
 
 POINTS = default_points(0)
+# g and de vanish here, so many monomials specialize to zero
+ZERO_POINT = SpecPoint(POINTS[0].prime, POINTS[0].q0, 0, 0)
 
 
 def brute_ideal_rank(n, word, point, two_sided=True):
@@ -215,3 +219,106 @@ def test_points_recorded_in_reports():
 def test_standard_module_rejects_bad_weight():
     with pytest.raises(ValueError):
         standard_module(3, 0, POINTS[0])
+
+
+def test_decompose_closure_matches_explicit_products():
+    # reference: b_{n-1} plus every product a * U_{n-1} * b of basis words
+    for n in (2, 3, 4):
+        space = diagram_space(n)
+        lower = [w.with_n(n) for w in regular_basis(n - 1)]
+        u_top = evaluate_word(gen_u(n, n - 1))
+        mids = [compose_scaled(u_top, evaluate_word(b)) for b in lower]
+        for pt in (POINTS[0], ZERO_POINT):
+            vecs = [space.word_vector(a, pt) for a in lower]
+            vecs += [space.vector(compose_scaled(evaluate_word(a), mid), pt)
+                     for a in lower for mid in mids]
+            want = span_of(np.array(vecs), space.dim, pt.prime)
+            seeds = space.word_matrix([unit(n), gen_u(n, n - 1)], pt)
+            got = _closure(space, seeds, pt, "LR", range(n - 1))
+            assert got.pivots == want.pivots
+            if pt is ZERO_POINT and n > 2:
+                assert not all(v.any() for v in vecs)  # some products vanish here
+
+
+def test_conjugate_spans_match_per_point_products():
+    vanished = 0
+    for n in range(2, 6):
+        space = diagram_space(n)
+        conjugators = [gen_u(n, n - 1)] + [cap_word_right(m, n) for m in range(n % 2, n + 1, 2)]
+        for w in conjugators:
+            ew = evaluate_word(w)
+            for pt in (POINTS[0], POINTS[1], ZERO_POINT):
+                vecs = [space.vector(compose_scaled(compose_scaled(ew, evaluate_word(b.with_n(n))), ew),
+                                     pt)
+                        for b in regular_basis(n)]
+                want = span_of(np.array(vecs), space.dim, pt.prime)
+                got = _conjugated_span(space, w, w, pt)
+                assert got.pivots == want.pivots, (n, str(w), pt)
+                vanished += sum(not v.any() for v in vecs)
+    assert vanished  # only ZERO_POINT can send a monomial to zero
+
+
+def test_word_span_matches_word_matrix():
+    for n in (3, 4, 5):
+        space = diagram_space(n)
+        words = [gen_u(n, n - 1) * w.with_n(n) for w in regular_basis(n - 2)]
+        for m in range(n % 2, n + 1, 2):
+            words += [cap_word_right(m, n) * w.with_n(n) for w in regular_basis(m)]
+        words += [parse_word("e e", n), parse_word("U1 e U1", n)]  # scalars de and g
+        for pt in (POINTS[0], ZERO_POINT):
+            vecs = space.word_matrix(words, pt)
+            want = span_of(vecs, space.dim, pt.prime)
+            assert space.word_span(words, pt).pivots == want.pivots
+        assert not vecs.any(axis=1).all()  # ZERO_POINT sends some images to zero
+
+
+def test_coordinate_rowspan_rows_and_copy():
+    p = POINTS[0].prime
+    span = RowSpan.coordinate(5, p, [3, 1, 3])
+    assert span.pivots == [1, 3] and span.rank == 2
+    assert span._rows is None  # pivots only until rows are asked for
+    want = np.zeros((2, 5), dtype=np.int64)
+    want[0, 1] = want[1, 3] = 1
+    assert (span.rows == want).all()
+    added = span.absorb(np.array([[0, 0, 0, 7, 0], [2, 0, 0, 0, 0]]))
+    assert span.pivots == [0, 1, 3] and span._rows is None
+    assert added.shape == (1, 5) and added[0, 0] == 1
+    dup = span.copy()
+    dup.absorb(np.array([0, 0, 0, 0, 9]))
+    assert span.pivots == [0, 1, 3] and dup.pivots == [0, 1, 3, 4]
+
+
+def test_rowspan_absorbs_non_unit_vector_into_coordinate_span():
+    p = POINTS[0].prime
+    span = RowSpan.coordinate(4, p, [0, 2])
+    dup = span.copy()
+    span.absorb(np.array([[5, 1, 7, 1]]))
+    assert span.pivots == [0, 1, 2]
+    rows = span.rows
+    assert (rows[:, span.pivots] == np.eye(3, dtype=np.int64)).all()
+    assert (rows[1] == [0, 1, 0, 1]).all()
+    assert span.contains(np.array([5, 1, 7, 1])) and not span.contains(np.array([0, 0, 0, 1]))
+    assert dup.pivots == [0, 2] and dup.rank == 2  # the copy kept its own pivots
+    dense = span.copy()
+    dense.absorb(np.array([0, 0, 0, 3]))
+    assert dense.rank == 4 and span.rank == 3
+
+
+def test_rowspan_containment_across_unit_and_dense():
+    p = POINTS[0].prime
+    unit_13 = RowSpan.coordinate(4, p, [1, 3])
+    dense_13 = span_of(np.array([[0, 1, 0, 1], [0, 1, 0, 2]]), 4, p)
+    assert dense_13._rows is not None
+    assert unit_13.equals(dense_13) and dense_13.equals(unit_13)
+    line = span_of(np.array([[0, 1, 0, 1]]), 4, p)
+    assert unit_13.contains_span(line) and not line.contains_span(unit_13)
+    assert not unit_13.equals(line)
+    unit_1 = RowSpan.coordinate(4, p, [1])
+    assert not line.contains_span(unit_1) and not unit_1.contains_span(line)
+    assert unit_13.contains_span(unit_1) and not unit_1.contains_span(unit_13)
+    assert not unit_13.equals(RowSpan.coordinate(4, p, [1, 2]))
+    merged = unit_1.copy()
+    merged.absorb_span(RowSpan.coordinate(4, p, [3]))
+    assert merged.pivots == [1, 3] and merged._rows is None
+    merged.absorb_span(line)
+    assert merged.equals(unit_13)
