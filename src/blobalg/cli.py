@@ -1,7 +1,9 @@
 """Batch command line front end.
 
 Subcommands: walks, word, phi, mul, basis, dims, verify.  Exit status is
-0 on success, 1 when a verification suite fails, 2 on usage errors.  The
+0 on success, 1 when a verification suite fails, 2 on usage errors and 3
+on an internal error (an unexpected exception, reported as one
+``error: internal: <Type>: <message>`` line on stderr).  The
 default verification seed and prime can be set through the BLOBALG_SEED
 and BLOBALG_PRIME environment variables; identical seed and flags produce
 byte-identical output.
@@ -13,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from math import comb
 from typing import List, Optional
 
@@ -41,6 +44,7 @@ from .walks import all_walks, check_diamond_moves, check_walk_suite, parse_walk,
 from .words import Word, parse_word
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="blobalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -250,6 +254,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -59,19 +59,45 @@ def make_diagram(n: int, pairs: Sequence[Sequence[int]], blobs: Sequence[Sequenc
 
 
 def validate(d: BlobDiagram) -> None:
-    """Raise ValueError unless d satisfies all diagram invariants."""
-    points = [p for arc in d.pairs for p in arc]
-    if sorted(points) != list(range(1, 2 * d.n + 1)):
+    """Raise ValueError unless d satisfies all diagram invariants.
+
+    One pass over the points 1..2n with a stack of open arcs.  The pairs
+    must be a perfect matching of 1..2n, listed as (start, end) arcs with
+    start < end in ascending order of start (the form make_diagram
+    produces).  A closing point must close the arc on top of the stack,
+    otherwise two arcs cross.  An arc is west-exposed exactly when the
+    stack is empty as it opens; only such arcs may carry a blob.
+    """
+    n2 = 2 * d.n
+    pairs = d.pairs
+    mate = [0] * (n2 + 1)
+    for i, j in pairs:
+        if not (1 <= i <= n2 and 1 <= j <= n2) or i == j or mate[i] or mate[j]:
+            raise ValueError("pairs are not a perfect matching of 1..2n")
+        mate[i] = j
+        mate[j] = i
+    if len(pairs) != d.n:
         raise ValueError("pairs are not a perfect matching of 1..2n")
-    for idx, (i, j) in enumerate(d.pairs):
-        for k, l in d.pairs[idx + 1:]:
-            if i < k < j < l or k < i < l < j:
-                raise ValueError(f"arcs ({i},{j}) and ({k},{l}) cross")
-    for arc in d.blobs:
-        if arc not in d.pairs:
-            raise ValueError(f"blob on missing arc {arc}")
-        if not west_exposed(d, arc):
-            raise ValueError(f"blob on nested arc {arc}")
+    exposed = [False] * (n2 + 1)
+    stack: List[int] = []
+    opened = 0
+    for p in range(1, n2 + 1):
+        m = mate[p]
+        if m > p:
+            if pairs[opened][0] != p:
+                raise ValueError("pairs are not sorted (start, end) arcs")
+            opened += 1
+            exposed[p] = not stack
+            stack.append(p)
+        else:
+            top = stack.pop()
+            if top != m:
+                raise ValueError(f"arcs ({top},{mate[top]}) and ({m},{p}) cross")
+    for i, j in d.blobs:
+        if not 1 <= i < j <= n2 or mate[i] != j:
+            raise ValueError(f"blob on missing arc {(i, j)}")
+        if not exposed[i]:
+            raise ValueError(f"blob on nested arc {(i, j)}")
 
 
 def west_exposed(d: BlobDiagram, arc: Arc) -> bool:
@@ -123,104 +149,104 @@ class ScaledDiagram:
         return f"({self.coeff}) {self.diagram}"
 
 
-def _mate(d: BlobDiagram) -> List[int]:
+@lru_cache(maxsize=1024)
+def _scalar(plain: int, blobbed: int, excess: int) -> RingElem:
+    """The monomial [2]^plain g^blobbed de^excess, [2] = q + q^-1."""
+    return RingElem({(plain - 2 * k, blobbed, excess): comb(plain, k) for k in range(plain + 1)})
+
+
+def _point_arrays(d: BlobDiagram) -> Tuple[List[int], List[int]]:
+    """Point-indexed mate and blob lists (length 2n+1, index 0 unused)."""
     mate = [0] * (2 * d.n + 1)
+    blob = [0] * (2 * d.n + 1)
     for i, j in d.pairs:
         mate[i] = j
         mate[j] = i
-    return mate
+    for i, j in d.blobs:
+        blob[i] = blob[j] = 1
+    return mate, blob
 
 
 def compose(d1: BlobDiagram, d2: BlobDiagram) -> ScaledDiagram:
     """Stack d1 on top of d2 and reduce to scalar * diagram.
 
-    d1's bottom points are glued to d2's top points position by position
-    (d1 point 2n+1-j meets d2 point j).  Strands are traced through the
-    interface; open strands become result arcs, closed strands become
-    scalar factors as described in the module docstring.
+    d1's bottom point 2n+1-j is glued to d2's top point j (the interface
+    position j).  The result's points are d1's top row 1..n and d2's bottom
+    row n+1..2n under their own labels.  One pass over the point-indexed
+    mate and blob lists of both diagrams traces each strand from its
+    smaller end, visiting start points in ascending order, so the result
+    arcs come out sorted with start < end.  The interface positions no
+    strand crossed lie on closed loops, traced afterwards.  Blobs are
+    counted per strand; the scalar is the monomial of the module
+    docstring, looked up by (plain loops, blobbed loops, excess blobs).
+    The result is checked by :func:`validate` before it is returned.
     """
     if d1.n != d2.n:
         raise ValueError(f"strand counts differ: {d1.n} vs {d2.n}")
     n = d1.n
-    mate1, mate2 = _mate(d1), _mate(d2)
-    blob1 = {arc: 1 for arc in d1.blobs}
-    blob2 = {arc: 1 for arc in d2.blobs}
+    glue = 2 * n + 1  # d1 point glue - j meets d2 point j
+    mate1, blob1 = _point_arrays(d1)
+    mate2, blob2 = _point_arrays(d2)
+    done = [False] * glue  # result points already reached as an end
+    crossed = [False] * (n + 1)  # interface positions some strand passed
+    pairs: List[Arc] = []
+    blobs: List[Arc] = []
+    excess = 0
 
-    def arc_blob(which: int, a: int, b: int) -> int:
-        arc = (a, b) if a < b else (b, a)
-        return (blob1 if which == 1 else blob2).get(arc, 0)
-
-    # external points: in d1 the top Row 1..n, in d2 the bottom row n+1..2n;
-    # both keep their labels in the result.
-    seen_ext = set()
-    seen_mid = set()  # interface positions 1..n traversed
-    loops_plain = 0
-    loops_blobbed = 0
-    excess_blobs = 0
-    new_pairs: List[Arc] = []
-    new_blobs: List[Arc] = []
-
-    def trace(which: int, start: int) -> Tuple[int, int, int]:
-        """Follow the strand from an external point; return (which, end, blobs)."""
-        blobs = 0
-        w, pt = which, start
+    for start in range(1, glue):
+        if done[start]:
+            continue
+        count = 0
+        pt = start
+        upper = start <= n  # is pt a point of d1?
         while True:
-            other = (mate1 if w == 1 else mate2)[pt]
-            blobs += arc_blob(w, pt, other)
-            if w == 1:
-                if other <= n:  # d1 top: external
-                    return 1, other, blobs
-                mid = 2 * n + 1 - other
-                seen_mid.add(mid)
-                w, pt = 2, mid
+            if upper:
+                end = mate1[pt]
+                count += blob1[pt]
+                if end <= n:
+                    break
+                pt = glue - end
+                crossed[pt] = True
+                upper = False
             else:
-                if other > n:  # d2 bottom: external
-                    return 2, other, blobs
-                seen_mid.add(other)
-                w, pt = 1, 2 * n + 1 - other
+                end = mate2[pt]
+                count += blob2[pt]
+                if end > n:
+                    break
+                crossed[end] = True
+                pt = glue - end
+                upper = True
+        done[end] = True
+        pairs.append((start, end))
+        if count:
+            blobs.append((start, end))
+            excess += count - 1
 
-    for which, start in [(1, i) for i in range(1, n + 1)] + [(2, j) for j in range(n + 1, 2 * n + 1)]:
-        if (which, start) in seen_ext:
+    plain = blobbed = 0
+    for first in range(1, n + 1):
+        if crossed[first]:
             continue
-        seen_ext.add((which, start))
-        end_which, end, blobs = trace(which, start)
-        seen_ext.add((end_which, end))
-        a, b = min(start, end), max(start, end)
-        new_pairs.append((a, b))
-        if blobs:
-            excess_blobs += blobs - 1
-            new_blobs.append((a, b))
-
-    # remaining interface positions form closed loops
-    for mid in range(1, n + 1):
-        if mid in seen_mid:
-            continue
-        blobs = 0
-        w, pt = 2, mid
+        count = 0
+        pt = first
         while True:
-            other = (mate1 if w == 1 else mate2)[pt]
-            blobs += arc_blob(w, pt, other)
-            nxt = other if w == 2 else 2 * n + 1 - other
-            seen_mid.add(nxt)
-            w = 3 - w
-            pt = nxt if w == 2 else 2 * n + 1 - nxt
-            if w == 2 and pt == mid:
+            # down through d2 from interface pt to interface nxt, then back
+            # up through d1; mark both interface points of the step
+            nxt = mate2[pt]
+            count += blob2[pt]
+            crossed[pt] = crossed[nxt] = True
+            count += blob1[glue - nxt]
+            pt = glue - mate1[glue - nxt]
+            if pt == first:
                 break
-        if blobs:
-            excess_blobs += blobs - 1
-            loops_blobbed += 1
+        if count:
+            blobbed += 1
+            excess += count - 1
         else:
-            loops_plain += 1
+            plain += 1
 
-    scalar = RingElem.one()
-    if loops_plain:
-        scalar = scalar * RingElem.loop() ** loops_plain
-    if loops_blobbed:
-        scalar = scalar * RingElem.gamma() ** loops_blobbed
-    if excess_blobs:
-        scalar = scalar * RingElem.delta_e() ** excess_blobs
-    result = make_diagram(n, new_pairs, new_blobs)
-    return ScaledDiagram(scalar, result)
+    result = BlobDiagram(n, tuple(pairs), frozenset(blobs))
+    validate(result)
+    return ScaledDiagram(_scalar(plain, blobbed, excess), result)
 
 
 def compose_scaled(s1: ScaledDiagram, s2: ScaledDiagram) -> ScaledDiagram:

@@ -51,7 +51,8 @@ def evaluate_word(w: Word) -> ScaledDiagram:
     diagram = identity_diagram(w.n)
     for letter in w.letters:
         step = compose(diagram, _generator_diagram(w.n, letter))
-        coeff = coeff * step.coeff
+        if not step.coeff.is_one():
+            coeff = coeff * step.coeff
         diagram = step.diagram
     return ScaledDiagram(coeff, diagram)
 

@@ -155,3 +155,24 @@ def test_walks_rejects_negative_n(capsys):
     code, out, err = run(capsys, "walks", "--n", "-1")
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_internal_error_exit_three(capsys, monkeypatch):
+    import blobalg.cli as cli
+
+    def broken(args):
+        raise RuntimeError("table lookup went wrong")
+
+    monkeypatch.setattr(cli, "cmd_word", broken)
+    code, out, err = run(capsys, "word", "--path", "0,1")
+    assert code == 3 and out == ""
+    assert err == "error: internal: RuntimeError: table lookup went wrong\n"
+
+
+def test_parser_is_built_once(capsys):
+    import blobalg.cli as cli
+
+    parser = cli._build_parser()
+    code, out, _ = run(capsys, "word", "--path", "0,-1,0,1")
+    assert code == 0 and out.strip() == "U1 e U2 U1"
+    assert cli._build_parser() is parser

@@ -1,15 +1,144 @@
-"""Cross-check diagram composition against a union-find strand tracer.
+"""Cross-check diagram composition and validation against references.
 
-The production composer follows strands point to point.  The oracle here
-shares no code with it: it glues the two diagrams' boundary points with a
-union-find, classifies every class as a through strand or a closed loop,
-and tallies blobs per class.  Both must agree on every product.
+``compose`` makes one pass over point-indexed mate and blob lists.  Two
+references share no code with it:
+
+* ``reference_compose`` is the earlier strand tracer.  It walks the two
+  diagrams through dictionaries of blobbed arcs, builds the scalar with
+  ``RingElem`` arithmetic and normalizes its result through
+  ``make_diagram``;
+* ``compose_by_union_find`` glues the two diagrams' boundary points with a
+  union-find, classifies every class as a through strand or a closed loop,
+  and tallies blobs per class.
+
+``reference_validate`` is the earlier quadratic validator, which compares
+every pair of arcs for crossings and scans for an enclosing arc per blob.
+All must agree with the production code.
 """
 
+import itertools
 import random
+from typing import List, Tuple
 
-from blobalg.diagrams import ScaledDiagram, all_diagrams, compose
+import pytest
+
+from blobalg.diagrams import (
+    BlobDiagram,
+    ScaledDiagram,
+    _scalar,
+    all_diagrams,
+    compose,
+    make_diagram,
+    validate,
+)
 from blobalg.ring import RingElem
+
+
+def reference_compose(d1, d2):
+    """Trace strands point to point, one interface crossing at a time."""
+    if d1.n != d2.n:
+        raise ValueError(f"strand counts differ: {d1.n} vs {d2.n}")
+    n = d1.n
+
+    def mate_of(d):
+        mate = [0] * (2 * d.n + 1)
+        for i, j in d.pairs:
+            mate[i] = j
+            mate[j] = i
+        return mate
+
+    mate1, mate2 = mate_of(d1), mate_of(d2)
+    blob1 = {arc: 1 for arc in d1.blobs}
+    blob2 = {arc: 1 for arc in d2.blobs}
+
+    def arc_blob(which, a, b):
+        arc = (a, b) if a < b else (b, a)
+        return (blob1 if which == 1 else blob2).get(arc, 0)
+
+    seen_ext = set()
+    seen_mid = set()
+    loops_plain = 0
+    loops_blobbed = 0
+    excess_blobs = 0
+    new_pairs: List[Tuple[int, int]] = []
+    new_blobs: List[Tuple[int, int]] = []
+
+    def trace(which, start):
+        blobs = 0
+        w, pt = which, start
+        while True:
+            other = (mate1 if w == 1 else mate2)[pt]
+            blobs += arc_blob(w, pt, other)
+            if w == 1:
+                if other <= n:
+                    return 1, other, blobs
+                mid = 2 * n + 1 - other
+                seen_mid.add(mid)
+                w, pt = 2, mid
+            else:
+                if other > n:
+                    return 2, other, blobs
+                seen_mid.add(other)
+                w, pt = 1, 2 * n + 1 - other
+
+    starts = [(1, i) for i in range(1, n + 1)] + [(2, j) for j in range(n + 1, 2 * n + 1)]
+    for which, start in starts:
+        if (which, start) in seen_ext:
+            continue
+        seen_ext.add((which, start))
+        end_which, end, blobs = trace(which, start)
+        seen_ext.add((end_which, end))
+        a, b = min(start, end), max(start, end)
+        new_pairs.append((a, b))
+        if blobs:
+            excess_blobs += blobs - 1
+            new_blobs.append((a, b))
+
+    for mid in range(1, n + 1):
+        if mid in seen_mid:
+            continue
+        blobs = 0
+        w, pt = 2, mid
+        while True:
+            other = (mate1 if w == 1 else mate2)[pt]
+            blobs += arc_blob(w, pt, other)
+            nxt = other if w == 2 else 2 * n + 1 - other
+            seen_mid.add(nxt)
+            w = 3 - w
+            pt = nxt if w == 2 else 2 * n + 1 - nxt
+            if w == 2 and pt == mid:
+                break
+        if blobs:
+            excess_blobs += blobs - 1
+            loops_blobbed += 1
+        else:
+            loops_plain += 1
+
+    scalar = RingElem.one()
+    if loops_plain:
+        scalar = scalar * RingElem.loop() ** loops_plain
+    if loops_blobbed:
+        scalar = scalar * RingElem.gamma() ** loops_blobbed
+    if excess_blobs:
+        scalar = scalar * RingElem.delta_e() ** excess_blobs
+    return ScaledDiagram(scalar, make_diagram(n, new_pairs, new_blobs))
+
+
+def reference_validate(d):
+    """The quadratic validator: all arc pairs for crossings, a scan per blob."""
+    points = [p for arc in d.pairs for p in arc]
+    if sorted(points) != list(range(1, 2 * d.n + 1)):
+        raise ValueError("pairs are not a perfect matching of 1..2n")
+    for idx, (i, j) in enumerate(d.pairs):
+        for k, l in d.pairs[idx + 1:]:
+            if i < k < j < l or k < i < l < j:
+                raise ValueError(f"arcs ({i},{j}) and ({k},{l}) cross")
+    for arc in d.blobs:
+        if arc not in d.pairs:
+            raise ValueError(f"blob on missing arc {arc}")
+        i, j = arc
+        if any(k < i and j < l for k, l in d.pairs if (k, l) != (i, j)):
+            raise ValueError(f"blob on nested arc {arc}")
 
 
 class UnionFind:
@@ -76,9 +205,13 @@ def compose_by_union_find(d1, d2):
         else:
             scalar = scalar * RingElem.loop()
 
-    from blobalg.diagrams import make_diagram
-
     return ScaledDiagram(scalar, make_diagram(n, pairs, blobbed))
+
+
+def _all_products_agree(d1, d2):
+    got = compose(d1, d2)
+    assert got == reference_compose(d1, d2)
+    assert got == compose_by_union_find(d1, d2)
 
 
 def test_oracle_agrees_exhaustively_small_n():
@@ -86,14 +219,102 @@ def test_oracle_agrees_exhaustively_small_n():
         basis = all_diagrams(n)
         for d1 in basis:
             for d2 in basis:
-                assert compose(d1, d2) == compose_by_union_find(d1, d2)
+                _all_products_agree(d1, d2)
 
 
 def test_oracle_agrees_on_random_pairs():
     rng = random.Random("uf-oracle")
-    for n in (4, 5, 6):
+    for n, count in ((4, 2000), (5, 2000), (6, 2000), (7, 1000), (8, 1000)):
         basis = all_diagrams(n)
-        for _ in range(2000):
+        for _ in range(count):
             d1 = basis[rng.randrange(len(basis))]
             d2 = basis[rng.randrange(len(basis))]
-            assert compose(d1, d2) == compose_by_union_find(d1, d2)
+            _all_products_agree(d1, d2)
+
+
+def _accepts(check, d):
+    try:
+        check(d)
+    except ValueError:
+        return False
+    return True
+
+
+def test_validate_agrees_with_reference_on_every_diagram():
+    for n in range(0, 6):
+        for d in all_diagrams(n):
+            validate(d)
+            reference_validate(d)
+
+
+def _perfect_matchings(points):
+    if not points:
+        yield ()
+        return
+    first, rest = points[0], points[1:]
+    for k, partner in enumerate(rest):
+        for m in _perfect_matchings(rest[:k] + rest[k + 1:]):
+            yield ((first, partner),) + m
+
+
+def test_validate_agrees_with_reference_on_all_blob_placements():
+    # every perfect matching, crossing or not, with every subset of its
+    # arcs blobbed; both validators must accept exactly the same ones
+    for n in range(0, 5):
+        for pairs in _perfect_matchings(tuple(range(1, 2 * n + 1))):
+            for r in range(len(pairs) + 1):
+                for blobs in itertools.combinations(pairs, r):
+                    d = BlobDiagram(n, pairs, frozenset(blobs))
+                    assert _accepts(validate, d) == _accepts(reference_validate, d), d
+
+
+BAD_DIAGRAMS = {
+    "crossing arcs": BlobDiagram(2, ((1, 3), (2, 4)), frozenset()),
+    "blob on nested arc": BlobDiagram(2, ((1, 4), (2, 3)), frozenset({(2, 3)})),
+    "blob on missing arc": BlobDiagram(2, ((1, 4), (2, 3)), frozenset({(1, 2)})),
+    "blob outside 1..2n": BlobDiagram(2, ((1, 4), (2, 3)), frozenset({(0, 5)})),
+    "repeated point": BlobDiagram(2, ((1, 4), (1, 4)), frozenset()),
+    "point outside 1..2n": BlobDiagram(2, ((1, 2), (3, 5)), frozenset()),
+    "point zero": BlobDiagram(2, ((0, 1), (2, 3)), frozenset()),
+    "too few arcs": BlobDiagram(3, ((1, 2), (3, 4)), frozenset()),
+    "too many arcs": BlobDiagram(1, ((1, 2), (3, 4)), frozenset()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DIAGRAMS))
+def test_both_validators_reject_bad_input(name):
+    d = BAD_DIAGRAMS[name]
+    with pytest.raises(ValueError):
+        validate(d)
+    with pytest.raises(ValueError):
+        reference_validate(d)
+
+
+def test_validate_requires_canonical_arc_order():
+    # compose builds its result without make_diagram's normalization, so
+    # validate also checks the sorted (start, end) form; the reference did
+    # not need to, and accepts these
+    for pairs in (((2, 3), (1, 4)), ((4, 1), (2, 3))):
+        d = BlobDiagram(2, pairs, frozenset())
+        reference_validate(d)
+        with pytest.raises(ValueError, match="sorted"):
+            validate(d)
+        assert make_diagram(2, pairs) == BlobDiagram(2, ((1, 4), (2, 3)), frozenset())
+
+
+def test_compose_builds_monomials_without_ring_products(monkeypatch):
+    # the scalar is read off binomial coefficients, never multiplied out,
+    # even when the monomial table is cold
+    want = RingElem.loop() ** 3 * RingElem.gamma() * RingElem.delta_e() ** 2
+
+    def forbidden(self, other):
+        raise AssertionError("compose multiplied RingElems")
+
+    monkeypatch.setattr(RingElem, "__mul__", forbidden)
+    monkeypatch.setattr(RingElem, "__pow__", forbidden)
+    _scalar.cache_clear()
+    basis = all_diagrams(4)
+    for d1 in basis:
+        for d2 in basis:
+            compose(d1, d2)
+    assert _scalar(3, 1, 2) == want
