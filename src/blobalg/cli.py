@@ -1,9 +1,11 @@
 """Batch command line front end.
 
 Subcommands: walks, word, phi, mul, basis, dims, verify.  Exit status is
-0 on success, 1 when a verification suite fails, 2 on usage errors and 3
+0 on success, 1 when a verification suite fails, 2 on usage errors, 3
 on an internal error (an unexpected exception, reported as one
-``error: internal: <Type>: <message>`` line on stderr).  The
+``error: internal: <Type>: <message>`` line on stderr) and 141
+(128 + SIGPIPE) when the reader closes stdout early, as in
+``blobalg verify ... | head -1``; nothing more is printed then.  The
 default verification seed and prime can be set through the BLOBALG_SEED
 and BLOBALG_PRIME environment variables; identical seed and flags produce
 byte-identical output.
@@ -237,6 +239,18 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _stdout_to_devnull() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a file descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -251,6 +265,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `blobalg ... | head`).  Point stdout
+        # at devnull so the interpreter's final flush cannot fail again, and
+        # exit like a process killed by SIGPIPE.
+        _stdout_to_devnull()
+        return 141
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ image (the reduction proxy).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .diagrams import (
     BlobDiagram,
@@ -44,17 +44,48 @@ def _generator_diagram(n: int, letter: int) -> BlobDiagram:
     return e_diagram(n) if letter == 0 else u_diagram(n, letter)
 
 
-@lru_cache(maxsize=1 << 17)
+_EVALUATED_LIMIT = 1 << 17
+
+# n -> letters -> image, for the words evaluate_word has computed.  Keyed by
+# n first so that each entry reuses its Word's own letter tuple as the key.
+_evaluated: Dict[int, Dict[Tuple[int, ...], ScaledDiagram]] = {}
+
+
+@lru_cache(maxsize=_EVALUATED_LIMIT)
 def evaluate_word(w: Word) -> ScaledDiagram:
-    """The diagram image of a word, with its exact scalar."""
-    coeff = RingElem.one()
-    diagram = identity_diagram(w.n)
-    for letter in w.letters:
-        step = compose(diagram, _generator_diagram(w.n, letter))
+    """The diagram image of a word, with its exact scalar.
+
+    The image is the left-to-right product of the generator diagrams.  A
+    word the cache misses resumes from its longest proper prefix whose
+    image an earlier call computed, looked up in a prefix index that holds
+    the same images as the cache and is emptied when it reaches the
+    cache's bound of ``1 << 17`` entries.  With no such prefix the fold
+    starts from the first letter's generator diagram; the empty word maps
+    to the identity.  Each remaining letter costs one :func:`compose`,
+    whose result is validated.
+    """
+    n, letters = w.n, w.letters
+    if not letters:
+        return ScaledDiagram(RingElem.one(), identity_diagram(n))
+    known = _evaluated.get(n, {})
+    for done in range(len(letters) - 1, 0, -1):
+        image = known.get(letters[:done])
+        if image is not None:
+            coeff, diagram = image.coeff, image.diagram
+            break
+    else:
+        done = 1
+        coeff, diagram = RingElem.one(), _generator_diagram(n, letters[0])
+    for letter in letters[done:]:
+        step = compose(diagram, _generator_diagram(n, letter))
         if not step.coeff.is_one():
             coeff = coeff * step.coeff
         diagram = step.diagram
-    return ScaledDiagram(coeff, diagram)
+    result = ScaledDiagram(coeff, diagram)
+    if sum(map(len, _evaluated.values())) >= _EVALUATED_LIMIT:
+        _evaluated.clear()
+    _evaluated.setdefault(n, {})[letters] = result
+    return result
 
 
 def phi_equal(u: Word, v: Word, scalar: RingElem | None = None) -> bool:

@@ -21,13 +21,15 @@ class Word:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("strand count must be nonnegative")
-        object.__setattr__(self, "letters", tuple(int(x) for x in self.letters))
-        for letter in self.letters:
-            if letter == 0:
-                if self.n < 1:
-                    raise ValueError("e needs at least one strand")
-            elif not 1 <= letter <= self.n - 1:
-                raise ValueError(f"U{letter} out of range for n={self.n}")
+        letters = tuple(map(int, self.letters))
+        object.__setattr__(self, "letters", letters)
+        if letters and (min(letters) < 0 or max(letters) >= self.n):
+            for letter in letters:
+                if letter == 0:
+                    if self.n < 1:
+                        raise ValueError("e needs at least one strand")
+                elif not 1 <= letter <= self.n - 1:
+                    raise ValueError(f"U{letter} out of range for n={self.n}")
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -176,3 +176,35 @@ def test_parser_is_built_once(capsys):
     code, out, _ = run(capsys, "word", "--path", "0,-1,0,1")
     assert code == 0 and out.strip() == "U1 e U2 U1"
     assert cli._build_parser() is parser
+
+
+def test_closed_stdout_exits_141_quietly(capsys, monkeypatch):
+    import io
+    import sys
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["walks", "--n", "3"])
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_reader_closing_the_pipe_early_exits_141():
+    import os
+    import subprocess
+    import sys
+
+    # 2^15 walks print far more than a pipe buffer holds
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.Popen([sys.executable, "-m", "blobalg.cli", "walks", "--n", "15"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first.startswith(b"0,") and err == b""

@@ -1,6 +1,17 @@
 import random
 
-from blobalg.diagrams import all_diagrams, compose_scaled, flip, identity_diagram
+import pytest
+
+import blobalg.presentation as presentation
+from blobalg.diagrams import (
+    ScaledDiagram,
+    all_diagrams,
+    compose_scaled,
+    e_diagram,
+    flip,
+    identity_diagram,
+    u_diagram,
+)
 from blobalg.presentation import (
     check_defining_relations,
     check_reduction_stability,
@@ -12,6 +23,8 @@ from blobalg.presentation import (
 from blobalg.ring import RingElem
 from blobalg.towers import regular_basis
 from blobalg.words import Word, gen_e, gen_u, opposite, parse_word, unit
+
+from test_compose_oracle import reference_compose
 
 
 def test_evaluation_examples():
@@ -128,3 +141,109 @@ def test_report_shape():
     data = rep.to_dict()
     assert set(data["checks"][0]) >= {"instance", "lhs", "rhs", "pass"}
     assert rep.to_json()
+
+
+# -- prefix reuse in evaluate_word -------------------------------------------
+
+
+def _fold(w):
+    """The image of w folded from the identity with the reference composer,
+    independent of evaluate_word and its prefix index."""
+    got = ScaledDiagram(RingElem.one(), identity_diagram(w.n))
+    for letter in w.letters:
+        gen = e_diagram(w.n) if letter == 0 else u_diagram(w.n, letter)
+        step = reference_compose(got.diagram, gen)
+        got = ScaledDiagram(got.coeff * step.coeff, step.diagram)
+    return got
+
+
+def _forget_evaluated():
+    evaluate_word.cache_clear()
+    presentation._evaluated.clear()
+
+
+@pytest.fixture
+def cold_evaluate_word():
+    """evaluate_word with an empty cache and prefix index, before and after."""
+    _forget_evaluated()
+    yield evaluate_word
+    _forget_evaluated()
+
+
+def _prefix_sharing_words(rng, n, count):
+    """Random words, most of them an earlier word plus a short tail, or a
+    prefix of an earlier word."""
+    out = [Word(n, tuple(rng.randrange(n) for _ in range(rng.randrange(1, 6))))]
+    while len(out) < count:
+        base = rng.choice(out).letters
+        roll = rng.random()
+        if roll < 0.6:
+            letters = base + tuple(rng.randrange(n) for _ in range(rng.randrange(1, 5)))
+        elif roll < 0.8:
+            letters = base[:rng.randrange(len(base) + 1)]
+        else:
+            letters = tuple(rng.randrange(n) for _ in range(rng.randrange(0, 12)))
+        out.append(Word(n, letters))
+    return out
+
+
+def test_prefix_reuse_matches_reference_fold(cold_evaluate_word):
+    rng = random.Random("prefix")
+    for n in range(1, 11):
+        words = _prefix_sharing_words(rng, n, 60)
+        rng.shuffle(words)
+        for w in words:
+            assert cold_evaluate_word(w) == _fold(w), w
+
+
+def test_empty_and_one_letter_words(cold_evaluate_word):
+    for n in range(0, 8):
+        assert cold_evaluate_word(unit(n)) == ScaledDiagram(RingElem.one(), identity_diagram(n))
+        for letter in range(n):
+            w = Word(n, (letter,))
+            assert cold_evaluate_word(w) == _fold(w)
+            assert cold_evaluate_word(w * w) == _fold(w * w)
+
+
+def test_prefix_reuse_after_clear_and_overflow(cold_evaluate_word, monkeypatch):
+    rng = random.Random("overflow")
+    monkeypatch.setattr(presentation, "_EVALUATED_LIMIT", 7)
+    for n in (3, 6, 9):
+        words = _prefix_sharing_words(rng, n, 80)
+        for i, w in enumerate(words):
+            if i % 25 == 0:
+                presentation._evaluated.clear()
+            assert cold_evaluate_word(w) == _fold(w), w
+            assert sum(map(len, presentation._evaluated.values())) <= 7
+
+
+def test_extending_an_evaluated_word_composes_only_the_tail(cold_evaluate_word, monkeypatch):
+    calls = []
+    real = presentation.compose
+
+    def counting(d1, d2):
+        calls.append(1)
+        return real(d1, d2)
+
+    monkeypatch.setattr(presentation, "compose", counting)
+    rng = random.Random("tail")
+    for n in range(2, 9):
+        for tail_len in (1, 3, 5):
+            _forget_evaluated()
+            w = Word(n, tuple(rng.randrange(n) for _ in range(6)))
+            t = Word(n, tuple(rng.randrange(n) for _ in range(tail_len)))
+            head = Word(n, w.letters[:2])
+            del calls[:]
+            assert cold_evaluate_word(head) == _fold(head)
+            assert len(calls) == 1  # the fold starts at the first letter's diagram
+            del calls[:]
+            assert cold_evaluate_word(w) == _fold(w)
+            assert len(calls) == len(w) - len(head)
+            del calls[:]
+            assert cold_evaluate_word(w * t) == _fold(w * t)
+            assert len(calls) == len(t)
+        _forget_evaluated()
+        del calls[:]
+        cold_evaluate_word(unit(n))
+        cold_evaluate_word(Word(n, (n - 1,)))
+        assert calls == []

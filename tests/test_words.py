@@ -107,3 +107,21 @@ def test_letter_validation():
     with pytest.raises(ValueError):
         Word(0, (0,))
     Word(1, (0,))  # e exists from one strand up
+
+
+@pytest.mark.parametrize("n, letters, message", [
+    (3, (1, -1), "U-1 out of range for n=3"),
+    (3, (0, 3, 1), "U3 out of range for n=3"),
+    (0, (0,), "e needs at least one strand"),
+    (0, (1,), "U1 out of range for n=0"),
+    (4, (2, 5, -2), "U5 out of range for n=4"),
+])
+def test_letter_errors_name_the_first_bad_letter(n, letters, message):
+    with pytest.raises(ValueError) as info:
+        Word(n, letters)
+    assert str(info.value) == message
+
+
+def test_letters_are_coerced_to_an_int_tuple():
+    w = Word(4, [True, 3.0, "2"])
+    assert w.letters == (1, 3, 2) and all(type(x) is int for x in w.letters)
