@@ -66,7 +66,6 @@ from .walks import (
 from .towers import (
     SquaredBasis,
     StandardModule,
-    Subspace,
     check_ideal_inclusions,
     check_quotient_dims,
     check_span_closure,

@@ -110,9 +110,16 @@ def _latex_word(w: Word) -> str:
     return " ".join("e" if x == 0 else f"U_{{{x}}}" for x in w.letters)
 
 
+def _check_walk_shape(n: int, m: Optional[int]) -> None:
+    """Reject a negative length and a weight no walk of length n reaches."""
+    if n < 0:
+        raise ValueError("--n must be nonnegative")
+    if m is not None and (abs(m) > n or (n - m) % 2 != 0):
+        raise ValueError(f"no walks of length {n} reach weight {m}")
+
+
 def cmd_walks(args) -> int:
-    if args.n < 0:
-        raise ValueError("walk length --n must be nonnegative")
+    _check_walk_shape(args.n, args.m)
     walks = all_walks(args.n, args.m)
     if args.format == "json":
         print(json.dumps([{"sigma": list(w.sigma)} for w in walks]))
@@ -140,6 +147,7 @@ def cmd_mul(args) -> int:
 
 
 def cmd_basis(args) -> int:
+    _check_walk_shape(args.n, args.m)
     if args.m is not None and args.squared:
         words: List[Word] = list(squared_basis(args.n, args.m).words)
     elif args.m is not None:
@@ -165,6 +173,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    if args.n_max < 0:
+        raise ValueError("--n-max must be nonnegative")
     print("n |S_n| sum|S_(n,m)|^2 C(2n,n) |B_n| ok")
     status = 0
     for n in range(1, args.n_max + 1):

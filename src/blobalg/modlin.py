@@ -6,16 +6,19 @@ int64, and lets matrix products run through float64 BLAS after splitting
 each factor into 16-bit high/low parts (every partial product then fits
 float64's 53-bit mantissa exactly).
 
-`RowSpan` maintains a row-reduced basis of a subspace: each row has a
-leading 1 in its pivot column and zeros in every other pivot column, so
-reducing a batch of vectors against the span is a single matrix product.
+Every product of basis diagrams is one diagram times a monomial, so at a
+specialization point every word image is a scaled unit vector.  The span
+and solver types rely on that and accept nothing else: `RowSpan` is a
+coordinate subspace kept as its set of pivot columns, and `CoordSolver`
+expresses vectors in a basis of scaled unit vectors on distinct columns.
+Both raise `ValueError` on a row with two or more nonzero entries.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -77,21 +80,17 @@ def draw_points(seed: int, count: int = 3, prime: int = DEFAULT_PRIME) -> List[S
 
 
 class RowSpan:
-    """A subspace of F_p^dim kept in reduced row echelon form.
+    """A coordinate subspace of F_p^dim: the span of the unit vectors at
+    its pivot columns, kept as the sorted pivot list alone.
 
-    A coordinate subspace (every basis row a plain unit vector, which is
-    what ideal closures produce here) is stored as its pivot list alone:
-    reduction zeroes the pivot columns, containment between two coordinate
-    spans is a subset test, and `rows` is built only when asked for.  The
-    first vector with two or more nonzero entries switches the span to
-    dense rows for good.
+    Reduction zeroes the pivot columns; containment, equality and merging
+    of two spans are set operations on their pivots.
     """
 
     def __init__(self, dim: int, p: int):
         self.dim = dim
         self.p = p
         self.pivots: List[int] = []
-        self._rows: Optional[np.ndarray] = None  # None while a coordinate subspace
 
     @classmethod
     def coordinate(cls, dim: int, p: int, indices: Iterable[int]) -> "RowSpan":
@@ -101,163 +100,71 @@ class RowSpan:
         return out
 
     @property
-    def rows(self) -> np.ndarray:
-        """The echelon rows, ordered by pivot (built on demand for a
-        coordinate span)."""
-        if self._rows is not None:
-            return self._rows
-        return _unit_rows(self.pivots, self.dim)
-
-    @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def reduce(self, vecs: np.ndarray) -> np.ndarray:
         """Residual of vectors after removing their span component."""
-        if vecs.ndim == 1:
-            return self.reduce(vecs[None, :])[0]
-        if not self.pivots or not len(vecs):
-            return vecs % self.p
         vecs = vecs % self.p
-        if self._rows is None:
-            vecs[:, self.pivots] = 0
-            return vecs
-        coeffs = vecs[:, self.pivots]
-        return (vecs - mulmod(coeffs, self._rows, self.p)) % self.p
-
-    def _insert_reduced(self, vec: np.ndarray) -> None:
-        piv = int(np.nonzero(vec)[0][0])
-        col = self._rows[:, piv].copy()
-        if col.any():
-            self._rows = (self._rows - np.outer(col, vec)) % self.p
-        self._rows = np.vstack([self._rows, vec[None, :]])
-        self.pivots.append(piv)
-        order = np.argsort(self.pivots, kind="stable")
-        self._rows = self._rows[order]
-        self.pivots = [self.pivots[i] for i in order]
+        vecs[..., self.pivots] = 0
+        return vecs
 
     def absorb(self, vecs: np.ndarray) -> np.ndarray:
-        """Add vectors to the span; return the new basis rows added."""
-        if vecs.ndim == 1:
-            vecs = vecs[None, :]
-        if self._rows is None:
-            nz_rows, nz_cols = np.nonzero(vecs % self.p)
-            if len(nz_rows) == len(set(nz_rows.tolist())):  # <= 1 entry per row
-                seen = set(self.pivots)
-                new: List[int] = []
-                for d in nz_cols.tolist():
-                    if d not in seen:
-                        seen.add(d)
-                        new.append(d)
-                if new:
-                    self.pivots = sorted(seen)
-                return _unit_rows(new, self.dim)
-            self._rows = self.rows
-        added = []
-        batch = self.reduce(vecs)
-        for i in range(batch.shape[0]):
-            vec = batch[i]
-            nz = np.nonzero(vec)[0]
-            if not len(nz):
-                continue
-            piv = int(nz[0])
-            inv = pow(int(vec[piv]), -1, self.p)
-            row = (vec * inv) % self.p
-            self._insert_reduced(row)
-            added.append(row)
-            rest = batch[i + 1:]
-            if rest.shape[0]:
-                col = rest[:, piv].copy()
-                mask = col != 0
-                if mask.any():
-                    batch[i + 1:][mask] = (rest[mask] - np.outer(col[mask], row)) % self.p
-        return np.array(added, dtype=np.int64).reshape(len(added), self.dim)
+        """Add vectors with at most one nonzero entry each; return the
+        pivot columns this added, in the order the vectors reach them."""
+        rows, cols = np.nonzero(np.atleast_2d(vecs % self.p))
+        if (rows[1:] == rows[:-1]).any():
+            raise ValueError("a coordinate span absorbs only vectors with at most one nonzero entry")
+        seen = set(self.pivots)
+        new = [c for c in dict.fromkeys(cols.tolist()) if c not in seen]
+        if new:
+            self.pivots = sorted(seen.union(new))
+        return np.array(new, dtype=np.int64)
 
     def absorb_span(self, other: "RowSpan") -> None:
-        """Add another span's basis; two coordinate spans merge pivot sets."""
-        if self._rows is None and other._rows is None:
-            self.pivots = sorted(set(self.pivots).union(other.pivots))
-        else:
-            self.absorb(other.rows)
+        self.pivots = sorted(set(self.pivots).union(other.pivots))
 
     def contains(self, vecs: np.ndarray) -> bool:
         return not self.reduce(vecs).any()
 
     def contains_span(self, other: "RowSpan") -> bool:
-        if self._rows is None and other._rows is None:
-            return set(other.pivots) <= set(self.pivots)
-        return self.contains(other.rows)
+        return set(other.pivots) <= set(self.pivots)
 
     def equals(self, other: "RowSpan") -> bool:
-        return self.rank == other.rank and self.contains_span(other)
+        return self.pivots == other.pivots
 
     def copy(self) -> "RowSpan":
         out = RowSpan(self.dim, self.p)
         out.pivots = list(self.pivots)
-        if self._rows is not None:
-            out._rows = self._rows.copy()
         return out
 
 
-def _unit_rows(indices: Sequence[int], dim: int) -> np.ndarray:
-    out = np.zeros((len(indices), dim), dtype=np.int64)
-    out[np.arange(len(indices)), indices] = 1
-    return out
-
-
-def span_of(vecs: np.ndarray, dim: int, p: int) -> RowSpan:
-    span = RowSpan(dim, p)
-    if len(vecs):
-        span.absorb(np.asarray(vecs, dtype=np.int64))
-    return span
-
-
 class CoordSolver:
-    """Express vectors as combinations of a fixed (independent) row list.
+    """Express vectors as combinations of a fixed list of scaled unit
+    vectors on distinct columns.
 
-    Keeps an RREF of the rows together with the transform back to the
-    original coordinates, so `express` returns the exact coefficient
-    vector or None when the target is outside the span.
+    Row i is s_i times the unit vector at column c_i, so a target t lies in
+    the span exactly when it vanishes off {c_i}, and its coefficients are
+    t[c_i] / s_i.  A zero row, a repeated column or a row with two or more
+    nonzero entries raises `ValueError`.
     """
 
     def __init__(self, rows: np.ndarray, p: int):
         rows = np.asarray(rows, dtype=np.int64) % p
+        counts = np.count_nonzero(rows, axis=1)
+        if (counts > 1).any():
+            raise ValueError("solver rows must have at most one nonzero entry")
         self.p = p
-        self.k, self.dim = rows.shape
-        self.rref = np.zeros((0, self.dim), dtype=np.int64)
-        self.transform = np.zeros((0, self.k), dtype=np.int64)
-        self.pivots: List[int] = []
-        for i in range(self.k):
-            vec = rows[i]
-            coef = np.zeros(self.k, dtype=np.int64)
-            coef[i] = 1
-            vec, coef = self._reduce_pair(vec, coef)
-            nz = np.nonzero(vec)[0]
-            if not len(nz):
-                raise ValueError("rows are not independent")
-            piv = int(nz[0])
-            inv = pow(int(vec[piv]), -1, p)
-            vec = (vec * inv) % p
-            coef = (coef * inv) % p
-            col = self.rref[:, piv].copy()
-            if len(col) and col.any():
-                self.rref = (self.rref - np.outer(col, vec)) % p
-                self.transform = (self.transform - np.outer(col, coef)) % p
-            self.rref = np.vstack([self.rref, vec[None, :]])
-            self.transform = np.vstack([self.transform, coef[None, :]])
-            self.pivots.append(piv)
-
-    def _reduce_pair(self, vec: np.ndarray, coef: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if self.pivots:
-            c = vec[self.pivots]
-            vec = (vec - mulmod(c, self.rref, self.p)) % self.p
-            coef = (coef - mulmod(c, self.transform, self.p)) % self.p
-        return vec % self.p, coef % self.p
+        self.cols = rows.argmax(axis=1)
+        if (counts == 0).any() or len(set(self.cols.tolist())) < len(self.cols):
+            raise ValueError("rows are not independent")
+        scalars = rows[np.arange(len(rows)), self.cols].tolist()
+        self.inverses = np.array([pow(s, -1, p) for s in scalars], dtype=np.int64)
 
     def express(self, target: np.ndarray) -> Optional[np.ndarray]:
         vec = np.asarray(target, dtype=np.int64) % self.p
-        c = vec[self.pivots]
-        residual = (vec - mulmod(c, self.rref, self.p)) % self.p
-        if residual.any():
+        coeffs = vec[self.cols] * self.inverses % self.p
+        vec[self.cols] = 0
+        if vec.any():
             return None
-        return mulmod(c, self.transform, self.p)
+        return coeffs

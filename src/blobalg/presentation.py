@@ -62,7 +62,8 @@ def evaluate_word(w: Word) -> ScaledDiagram:
     cache's bound of ``1 << 17`` entries.  With no such prefix the fold
     starts from the first letter's generator diagram; the empty word maps
     to the identity.  Each remaining letter costs one :func:`compose`,
-    whose result is validated.
+    whose result is validated.  ``evaluate_word.cache_clear()`` empties
+    the cache and the prefix index together.
     """
     n, letters = w.n, w.letters
     if not letters:
@@ -86,6 +87,17 @@ def evaluate_word(w: Word) -> ScaledDiagram:
         _evaluated.clear()
     _evaluated.setdefault(n, {})[letters] = result
     return result
+
+
+_clear_cache = evaluate_word.cache_clear
+
+
+def _clear_evaluated() -> None:
+    _clear_cache()
+    _evaluated.clear()
+
+
+evaluate_word.cache_clear = _clear_evaluated
 
 
 def phi_equal(u: Word, v: Word, scalar: RingElem | None = None) -> bool:

@@ -6,12 +6,12 @@ containment claims are decided in a prime field F_p at independent random
 specializations of (q, g, de) and pass only when every point agrees, with
 a Schwartz-Zippel failure bound recorded on each check.
 
-Ideal spans are computed by closure iteration: start from the generating
-word's vector and multiply by generators on the required side(s) until the
-rank stabilizes.  Every generator maps a basis diagram to a monomial times
-a diagram, so from unit-vector seeds this is a breadth-first search over
-the action tables that follows only the edges whose monomial is nonzero at
-the point, and the result is a coordinate span (a set of pivots).
+Ideal spans are computed by closure: start from the generating word's
+diagram and multiply by generators on the required side(s).  Every
+generator maps a basis diagram to a monomial times a diagram, so this is a
+breadth-first search over the action tables that follows only the edges
+whose monomial is nonzero at the point, and the result is a coordinate
+span (a set of pivots).
 
 The tower's decompose claim is decided the same way: b_{n-1} + b_{n-1}
 U_{n-1} b_{n-1} is the closure of {1, U_{n-1}} under left and right
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,87 +124,51 @@ def diagram_space(n: int) -> DiagramSpace:
     return DiagramSpace(n)
 
 
-def _apply_action(action: Tuple[np.ndarray, np.ndarray], vecs: np.ndarray, p: int) -> np.ndarray:
-    tgt, scal = action
-    contrib = (vecs * scal[None, :]) % p
-    out_t = np.zeros((vecs.shape[1], vecs.shape[0]), dtype=np.int64)
-    np.add.at(out_t, tgt, contrib.T)
-    return (out_t.T) % p
-
-
-def _closure(space: DiagramSpace, seeds: np.ndarray, point: SpecPoint, sides: str,
+def _closure(space: DiagramSpace, seeds: Iterable[int], point: SpecPoint, sides: str,
              letters: Optional[Sequence[int]] = None) -> RowSpan:
-    """Span of the seeds closed under multiplication on `sides` by the
-    generators in `letters` (default: all of b_n).
+    """Span of the seed diagrams (basis indices) closed under
+    multiplication on `sides` by the generators in `letters` (default: all
+    of b_n).
 
-    Generators act monomially (diagram -> scalar * diagram), so when every
-    seed is a scaled unit vector the closure is a coordinate subspace and
-    reduces to reachability through nonzero-scalar edges; otherwise fall
-    back to rank-stabilizing iteration.
+    Generators act monomially (diagram -> scalar * diagram), so the closure
+    is the coordinate span of the diagrams reachable from the seeds through
+    edges whose scalar is nonzero at the point.
     """
     acts = space.actions(point)
     if letters is None:
         letters = space.letters
     used = [acts[(s, letter)] for s in sides for letter in letters]
-    seeds = np.asarray(seeds, dtype=np.int64) % point.prime
-    span = RowSpan(space.dim, point.prime)
-    if all(np.count_nonzero(row) <= 1 for row in seeds):
-        seen = {int(np.nonzero(row)[0][0]) for row in seeds if row.any()}
-        queue = list(seen)
-        while queue:
-            d = queue.pop()
-            for tgt, scal in used:
-                if scal[d] and int(tgt[d]) not in seen:
-                    seen.add(int(tgt[d]))
-                    queue.append(int(tgt[d]))
-        return RowSpan.coordinate(space.dim, point.prime, seen)
-    frontier = span.absorb(seeds)
-    while frontier.shape[0]:
-        batch = np.vstack([_apply_action(a, frontier, point.prime) for a in used])
-        frontier = span.absorb(batch)
-    return span
+    seen = set(seeds)
+    queue = list(seen)
+    while queue:
+        d = queue.pop()
+        for tgt, scal in used:
+            if scal[d] and int(tgt[d]) not in seen:
+                seen.add(int(tgt[d]))
+                queue.append(int(tgt[d]))
+    return RowSpan.coordinate(space.dim, point.prime, seen)
 
 
-@dataclass
-class Subspace:
-    """A subspace of b_n over one specialization, rows in echelon form."""
-
-    n: int
-    point: SpecPoint
-    span: RowSpan
-
-    @property
-    def rank(self) -> int:
-        return self.span.rank
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.span.rows
-
-
-def ideal_span(n: int, g: Word, two_sided: bool, point: SpecPoint) -> Subspace:
+def ideal_span(n: int, g: Word, two_sided: bool, point: SpecPoint) -> RowSpan:
     """Span of the (one- or two-sided) ideal generated by the word g."""
     space = diagram_space(n)
-    seed = space.word_vector(g.with_n(n), point)[None, :]
-    span = _closure(space, seed, point, "LR" if two_sided else "L")
-    return Subspace(n, point, span)
+    seeds = space.word_span([g.with_n(n)], point).pivots
+    return _closure(space, seeds, point, "LR" if two_sided else "L")
 
 
 @lru_cache(maxsize=4096)
-def _cached_ideal(n: int, word_text: str, two_sided: bool, point: SpecPoint) -> Subspace:
-    from .words import parse_word
-
-    return ideal_span(n, parse_word(word_text, n), two_sided, point)
+def _cached_ideal(g: Word, two_sided: bool, point: SpecPoint) -> RowSpan:
+    return ideal_span(g.n, g, two_sided, point)
 
 
-def through_ideal(n: int, m: int, point: SpecPoint) -> Subspace:
+def through_ideal(n: int, m: int, point: SpecPoint) -> RowSpan:
     """The two-sided ideal generated by the m-through-line cap word."""
-    return _cached_ideal(n, str(cap_word(m, n)), True, point)
+    return _cached_ideal(cap_word(m, n), True, point)
 
 
-def blob_ideal(n: int, m: int, point: SpecPoint) -> Subspace:
+def blob_ideal(n: int, m: int, point: SpecPoint) -> RowSpan:
     """The two-sided ideal generated by the blobbed m-through-line word."""
-    return _cached_ideal(n, str(blob_cap_word(m, n)), True, point)
+    return _cached_ideal(blob_cap_word(m, n), True, point)
 
 
 def _fail_note(n: int, dim: int, points: Sequence[SpecPoint]) -> str:
@@ -219,11 +183,20 @@ def default_points(seed: int = 0, prime: Optional[int] = None, count: int = 3) -
     return draw_points(seed, count, prime)
 
 
-def _record_points(rep: Report, points: Sequence[SpecPoint], seed: Optional[int]) -> None:
+def _start_check(title: str, n: int, points: Optional[Sequence[SpecPoint]],
+                 seed: Optional[int]) -> Tuple[Report, Sequence[SpecPoint], DiagramSpace, str]:
+    """The shared start of a specialization check: the report titled
+    `title(n=n)` with its points recorded, the points (drawn from the seed
+    when not given), the diagram space of b_n and the failure-bound note."""
+    if points is None:
+        points = default_points(seed if seed is not None else 0)
+    rep = Report(f"{title}(n={n})", meta={"n": n})
     rep.meta["points"] = [pt.to_dict() for pt in points]
     rep.meta["prime"] = points[0].prime
     if seed is not None:
         rep.meta["seed"] = seed
+    space = diagram_space(n)
+    return rep, points, space, _fail_note(n, space.dim, points)
 
 
 # -- squared basis and the regular basis --------------------------------------
@@ -270,7 +243,7 @@ def check_word_basis(n: int, points: Optional[Sequence[SpecPoint]] = None,
     (exact), each squared basis has an opposite-invariant member, and the
     squared bases span the two-sided ideal filtration layer by layer
     (checked over the specializations)."""
-    rep = Report(f"bases(n={n})", meta={"n": n})
+    rep, points, space, note = _start_check("bases", n, points, seed)
     words = regular_basis(n)
     images = [evaluate_word(w) for w in words]
     rep.add("unit-scalars", f"{len(words)} word images", "all scalar 1",
@@ -292,12 +265,6 @@ def check_word_basis(n: int, points: Optional[Sequence[SpecPoint]] = None,
                 break
         rep.add(f"self-opposite m={m}", "exists w = op(w) under evaluation", "true", found)
 
-    if points is None:
-        points = default_points(seed if seed is not None else 0)
-    _record_points(rep, points, seed)
-    space = diagram_space(n)
-    note = _fail_note(n, space.dim, points)
-
     for m in range(-n, n + 1, 2):
         sq = squared_basis(n, m)
         ok_span = True
@@ -309,12 +276,12 @@ def check_word_basis(n: int, points: Optional[Sequence[SpecPoint]] = None,
             for m2 in range(-n, n + 1, 2):
                 if abs(m2) < abs(m) or (m < 0 and m2 == -m):
                     other = blob_ideal(n, m2, pt) if m2 > 0 else through_ideal(n, -m2, pt)
-                    below.absorb_span(other.span)
+                    below.absorb_span(other)
             vecs = space.word_matrix(sq.words, pt)
             with_words = below.copy()
             with_words.absorb(vecs)
             with_ideal = below.copy()
-            with_ideal.absorb_span(ideal.span)
+            with_ideal.absorb_span(ideal)
             ok_span &= with_words.rank == with_ideal.rank and with_words.contains_span(with_ideal)
             ok_indep &= with_words.rank == below.rank + len(sq.words)
             expected = sum(
@@ -352,12 +319,7 @@ def check_ideal_inclusions(n: int, points: Optional[Sequence[SpecPoint]] = None,
     """Products of commuting generators generate the through-line ideals;
     the ideals nest; blobbed ideals sit inside plain ones; g times a plain
     ideal lands in the blobbed ideal two steps up."""
-    if points is None:
-        points = default_points(seed if seed is not None else 0)
-    rep = Report(f"ideals(n={n})", meta={"n": n})
-    _record_points(rep, points, seed)
-    space = diagram_space(n)
-    note = _fail_note(n, space.dim, points)
+    rep, points, space, note = _start_check("ideals", n, points, seed)
 
     for subset in commuting_subsets(n):
         m = n - 2 * len(subset)
@@ -366,13 +328,13 @@ def check_ideal_inclusions(n: int, points: Optional[Sequence[SpecPoint]] = None,
         for pt in points:
             got = ideal_span(n, word, True, pt)
             want = through_ideal(n, m, pt)
-            ok &= got.span.equals(want.span)
+            ok &= got.equals(want)
         label = "*".join(f"U{i}" for i in subset) or "1"
         rep.add(f"generates W={label}", f"ideal of {label}", f"through ideal m={m}", ok, note)
 
     for m in range(n % 2, n - 1, 2):
         ok = all(
-            through_ideal(n, m + 2, pt).span.contains_span(through_ideal(n, m, pt).span)
+            through_ideal(n, m + 2, pt).contains_span(through_ideal(n, m, pt))
             for pt in points
         )
         rep.add(f"nesting m={m}", f"ideal m={m}", f"inside ideal m={m + 2}", ok, note)
@@ -381,7 +343,7 @@ def check_ideal_inclusions(n: int, points: Optional[Sequence[SpecPoint]] = None,
         if m == 0:
             continue
         ok = all(
-            through_ideal(n, m, pt).span.contains_span(blob_ideal(n, m, pt).span)
+            through_ideal(n, m, pt).contains_span(blob_ideal(n, m, pt))
             for pt in points
         )
         rep.add(f"blob-inside m={m}", f"blobbed ideal m={m}", f"inside ideal m={m}", ok, note)
@@ -391,7 +353,7 @@ def check_ideal_inclusions(n: int, points: Optional[Sequence[SpecPoint]] = None,
         # the point and zero otherwise
         ok = all(
             pt.g0 % pt.prime == 0
-            or blob_ideal(n, m + 2, pt).span.contains_span(through_ideal(n, m, pt).span)
+            or blob_ideal(n, m + 2, pt).contains_span(through_ideal(n, m, pt))
             for pt in points
         )
         rep.add(f"g-step m={m}", f"g * ideal m={m}", f"inside blobbed ideal m={m + 2}", ok, note)
@@ -438,17 +400,12 @@ def check_tower(n: int, points: Optional[Sequence[SpecPoint]] = None,
     and specialized per point."""
     if n < 2:
         raise ValueError("tower checks need n >= 2")
-    if points is None:
-        points = default_points(seed if seed is not None else 0)
-    rep = Report(f"tower(n={n})", meta={"n": n})
-    _record_points(rep, points, seed)
-    space = diagram_space(n)
-    note = _fail_note(n, space.dim, points)
+    rep, points, space, note = _start_check("tower", n, points, seed)
 
     u_top = gen_u(n, n - 1)
     ok = True
     for pt in points:
-        seeds = space.word_matrix([unit(n), u_top], pt)
+        seeds = space.word_span([unit(n), u_top], pt).pivots
         ok &= _closure(space, seeds, pt, "LR", range(n - 1)).rank == space.dim
     rep.add("decompose", f"b_{n-1} + b_{n-1} U{n-1} b_{n-1}", f"all of b_{n} (rank {space.dim})",
             ok, note)
@@ -490,12 +447,7 @@ def check_quotient_dims(n: int, points: Optional[Sequence[SpecPoint]] = None,
     {Er, e Er} at every deeper layer."""
     if n < 2:
         raise ValueError("quotient checks need n >= 2")
-    if points is None:
-        points = default_points(seed if seed is not None else 0)
-    rep = Report(f"quotients(n={n})", meta={"n": n})
-    _record_points(rep, points, seed)
-    space = diagram_space(n)
-    note = _fail_note(n, space.dim, points)
+    rep, points, space, note = _start_check("quotients", n, points, seed)
 
     r = 0
     while n - 2 * r > 0 and n - 2 * r - 2 >= 0:
@@ -507,10 +459,10 @@ def check_quotient_dims(n: int, points: Optional[Sequence[SpecPoint]] = None,
         for pt in points:
             ideal = through_ideal(n, m - 2, pt)
             conj = _conjugated_span(space, er, er, pt)
-            with_conj = ideal.span.copy()
+            with_conj = ideal.copy()
             with_conj.absorb_span(conj)
             ok_dim &= with_conj.rank - ideal.rank == 2
-            with_reps = ideal.span.copy()
+            with_reps = ideal.copy()
             with_reps.absorb(space.word_matrix(reps_words, pt))
             ok_reps &= with_reps.rank == ideal.rank + 2 and with_reps.equals(with_conj)
         label = f"Er_{m} b_n^{m - 2} Er_{m}" if r else f"b_n^{n - 2}"
@@ -530,11 +482,11 @@ def _quotient_span(n: int, m: int, pt: SpecPoint) -> RowSpan:
     space = diagram_space(n)
     out = RowSpan(space.dim, pt.prime)
     if m >= 2:
-        out.absorb_span(through_ideal(n, m - 2, pt).span)
+        out.absorb_span(through_ideal(n, m - 2, pt))
     elif m <= -1:
-        out.absorb_span(_cached_ideal(n, str(blob_cap_word(-m, n)), False, pt).span)
+        out.absorb_span(_cached_ideal(blob_cap_word(-m, n), False, pt))
         if m <= -2:
-            out.absorb_span(through_ideal(n, -m - 2, pt).span)
+            out.absorb_span(through_ideal(n, -m - 2, pt))
     return out
 
 
@@ -634,12 +586,7 @@ def check_standard_modules(n: int, points: Optional[Sequence[SpecPoint]] = None,
                            seed: Optional[int] = 0) -> Report:
     """Module dimensions equal walk counts and the action matrices satisfy
     the defining relations, at every specialization point."""
-    if points is None:
-        points = default_points(seed if seed is not None else 0)
-    rep = Report(f"modules(n={n})", meta={"n": n})
-    _record_points(rep, points, seed)
-    space = diagram_space(n)
-    note = _fail_note(n, space.dim, points)
+    rep, points, space, note = _start_check("modules", n, points, seed)
     for m in range(-n, n + 1, 2):
         want = comb(n, (n + m) // 2)
         ok_dim = True
@@ -660,12 +607,7 @@ def check_span_closure(n: int, points: Optional[Sequence[SpecPoint]] = None,
                        seed: Optional[int] = 0) -> Report:
     """Left multiplication by any generator keeps each walk-word span
     inside itself plus its stated quotient span."""
-    if points is None:
-        points = default_points(seed if seed is not None else 0)
-    rep = Report(f"span-closure(n={n})", meta={"n": n})
-    _record_points(rep, points, seed)
-    space = diagram_space(n)
-    note = _fail_note(n, space.dim, points)
+    rep, points, space, note = _start_check("span-closure", n, points, seed)
     gens = [gen_e(n)] + [gen_u(n, i) for i in range(1, n)]
     for m in range(-n, n + 1, 2):
         words = walk_words(n, m)

@@ -1,0 +1,181 @@
+"""Dense reference linear algebra for the coordinate span layer.
+
+`blobalg.modlin` keeps only coordinate subspaces and a monomial solver,
+because every word image at a specialization point is a scaled unit
+vector.  The general forms live here so tests can check the fast ones
+against them on any input:
+
+* `ReferenceSpan`: a subspace of F_p^dim in reduced row echelon form, each
+  row with a leading 1 in its pivot column and zeros in every other pivot
+  column, absorbing arbitrary vectors;
+* `ReferenceSolver`: an RREF of a fixed independent row list together with
+  the transform back to the original rows;
+* `reference_closure`: the rank-stabilizing closure of arbitrary seed
+  vectors under the generator action tables.
+"""
+
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from blobalg.modlin import SpecPoint, mulmod
+
+
+class ReferenceSpan:
+    """A subspace of F_p^dim kept as echelon rows sorted by pivot."""
+
+    def __init__(self, dim: int, p: int):
+        self.dim = dim
+        self.p = p
+        self.pivots: List[int] = []
+        self.rows = np.zeros((0, dim), dtype=np.int64)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, vecs: np.ndarray) -> np.ndarray:
+        """Residual of vectors after removing their span component."""
+        if vecs.ndim == 1:
+            return self.reduce(vecs[None, :])[0]
+        vecs = vecs % self.p
+        if not self.pivots or not len(vecs):
+            return vecs
+        coeffs = vecs[:, self.pivots]
+        return (vecs - mulmod(coeffs, self.rows, self.p)) % self.p
+
+    def _insert_reduced(self, vec: np.ndarray) -> None:
+        piv = int(np.nonzero(vec)[0][0])
+        col = self.rows[:, piv].copy()
+        if col.any():
+            self.rows = (self.rows - np.outer(col, vec)) % self.p
+        self.rows = np.vstack([self.rows, vec[None, :]])
+        self.pivots.append(piv)
+        order = np.argsort(self.pivots, kind="stable")
+        self.rows = self.rows[order]
+        self.pivots = [self.pivots[i] for i in order]
+
+    def absorb(self, vecs: np.ndarray) -> np.ndarray:
+        """Add vectors to the span; return the new basis rows added."""
+        if vecs.ndim == 1:
+            vecs = vecs[None, :]
+        added = []
+        batch = self.reduce(vecs)
+        for i in range(batch.shape[0]):
+            vec = batch[i]
+            nz = np.nonzero(vec)[0]
+            if not len(nz):
+                continue
+            piv = int(nz[0])
+            inv = pow(int(vec[piv]), -1, self.p)
+            row = (vec * inv) % self.p
+            self._insert_reduced(row)
+            added.append(row)
+            rest = batch[i + 1:]
+            if rest.shape[0]:
+                col = rest[:, piv].copy()
+                mask = col != 0
+                if mask.any():
+                    batch[i + 1:][mask] = (rest[mask] - np.outer(col[mask], row)) % self.p
+        return np.array(added, dtype=np.int64).reshape(len(added), self.dim)
+
+    def absorb_span(self, other: "ReferenceSpan") -> None:
+        self.absorb(other.rows)
+
+    def contains(self, vecs: np.ndarray) -> bool:
+        return not self.reduce(vecs).any()
+
+    def contains_span(self, other: "ReferenceSpan") -> bool:
+        return self.contains(other.rows)
+
+    def equals(self, other: "ReferenceSpan") -> bool:
+        return self.rank == other.rank and self.contains_span(other)
+
+    def copy(self) -> "ReferenceSpan":
+        out = ReferenceSpan(self.dim, self.p)
+        out.pivots = list(self.pivots)
+        out.rows = self.rows.copy()
+        return out
+
+
+def span_of(vecs: np.ndarray, dim: int, p: int) -> ReferenceSpan:
+    span = ReferenceSpan(dim, p)
+    if len(vecs):
+        span.absorb(np.asarray(vecs, dtype=np.int64))
+    return span
+
+
+class ReferenceSolver:
+    """Express vectors as combinations of a fixed (independent) row list.
+
+    Keeps an RREF of the rows together with the transform back to the
+    original coordinates, so `express` returns the exact coefficient
+    vector or None when the target is outside the span.
+    """
+
+    def __init__(self, rows: np.ndarray, p: int):
+        rows = np.asarray(rows, dtype=np.int64) % p
+        self.p = p
+        self.k, self.dim = rows.shape
+        self.rref = np.zeros((0, self.dim), dtype=np.int64)
+        self.transform = np.zeros((0, self.k), dtype=np.int64)
+        self.pivots: List[int] = []
+        for i in range(self.k):
+            vec = rows[i]
+            coef = np.zeros(self.k, dtype=np.int64)
+            coef[i] = 1
+            vec, coef = self._reduce_pair(vec, coef)
+            nz = np.nonzero(vec)[0]
+            if not len(nz):
+                raise ValueError("rows are not independent")
+            piv = int(nz[0])
+            inv = pow(int(vec[piv]), -1, p)
+            vec = (vec * inv) % p
+            coef = (coef * inv) % p
+            col = self.rref[:, piv].copy()
+            if len(col) and col.any():
+                self.rref = (self.rref - np.outer(col, vec)) % p
+                self.transform = (self.transform - np.outer(col, coef)) % p
+            self.rref = np.vstack([self.rref, vec[None, :]])
+            self.transform = np.vstack([self.transform, coef[None, :]])
+            self.pivots.append(piv)
+
+    def _reduce_pair(self, vec: np.ndarray, coef: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        if self.pivots:
+            c = vec[self.pivots]
+            vec = (vec - mulmod(c, self.rref, self.p)) % self.p
+            coef = (coef - mulmod(c, self.transform, self.p)) % self.p
+        return vec % self.p, coef % self.p
+
+    def express(self, target: np.ndarray) -> Optional[np.ndarray]:
+        vec = np.asarray(target, dtype=np.int64) % self.p
+        c = vec[self.pivots]
+        residual = (vec - mulmod(c, self.rref, self.p)) % self.p
+        if residual.any():
+            return None
+        return mulmod(c, self.transform, self.p)
+
+
+def _apply_action(action: Tuple[np.ndarray, np.ndarray], vecs: np.ndarray, p: int) -> np.ndarray:
+    tgt, scal = action
+    contrib = (vecs * scal[None, :]) % p
+    out_t = np.zeros((vecs.shape[1], vecs.shape[0]), dtype=np.int64)
+    np.add.at(out_t, tgt, contrib.T)
+    return (out_t.T) % p
+
+
+def reference_closure(space, seeds: np.ndarray, point: SpecPoint, sides: str,
+                      letters: Optional[Sequence[int]] = None) -> ReferenceSpan:
+    """Span of the seed vectors closed under multiplication on `sides` by
+    the generators in `letters` (default: all of b_n), by absorbing the
+    image of each new basis row until the rank stops growing."""
+    acts = space.actions(point)
+    if letters is None:
+        letters = space.letters
+    used = [acts[(s, letter)] for s in sides for letter in letters]
+    span = ReferenceSpan(space.dim, point.prime)
+    frontier = span.absorb(np.asarray(seeds, dtype=np.int64) % point.prime)
+    while frontier.shape[0]:
+        batch = np.vstack([_apply_action(a, frontier, point.prime) for a in used])
+        frontier = span.absorb(batch)
+    return span

@@ -157,6 +157,24 @@ def test_walks_rejects_negative_n(capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["walks", "--n", "3", "--m", "2"], "error: no walks of length 3 reach weight 2"),
+    (["walks", "--n", "2", "--m", "-4"], "error: no walks of length 2 reach weight -4"),
+    (["basis", "--n", "3", "--m", "2"], "error: no walks of length 3 reach weight 2"),
+    (["basis", "--n", "3", "--m", "2", "--squared"], "error: no walks of length 3 reach weight 2"),
+    (["basis", "--n", "-1"], "error: --n must be nonnegative"),
+    (["dims", "--n-max", "-2"], "error: --n-max must be nonnegative"),
+])
+def test_unreachable_weight_or_negative_size_exits_two(capsys, argv, message):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no library warning on the way to the error
+        code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
 def test_internal_error_exit_three(capsys, monkeypatch):
     import blobalg.cli as cli
 

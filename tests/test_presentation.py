@@ -157,17 +157,21 @@ def _fold(w):
     return got
 
 
-def _forget_evaluated():
-    evaluate_word.cache_clear()
-    presentation._evaluated.clear()
-
-
 @pytest.fixture
 def cold_evaluate_word():
     """evaluate_word with an empty cache and prefix index, before and after."""
-    _forget_evaluated()
+    evaluate_word.cache_clear()
     yield evaluate_word
-    _forget_evaluated()
+    evaluate_word.cache_clear()
+
+
+def test_cache_clear_empties_the_prefix_index(cold_evaluate_word):
+    for n in (2, 5):
+        cold_evaluate_word(Word(n, (1, 0, 1)))
+    assert presentation._evaluated and cold_evaluate_word.cache_info().currsize
+    cold_evaluate_word.cache_clear()
+    assert presentation._evaluated == {}
+    assert cold_evaluate_word.cache_info().currsize == 0
 
 
 def _prefix_sharing_words(rng, n, count):
@@ -229,7 +233,7 @@ def test_extending_an_evaluated_word_composes_only_the_tail(cold_evaluate_word, 
     rng = random.Random("tail")
     for n in range(2, 9):
         for tail_len in (1, 3, 5):
-            _forget_evaluated()
+            evaluate_word.cache_clear()
             w = Word(n, tuple(rng.randrange(n) for _ in range(6)))
             t = Word(n, tuple(rng.randrange(n) for _ in range(tail_len)))
             head = Word(n, w.letters[:2])
@@ -242,7 +246,7 @@ def test_extending_an_evaluated_word_composes_only_the_tail(cold_evaluate_word, 
             del calls[:]
             assert cold_evaluate_word(w * t) == _fold(w * t)
             assert len(calls) == len(t)
-        _forget_evaluated()
+        evaluate_word.cache_clear()
         del calls[:]
         cold_evaluate_word(unit(n))
         cold_evaluate_word(Word(n, (n - 1,)))

@@ -1,18 +1,25 @@
-"""Property tests of the composition kernel on random words and diagrams.
+"""Property tests of the composition kernel and the coordinate span layer.
 
 Random words on up to 10 strands stand in for random diagrams: every basis
 diagram is the image of a word, and no basis enumeration is needed at
-n = 10.  Runs are derandomized, so a failure reproduces on every run.
+n = 10.  Random batches of monomial rows (at most one nonzero entry, zero
+rows and repeated columns included) check `RowSpan` and `CoordSolver`
+against the dense references in `span_reference`.  Runs are derandomized,
+so a failure reproduces on every run.
 """
 
-from hypothesis import given, settings
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blobalg.diagrams import ScaledDiagram, compose, compose_scaled, flip, identity_diagram
+from blobalg.modlin import DEFAULT_PRIME, CoordSolver, RowSpan
 from blobalg.presentation import evaluate_word
 from blobalg.ring import RingElem
 from blobalg.words import Word
 
+from span_reference import ReferenceSolver, ReferenceSpan
 from test_compose_oracle import compose_by_union_find, reference_compose
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -78,3 +85,108 @@ def test_flip_is_an_anti_automorphism(pair):
     backward = compose(flip(b), flip(a))
     assert backward.coeff == forward.coeff
     assert backward.diagram == flip(forward.diagram)
+
+
+# -- coordinate spans against the dense reference ------------------------------
+
+# a small prime makes scalars that vanish mod p common
+primes = st.sampled_from([7, DEFAULT_PRIME])
+
+
+@st.composite
+def monomial_batches(draw, count=3):
+    """(dim, p, batches): each batch a k x dim matrix whose rows have at
+    most one nonzero entry before reduction mod p."""
+    dim = draw(st.integers(1, 8))
+    p = draw(primes)
+    batches = []
+    for _ in range(count):
+        rows = draw(st.lists(st.tuples(st.none() | st.integers(0, dim - 1),
+                                       st.integers(-2 * p, 2 * p)), max_size=10))
+        mat = np.zeros((len(rows), dim), dtype=np.int64)
+        for i, (col, scalar) in enumerate(rows):
+            if col is not None:
+                mat[i, col] = scalar
+        batches.append(mat)
+    return dim, p, batches
+
+
+def _leading_columns(rows):
+    return [int(np.nonzero(row)[0][0]) for row in rows]
+
+
+@PROPERTY
+@given(monomial_batches())
+def test_rowspan_matches_dense_reference(case):
+    dim, p, (first, second, queries) = case
+    ours, ref = RowSpan(dim, p), ReferenceSpan(dim, p)
+    assert ours.absorb(first).tolist() == _leading_columns(ref.absorb(first))
+    assert ours.pivots == ref.pivots and ours.rank == ref.rank
+    assert (ours.reduce(queries) == ref.reduce(queries)).all()
+    assert ours.contains(queries) == ref.contains(queries)
+    for row in queries:
+        assert (ours.reduce(row) == ref.reduce(row)).all()
+        assert ours.contains(row) == ref.contains(row)
+    other, other_ref = RowSpan(dim, p), ReferenceSpan(dim, p)
+    other.absorb(second)
+    other_ref.absorb(second)
+    for a, b, ra, rb in ((ours, other, ref, other_ref), (other, ours, other_ref, ref)):
+        assert a.contains_span(b) == ra.contains_span(rb)
+        assert a.equals(b) == ra.equals(rb)
+        merged, merged_ref = a.copy(), ra.copy()
+        merged.absorb_span(b)
+        merged_ref.absorb_span(rb)
+        assert merged.pivots == merged_ref.pivots
+        assert merged.contains_span(a) and merged.contains_span(b)
+    assert ours.pivots == ref.pivots  # copies left the originals alone
+
+
+@st.composite
+def monomial_bases(draw):
+    """(dim, p, rows, in_span, outside): one or more independent scaled
+    unit rows on distinct columns, a target in their span and one outside
+    it (None when the rows cover every column)."""
+    dim = draw(st.integers(1, 8))
+    p = draw(primes)
+    cols = draw(st.lists(st.integers(0, dim - 1), unique=True, min_size=1, max_size=dim))
+    rows = np.zeros((len(cols), dim), dtype=np.int64)
+    for i, col in enumerate(cols):
+        rows[i, col] = draw(st.integers(1, p - 1)) + p * draw(st.integers(-2, 2))
+    coeffs = np.array(draw(st.lists(st.integers(0, p - 1), min_size=len(cols),
+                                    max_size=len(cols))), dtype=np.int64)
+    in_span = (coeffs @ (rows % p)) % p  # one nonzero term per column: no overflow
+    free = [c for c in range(dim) if c not in cols]
+    outside = None
+    if free:
+        outside = in_span.copy()
+        outside[draw(st.sampled_from(free))] = draw(st.integers(1, p - 1))
+    return dim, p, rows, in_span, outside
+
+
+@PROPERTY
+@given(monomial_bases())
+def test_coord_solver_matches_reference_solve(case):
+    dim, p, rows, in_span, outside = case
+    ours, ref = CoordSolver(rows, p), ReferenceSolver(rows, p)
+    got = ours.express(in_span)
+    assert got is not None and (got == ref.express(in_span)).all()
+    assert (got @ (rows % p) % p == in_span).all()
+    if outside is not None:
+        assert ours.express(outside) is None and ref.express(outside) is None
+
+
+@PROPERTY
+@given(monomial_bases(), st.integers(0, 2))
+def test_coord_solver_rejects_dependent_zero_and_non_monomial_rows(case, fault):
+    dim, p, rows, _, _ = case
+    assume(fault < 2 or dim > 1)
+    bad = rows.copy()
+    col = int(np.nonzero(bad[0])[0][0])
+    if fault == 0:  # a second row on the same column
+        bad = np.vstack([bad, 3 * bad[:1]])
+    elif fault == 1:  # a row that vanishes mod p
+        bad[0, col] = p
+    else:  # a row with two nonzero entries
+        bad[0, (col + 1) % dim] = 1
+    with pytest.raises(ValueError):
+        CoordSolver(bad, p)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blobalg.diagrams import compose_scaled
-from blobalg.modlin import RowSpan, SpecPoint, span_of
+from blobalg.modlin import RowSpan, SpecPoint
 from blobalg.presentation import evaluate_word
 from blobalg.towers import (
     _closure,
@@ -24,6 +24,8 @@ from blobalg.towers import (
     through_ideal,
 )
 from blobalg.words import cap_word, cap_word_right, gen_u, opposite, parse_word, unit
+
+from span_reference import reference_closure, span_of
 
 POINTS = default_points(0)
 # g and de vanish here, so many monomials specialize to zero
@@ -78,8 +80,9 @@ def test_ideal_rank_monotone():
 
 def test_subspace_shape():
     sub = ideal_span(3, cap_word(1, 3), True, POINTS[0])
-    assert sub.rank == sub.matrix.shape[0]
-    assert sub.n == 3 and sub.point == POINTS[0]
+    assert isinstance(sub, RowSpan)
+    assert sub.dim == comb(6, 3) and sub.p == POINTS[0].prime
+    assert sub.rank == len(sub.pivots) == 18
 
 
 def test_regular_basis_n2_known_words():
@@ -165,10 +168,10 @@ def test_ideal_supports_match_through_line_filtration():
     for n in (2, 3, 4, 5):
         space = diagram_space(n)
         for m in range(n % 2, n + 1, 2):
-            support = {space.basis[i] for i in through_ideal(n, m, POINTS[0]).span.pivots}
+            support = {space.basis[i] for i in through_ideal(n, m, POINTS[0]).pivots}
             assert support == {d for d in space.basis if through_count(d) <= m}
             if m > 0:
-                support = {space.basis[i] for i in blob_ideal(n, m, POINTS[0]).span.pivots}
+                support = {space.basis[i] for i in blob_ideal(n, m, POINTS[0]).pivots}
                 assert support == {
                     d for d in space.basis
                     if through_count(d) < m
@@ -177,20 +180,17 @@ def test_ideal_supports_match_through_line_filtration():
 
 
 def test_generic_closure_matches_coordinate_closure():
-    # seed with a sum of two basis images: the closure falls back to
-    # rank-stabilizing iteration and must land inside the coordinate span
-    # of the two unit seeds while staying action-stable
-    import numpy as np
-    from blobalg.towers import _closure
-    from blobalg.words import gen_e
-
+    # seed the rank-stabilizing reference with a sum of two basis images:
+    # its closure must land inside the coordinate closure of the two unit
+    # seeds while staying action-stable
     n, pt = 3, POINTS[0]
     space = diagram_space(n)
     v1 = space.word_vector(parse_word("U1", n), pt)
     v2 = space.word_vector(parse_word("e", n), pt)
-    mixed = _closure(space, (v1 + v2)[None, :], pt, "LR")
-    units = _closure(space, np.vstack([v1, v2]), pt, "LR")
-    assert units.contains_span(mixed)
+    mixed = reference_closure(space, (v1 + v2)[None, :], pt, "LR")
+    units = _closure(space, [int(np.argmax(v1)), int(np.argmax(v2))], pt, "LR")
+    assert reference_closure(space, np.vstack([v1, v2]), pt, "LR").pivots == units.pivots
+    assert units.contains(mixed.rows)
     assert 0 < mixed.rank <= units.rank
     acts = space.actions(pt)
     for key in acts:
@@ -233,7 +233,7 @@ def test_decompose_closure_matches_explicit_products():
             vecs += [space.vector(compose_scaled(evaluate_word(a), mid), pt)
                      for a in lower for mid in mids]
             want = span_of(np.array(vecs), space.dim, pt.prime)
-            seeds = space.word_matrix([unit(n), gen_u(n, n - 1)], pt)
+            seeds = space.word_span([unit(n), gen_u(n, n - 1)], pt).pivots
             got = _closure(space, seeds, pt, "LR", range(n - 1))
             assert got.pivots == want.pivots
             if pt is ZERO_POINT and n > 2:
@@ -276,49 +276,41 @@ def test_coordinate_rowspan_rows_and_copy():
     p = POINTS[0].prime
     span = RowSpan.coordinate(5, p, [3, 1, 3])
     assert span.pivots == [1, 3] and span.rank == 2
-    assert span._rows is None  # pivots only until rows are asked for
-    want = np.zeros((2, 5), dtype=np.int64)
-    want[0, 1] = want[1, 3] = 1
-    assert (span.rows == want).all()
-    added = span.absorb(np.array([[0, 0, 0, 7, 0], [2, 0, 0, 0, 0]]))
-    assert span.pivots == [0, 1, 3] and span._rows is None
-    assert added.shape == (1, 5) and added[0, 0] == 1
+    assert vars(span).keys() == {"dim", "p", "pivots"}  # no dense rows kept
+    added = span.absorb(np.array([[0, 0, 0, 7, 0], [2, 0, 0, 0, 0], [0, 0, 0, 0, 0]]))
+    assert span.pivots == [0, 1, 3]
+    assert added.dtype == np.int64 and added.tolist() == [0]
+    assert span.contains(np.array([5, 1, 0, 7, 0])) and not span.contains(np.array([0, 0, 1, 0, 0]))
+    assert (span.reduce(np.array([5, 1, 2, 7, 9])) == [0, 0, 2, 0, 9]).all()
     dup = span.copy()
-    dup.absorb(np.array([0, 0, 0, 0, 9]))
+    assert dup.absorb(np.array([0, 0, 0, 0, 9])).tolist() == [4]
     assert span.pivots == [0, 1, 3] and dup.pivots == [0, 1, 3, 4]
+    assert dup.contains_span(span) and not span.contains_span(dup)
+    assert not span.equals(dup)
+    span.absorb_span(RowSpan.coordinate(5, p, [4]))
+    assert span.equals(dup)
 
 
-def test_rowspan_absorbs_non_unit_vector_into_coordinate_span():
+def test_rowspan_rejects_non_monomial_rows():
     p = POINTS[0].prime
     span = RowSpan.coordinate(4, p, [0, 2])
-    dup = span.copy()
-    span.absorb(np.array([[5, 1, 7, 1]]))
-    assert span.pivots == [0, 1, 2]
-    rows = span.rows
-    assert (rows[:, span.pivots] == np.eye(3, dtype=np.int64)).all()
-    assert (rows[1] == [0, 1, 0, 1]).all()
-    assert span.contains(np.array([5, 1, 7, 1])) and not span.contains(np.array([0, 0, 0, 1]))
-    assert dup.pivots == [0, 2] and dup.rank == 2  # the copy kept its own pivots
-    dense = span.copy()
-    dense.absorb(np.array([0, 0, 0, 3]))
-    assert dense.rank == 4 and span.rank == 3
+    with pytest.raises(ValueError):
+        span.absorb(np.array([[0, 3, 0, 0], [5, 1, 0, 0]]))
+    with pytest.raises(ValueError):
+        span.absorb(np.array([0, 1, 0, 1]))
+    assert span.pivots == [0, 2]  # a rejected batch adds nothing
+    assert span.absorb(np.array([[0, 0, 0, p], [0, 0, p, 3]])).tolist() == [3]
 
 
-def test_rowspan_containment_across_unit_and_dense():
-    p = POINTS[0].prime
-    unit_13 = RowSpan.coordinate(4, p, [1, 3])
-    dense_13 = span_of(np.array([[0, 1, 0, 1], [0, 1, 0, 2]]), 4, p)
-    assert dense_13._rows is not None
-    assert unit_13.equals(dense_13) and dense_13.equals(unit_13)
-    line = span_of(np.array([[0, 1, 0, 1]]), 4, p)
-    assert unit_13.contains_span(line) and not line.contains_span(unit_13)
-    assert not unit_13.equals(line)
-    unit_1 = RowSpan.coordinate(4, p, [1])
-    assert not line.contains_span(unit_1) and not unit_1.contains_span(line)
-    assert unit_13.contains_span(unit_1) and not unit_1.contains_span(unit_13)
-    assert not unit_13.equals(RowSpan.coordinate(4, p, [1, 2]))
-    merged = unit_1.copy()
-    merged.absorb_span(RowSpan.coordinate(4, p, [3]))
-    assert merged.pivots == [1, 3] and merged._rows is None
-    merged.absorb_span(line)
-    assert merged.equals(unit_13)
+def test_bfs_closure_matches_reference_closure():
+    # every unit seed, one- and two-sided, including a point where g and de
+    # vanish and some action edges drop out
+    for n in range(1, 5):
+        space = diagram_space(n)
+        for pt in (POINTS[0], ZERO_POINT):
+            for sides in ("L", "LR"):
+                for d in range(space.dim):
+                    seed = np.zeros((1, space.dim), dtype=np.int64)
+                    seed[0, d] = 1
+                    want = reference_closure(space, seed, pt, sides)
+                    assert _closure(space, [d], pt, sides).pivots == want.pivots, (n, d, sides)
