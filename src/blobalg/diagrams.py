@@ -33,7 +33,7 @@ from .ring import RingElem
 Arc = Tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlobDiagram:
     n: int
     pairs: Tuple[Arc, ...]
@@ -155,6 +155,18 @@ def _scalar(plain: int, blobbed: int, excess: int) -> RingElem:
     return RingElem({(plain - 2 * k, blobbed, excess): comb(plain, k) for k in range(plain + 1)})
 
 
+@lru_cache(maxsize=64)
+def _arc_rows(n: int) -> Tuple[Tuple[Arc, ...], ...]:
+    """The arcs of n strands as shared tuples: ``_arc_rows(n)[i][j]`` is
+    ``(i, j)``.  Composition results reuse them, so the many diagrams a
+    word-evaluation table keeps alive share their arcs."""
+    span = range(2 * n + 1)
+    return tuple(tuple((i, j) for j in span) for i in span)
+
+
+_NO_BLOBS: FrozenSet[Arc] = frozenset()
+
+
 def _point_arrays(d: BlobDiagram) -> Tuple[List[int], List[int]]:
     """Point-indexed mate and blob lists (length 2n+1, index 0 unused)."""
     mate = [0] * (2 * d.n + 1)
@@ -187,6 +199,7 @@ def compose(d1: BlobDiagram, d2: BlobDiagram) -> ScaledDiagram:
     glue = 2 * n + 1  # d1 point glue - j meets d2 point j
     mate1, blob1 = _point_arrays(d1)
     mate2, blob2 = _point_arrays(d2)
+    arcs = _arc_rows(n)
     done = [False] * glue  # result points already reached as an end
     crossed = [False] * (n + 1)  # interface positions some strand passed
     pairs: List[Arc] = []
@@ -217,9 +230,10 @@ def compose(d1: BlobDiagram, d2: BlobDiagram) -> ScaledDiagram:
                 pt = glue - end
                 upper = True
         done[end] = True
-        pairs.append((start, end))
+        arc = arcs[start][end]
+        pairs.append(arc)
         if count:
-            blobs.append((start, end))
+            blobs.append(arc)
             excess += count - 1
 
     plain = blobbed = 0
@@ -244,7 +258,7 @@ def compose(d1: BlobDiagram, d2: BlobDiagram) -> ScaledDiagram:
         else:
             plain += 1
 
-    result = BlobDiagram(n, tuple(pairs), frozenset(blobs))
+    result = BlobDiagram(n, tuple(pairs), frozenset(blobs) if blobs else _NO_BLOBS)
     validate(result)
     return ScaledDiagram(_scalar(plain, blobbed, excess), result)
 

@@ -5,6 +5,12 @@ diagrams and a word to the composed product (the CLI calls it ``phi``).
 Because any product of basis diagrams is scalar * diagram, the image of a
 word is always a single :class:`ScaledDiagram`.
 
+A basis diagram times one generator is one diagram times 1, [2], g or de,
+so words are evaluated by walking a letter-transition table: per strand
+count, the diagrams met so far are interned as integer ids, and the entry
+for (diagram id, letter) packs the product's id with the code of its step
+scalar.  ``compose`` runs only to fill an entry not yet in the table.
+
 A word is *reduced* when it is not a non-unit scalar times a shorter
 expression; since every length-reducing relation introduces a non-unit
 scalar, this is detected exactly by a unit scalar in the word's diagram
@@ -13,6 +19,7 @@ image (the reduction proxy).
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
@@ -44,60 +51,92 @@ def _generator_diagram(n: int, letter: int) -> BlobDiagram:
     return e_diagram(n) if letter == 0 else u_diagram(n, letter)
 
 
-_EVALUATED_LIMIT = 1 << 17
+_TABLE_LIMIT = 1 << 17
 
-# n -> letters -> image, for the words evaluate_word has computed.  Keyed by
-# n first so that each entry reuses its Word's own letter tuple as the key.
-_evaluated: Dict[int, Dict[Tuple[int, ...], ScaledDiagram]] = {}
+# The scalars a basis diagram times one generator can carry, indexed by the
+# step code a table entry stores.
+_STEP_SCALARS = (RingElem.one(), RingElem.loop(), RingElem.gamma(), RingElem.delta_e())
+_STEP_CODES = {scalar: code for code, scalar in enumerate(_STEP_SCALARS)}
+
+# Per strand count n, the diagrams seen by evaluate_word interned as ids
+# (ids 0..n-1 are the generator diagrams of letters 0..n-1), and the flat
+# transition table: entry id * n + letter is 4 * target id + step code, or
+# -1 while that product has not been composed.
+_ids: Dict[int, Dict[BlobDiagram, int]] = {}
+_diagrams: Dict[int, List[BlobDiagram]] = {}
+_steps: Dict[int, array] = {}
 
 
-@lru_cache(maxsize=_EVALUATED_LIMIT)
+def _new_table(n: int) -> None:
+    gens = [_generator_diagram(n, letter) for letter in range(n)]
+    _diagrams[n] = gens
+    _ids[n] = {d: i for i, d in enumerate(gens)}
+    _steps[n] = array("q", [-1]) * (n * n)
+
+
+def _fill(n: int, source: int, letter: int) -> int:
+    """Compose diagram `source` with the generator of `letter`, intern the
+    product and store its table entry."""
+    diagrams = _diagrams[n]
+    step = compose(diagrams[source], diagrams[letter])
+    code = _STEP_CODES.get(step.coeff)
+    if code is None:
+        raise RuntimeError(f"step scalar {step.coeff} is not 1, [2], g or de")
+    ids, steps = _ids[n], _steps[n]
+    target = ids.get(step.diagram)
+    if target is None:
+        target = ids[step.diagram] = len(diagrams)
+        diagrams.append(step.diagram)
+        steps.extend(array("q", [-1]) * n)
+    entry = steps[source * n + letter] = 4 * target + code
+    return entry
+
+
+@lru_cache(maxsize=_TABLE_LIMIT)
 def evaluate_word(w: Word) -> ScaledDiagram:
     """The diagram image of a word, with its exact scalar.
 
     The image is the left-to-right product of the generator diagrams.  A
-    word the cache misses resumes from its longest proper prefix whose
-    image an earlier call computed, looked up in a prefix index that holds
-    the same images as the cache and is emptied when it reaches the
-    cache's bound of ``1 << 17`` entries.  With no such prefix the fold
-    starts from the first letter's generator diagram; the empty word maps
-    to the identity.  Each remaining letter costs one :func:`compose`,
-    whose result is validated.  ``evaluate_word.cache_clear()`` empties
-    the cache and the prefix index together.
+    basis diagram times one generator is one diagram times 1, [2], g or
+    de, so a word the cache misses is walked through a transition table
+    over interned diagrams: from the first letter's generator, each letter
+    looks up (target diagram, step scalar) and multiplies the coefficient
+    by a step scalar other than 1.  A table miss costs one
+    :func:`compose`, whose result is validated, and fills the entry.  The
+    table of each strand count is emptied once it holds ``1 << 17``
+    diagrams, the cache's bound.  The empty word maps to the identity.
+    ``evaluate_word.cache_clear()`` empties the cache and the tables
+    together.
     """
     n, letters = w.n, w.letters
     if not letters:
         return ScaledDiagram(RingElem.one(), identity_diagram(n))
-    known = _evaluated.get(n, {})
-    for done in range(len(letters) - 1, 0, -1):
-        image = known.get(letters[:done])
-        if image is not None:
-            coeff, diagram = image.coeff, image.diagram
-            break
-    else:
-        done = 1
-        coeff, diagram = RingElem.one(), _generator_diagram(n, letters[0])
-    for letter in letters[done:]:
-        step = compose(diagram, _generator_diagram(n, letter))
-        if not step.coeff.is_one():
-            coeff = coeff * step.coeff
-        diagram = step.diagram
-    result = ScaledDiagram(coeff, diagram)
-    if sum(map(len, _evaluated.values())) >= _EVALUATED_LIMIT:
-        _evaluated.clear()
-    _evaluated.setdefault(n, {})[letters] = result
-    return result
+    if n not in _steps or len(_diagrams[n]) >= _TABLE_LIMIT:
+        _new_table(n)
+    steps = _steps[n]
+    coeff = RingElem.one()
+    cur = letters[0]
+    for letter in letters[1:]:
+        entry = steps[cur * n + letter]
+        if entry < 0:
+            entry = _fill(n, cur, letter)
+        cur = entry >> 2
+        if entry & 3:
+            coeff = coeff * _STEP_SCALARS[entry & 3]
+    return ScaledDiagram(coeff, _diagrams[n][cur])
 
 
 _clear_cache = evaluate_word.cache_clear
 
 
-def _clear_evaluated() -> None:
+def _clear_tables() -> None:
     _clear_cache()
-    _evaluated.clear()
+    _ids.clear()
+    _diagrams.clear()
+    _steps.clear()
 
 
-evaluate_word.cache_clear = _clear_evaluated
+evaluate_word.cache_clear = _clear_tables
 
 
 def phi_equal(u: Word, v: Word, scalar: RingElem | None = None) -> bool:

@@ -78,8 +78,10 @@ class DiagramSpace:
                     scal.append(prod.coeff)
                 self._sym[(side, letter)] = (tgt, scal)
         self._specialized: Dict[SpecPoint, Dict[Tuple[str, int], Tuple[np.ndarray, np.ndarray]]] = {}
+        self._edges: Dict[SpecPoint, Dict[Tuple[str, int], Tuple[List[int], List[bool]]]] = {}
 
     def actions(self, point: SpecPoint) -> Dict[Tuple[str, int], Tuple[np.ndarray, np.ndarray]]:
+        """Per (side, letter): target indices and F_p scalars at the point."""
         cached = self._specialized.get(point)
         if cached is None:
             cached = {}
@@ -90,6 +92,18 @@ class DiagramSpace:
                 )
                 cached[key] = (tgt, vals)
             self._specialized[point] = cached
+        return cached
+
+    def edges(self, point: SpecPoint) -> Dict[Tuple[str, int], Tuple[List[int], List[bool]]]:
+        """The actions at the point as Python lists, for walking one basis
+        index at a time: per (side, letter), the target indices and
+        whether each scalar is nonzero."""
+        cached = self._edges.get(point)
+        if cached is None:
+            cached = self._edges[point] = {
+                key: (tgt.tolist(), (vals != 0).tolist())
+                for key, (tgt, vals) in self.actions(point).items()
+            }
         return cached
 
     def vector(self, scaled: ScaledDiagram, point: SpecPoint) -> np.ndarray:
@@ -134,18 +148,18 @@ def _closure(space: DiagramSpace, seeds: Iterable[int], point: SpecPoint, sides:
     is the coordinate span of the diagrams reachable from the seeds through
     edges whose scalar is nonzero at the point.
     """
-    acts = space.actions(point)
+    edges = space.edges(point)
     if letters is None:
         letters = space.letters
-    used = [acts[(s, letter)] for s in sides for letter in letters]
-    seen = set(seeds)
+    used = [edges[(s, letter)] for s in sides for letter in letters]
+    seen = set(map(int, seeds))
     queue = list(seen)
     while queue:
         d = queue.pop()
-        for tgt, scal in used:
-            if scal[d] and int(tgt[d]) not in seen:
-                seen.add(int(tgt[d]))
-                queue.append(int(tgt[d]))
+        for tgt, nonzero in used:
+            if nonzero[d] and tgt[d] not in seen:
+                seen.add(tgt[d])
+                queue.append(tgt[d])
     return RowSpan.coordinate(space.dim, point.prime, seen)
 
 

@@ -6,6 +6,7 @@ import blobalg.presentation as presentation
 from blobalg.diagrams import (
     ScaledDiagram,
     all_diagrams,
+    compose,
     compose_scaled,
     e_diagram,
     flip,
@@ -73,8 +74,6 @@ def test_reduction_proxy():
 def test_unit_scalar_words_reach_every_diagram():
     # breadth-first search over words, extending only unit-scalar products:
     # a non-unit scalar can never cancel later, so those branches are dead
-    from blobalg.diagrams import compose
-
     for n in range(1, 5):
         target = set(all_diagrams(n))
         gens = [evaluate_word(g).diagram for g in
@@ -143,12 +142,12 @@ def test_report_shape():
     assert rep.to_json()
 
 
-# -- prefix reuse in evaluate_word -------------------------------------------
+# -- the letter-transition table behind evaluate_word -------------------------
 
 
 def _fold(w):
     """The image of w folded from the identity with the reference composer,
-    independent of evaluate_word and its prefix index."""
+    independent of evaluate_word and its transition table."""
     got = ScaledDiagram(RingElem.one(), identity_diagram(w.n))
     for letter in w.letters:
         gen = e_diagram(w.n) if letter == 0 else u_diagram(w.n, letter)
@@ -159,18 +158,37 @@ def _fold(w):
 
 @pytest.fixture
 def cold_evaluate_word():
-    """evaluate_word with an empty cache and prefix index, before and after."""
+    """evaluate_word with an empty cache and table, before and after."""
     evaluate_word.cache_clear()
     yield evaluate_word
     evaluate_word.cache_clear()
 
 
-def test_cache_clear_empties_the_prefix_index(cold_evaluate_word):
+def _filled(n):
+    """The number of table entries of strand count n composed so far."""
+    return sum(1 for entry in presentation._steps.get(n, ()) if entry >= 0)
+
+
+def _decoded(n):
+    """Every filled table entry of n as (diagram, letter, target, scalar)."""
+    diagrams = presentation._diagrams[n]
+    out = []
+    for slot, entry in enumerate(presentation._steps[n]):
+        if entry >= 0:
+            source, letter = divmod(slot, n)
+            target, code = divmod(entry, 4)
+            out.append((diagrams[source], letter, diagrams[target],
+                        presentation._STEP_SCALARS[code]))
+    return out
+
+
+def test_cache_clear_empties_the_transition_table(cold_evaluate_word):
     for n in (2, 5):
         cold_evaluate_word(Word(n, (1, 0, 1)))
-    assert presentation._evaluated and cold_evaluate_word.cache_info().currsize
+        assert _filled(n) == 2
+    assert cold_evaluate_word.cache_info().currsize == 2
     cold_evaluate_word.cache_clear()
-    assert presentation._evaluated == {}
+    assert presentation._steps == presentation._ids == presentation._diagrams == {}
     assert cold_evaluate_word.cache_info().currsize == 0
 
 
@@ -209,45 +227,97 @@ def test_empty_and_one_letter_words(cold_evaluate_word):
             assert cold_evaluate_word(w * w) == _fold(w * w)
 
 
-def test_prefix_reuse_after_clear_and_overflow(cold_evaluate_word, monkeypatch):
+def test_table_walk_after_clear_and_overflow(cold_evaluate_word, monkeypatch):
     rng = random.Random("overflow")
-    monkeypatch.setattr(presentation, "_EVALUATED_LIMIT", 7)
+    monkeypatch.setattr(presentation, "_TABLE_LIMIT", 7)
+    emptied = 0
     for n in (3, 6, 9):
         words = _prefix_sharing_words(rng, n, 80)
         for i, w in enumerate(words):
             if i % 25 == 0:
-                presentation._evaluated.clear()
+                cold_evaluate_word.cache_clear()
+            before = len(presentation._diagrams.get(n, ()))
+            misses = cold_evaluate_word.cache_info().misses
             assert cold_evaluate_word(w) == _fold(w), w
-            assert sum(map(len, presentation._evaluated.values())) <= 7
+            after = len(presentation._diagrams.get(n, ()))
+            if cold_evaluate_word.cache_info().misses == misses or not w.letters:
+                assert after == before
+                continue
+            # a walk starts from a new table (the n generators) when there is
+            # none or it is full, and adds at most one diagram per later letter
+            fresh = not 0 < before < 7
+            emptied += fresh and before > 0
+            assert 0 <= after - (n if fresh else before) <= len(w) - 1
+            assert len(presentation._steps[n]) == n * after
+    assert emptied
 
 
-def test_extending_an_evaluated_word_composes_only_the_tail(cold_evaluate_word, monkeypatch):
+def test_compose_runs_once_per_new_table_entry(cold_evaluate_word, monkeypatch):
     calls = []
     real = presentation.compose
 
     def counting(d1, d2):
-        calls.append(1)
+        calls.append((d1, d2))
         return real(d1, d2)
 
     monkeypatch.setattr(presentation, "compose", counting)
     rng = random.Random("tail")
-    for n in range(2, 9):
-        for tail_len in (1, 3, 5):
-            evaluate_word.cache_clear()
-            w = Word(n, tuple(rng.randrange(n) for _ in range(6)))
-            t = Word(n, tuple(rng.randrange(n) for _ in range(tail_len)))
-            head = Word(n, w.letters[:2])
-            del calls[:]
-            assert cold_evaluate_word(head) == _fold(head)
-            assert len(calls) == 1  # the fold starts at the first letter's diagram
+    for n in range(1, 9):
+        words = _prefix_sharing_words(rng, n, 40)
+        for w in words:
+            filled = _filled(n)
             del calls[:]
             assert cold_evaluate_word(w) == _fold(w)
-            assert len(calls) == len(w) - len(head)
-            del calls[:]
-            assert cold_evaluate_word(w * t) == _fold(w * t)
-            assert len(calls) == len(t)
-        evaluate_word.cache_clear()
+            assert len(calls) == _filled(n) - filled
+            assert len(set(calls)) == len(calls)
+        # rewalking every word, now out of the cache, composes nothing
+        presentation._clear_cache()
         del calls[:]
-        cold_evaluate_word(unit(n))
-        cold_evaluate_word(Word(n, (n - 1,)))
+        for w in words:
+            assert cold_evaluate_word(w) == _fold(w)
         assert calls == []
+        # and neither do the empty word nor any one-letter word
+        cold_evaluate_word.cache_clear()
+        cold_evaluate_word(unit(n))
+        for letter in range(n):
+            cold_evaluate_word(Word(n, (letter,)))
+        assert calls == []
+
+
+def test_table_entries_equal_compose_on_every_diagram(cold_evaluate_word):
+    for n in range(1, 6):
+        # breadth-first over words: each new diagram gets one word, and
+        # every diagram reached is extended by every letter
+        frontier = [Word(n, (letter,)) for letter in range(n)]
+        seen = {cold_evaluate_word(w).diagram for w in frontier}
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for letter in range(n):
+                    longer = w * Word(n, (letter,))
+                    d = cold_evaluate_word(longer).diagram
+                    if d not in seen:
+                        seen.add(d)
+                        nxt.append(longer)
+            frontier = nxt
+        # every diagram but the identity is the image of a nonempty word
+        assert seen == set(all_diagrams(n)) - {identity_diagram(n)}
+        assert set(presentation._diagrams[n]) == seen
+        entries = _decoded(n)
+        assert len(entries) == n * len(seen)
+        for d, letter, target, scalar in entries:
+            assert compose(d, presentation._generator_diagram(n, letter)) == \
+                ScaledDiagram(scalar, target)
+
+
+def test_generator_steps_carry_one_of_four_scalars():
+    allowed = set(presentation._STEP_SCALARS)
+    for n in range(1, 7):
+        gens = [presentation._generator_diagram(n, letter) for letter in range(n)]
+        seen = set()
+        for d in all_diagrams(n):
+            for g in gens:
+                seen.add(compose(d, g).coeff)
+                seen.add(compose(g, d).coeff)
+        assert seen <= allowed, seen - allowed
+        assert seen == allowed or n == 1

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from blobalg.diagrams import ScaledDiagram, compose, compose_scaled, flip, identity_diagram
 from blobalg.modlin import DEFAULT_PRIME, CoordSolver, RowSpan
+from blobalg import presentation
 from blobalg.presentation import evaluate_word
 from blobalg.ring import RingElem
 from blobalg.words import Word
@@ -55,17 +56,39 @@ def test_evaluate_word_is_multiplicative(pair):
     assert evaluate_word(u * v) == compose_scaled(evaluate_word(u), evaluate_word(v))
 
 
+def _fold(w, composer=reference_compose):
+    """The image of w folded letter by letter from the identity."""
+    got = _unscaled(identity_diagram(w.n))
+    for letter in w.letters:
+        gen = evaluate_word(Word(w.n, (letter,))).diagram
+        step = composer(got.diagram, gen)
+        got = ScaledDiagram(got.coeff * step.coeff, step.diagram)
+    return got
+
+
 @PROPERTY
 @given(word_pairs())
 def test_evaluate_word_matches_reference_composers(pair):
     w = pair[0] * pair[1]
     for composer in (reference_compose, compose_by_union_find):
-        got = _unscaled(identity_diagram(w.n))
-        for letter in w.letters:
-            gen = evaluate_word(Word(w.n, (letter,))).diagram
-            step = composer(got.diagram, gen)
-            got = ScaledDiagram(got.coeff * step.coeff, step.diagram)
-        assert got == evaluate_word(w)
+        assert _fold(w, composer) == evaluate_word(w)
+
+
+@st.composite
+def word_batches(draw):
+    n = draw(strand_counts)
+    return draw(st.lists(words(n, max_len=24), min_size=1, max_size=8))
+
+
+@PROPERTY
+@given(word_batches())
+def test_table_walk_matches_reference_fold(batch):
+    # a cold table for the first word; later words walk entries it filled
+    evaluate_word.cache_clear()
+    for w in batch:
+        presentation._clear_cache()  # the word cache only: walk the table
+        assert evaluate_word(w) == _fold(w)
+    evaluate_word.cache_clear()
 
 
 @PROPERTY

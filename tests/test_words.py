@@ -31,8 +31,20 @@ def test_concat_basic():
 
 
 def test_concat_rejects_mixed_n():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^strand counts differ: 3 vs 4$"):
         concat(gen_u(3, 1), gen_u(4, 1))
+
+
+def test_concat_equals_the_validated_word():
+    rng = random.Random("words-concat")
+    for _ in range(300):
+        n = rng.randrange(0, 7)
+        u, v = (Word(n, tuple(rng.randrange(n) for _ in range(rng.randrange(6) if n else 0)))
+                for _ in range(2))
+        w = u * v
+        want = Word(n, u.letters + v.letters)
+        assert w == want and hash(w) == hash(want) and str(w) == str(want)
+        assert type(w.letters) is tuple and w.n == n
 
 
 def test_opposite_reverses():
