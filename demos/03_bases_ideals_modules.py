@@ -1,9 +1,11 @@
 """Word bases, ideal filtrations, and standard module matrices.
 
 The squared words a * tail * opposite(b) over walk-word prefixes give a
-basis of the whole algebra matching the diagram count C(2n, n).  Rank and
-span claims about the through-line ideal filtration are decided in a
-large prime field at random specializations of (q, g, de).
+basis of the whole algebra matching the diagram count C(2n, n).  Every
+generator maps a diagram to a nonzero monomial times one diagram, so an
+ideal is the set of diagram indices it reaches and its rank is the size of
+that set, with no specialization.  Standard module matrices are written
+over a large prime field at a random specialization of (q, g, de).
 """
 
 from blobalg import (
@@ -37,9 +39,9 @@ for n in range(1, 7):
 print()
 print("Through-line ideal ranks for n = 4 (0 <= m <= 4):")
 for m in (0, 2, 4):
-    print(f"  rank of ideal at m={m}: {through_ideal(4, m, point).rank}")
+    print(f"  rank of ideal at m={m}: {len(through_ideal(4, m))}")
 print("  the unit generates everything:",
-      ideal_span(4, unit(4), True, point).rank)
+      len(ideal_span(4, unit(4), True)))
 
 print()
 print("A standard module: n=4, m=0, with its U_1 action matrix:")

@@ -6,12 +6,15 @@ int64, and lets matrix products run through float64 BLAS after splitting
 each factor into 16-bit high/low parts (every partial product then fits
 float64's 53-bit mantissa exactly).
 
-Every product of basis diagrams is one diagram times a monomial, so at a
-specialization point every word image is a scaled unit vector.  The span
-and solver types rely on that and accept nothing else: `RowSpan` is a
-coordinate subspace kept as its set of pivot columns, and `CoordSolver`
-expresses vectors in a basis of scaled unit vectors on distinct columns.
-Both raise `ValueError` on a row with two or more nonzero entries.
+Span claims are decided without a point, as sets of diagram indices (see
+`blobalg.towers`).  This module serves the standard modules, which are
+built at each specialization point.  Every product of basis diagrams is
+one diagram times a monomial, so at a point every word image is a scaled
+unit vector.  The span and solver types rely on that and accept nothing
+else: `RowSpan` is a coordinate subspace kept as its set of pivot columns,
+and `CoordSolver` expresses vectors in a basis of scaled unit vectors on
+distinct columns.  Both raise `ValueError` on a row with two or more
+nonzero entries.
 """
 
 from __future__ import annotations
@@ -81,10 +84,8 @@ def draw_points(seed: int, count: int = 3, prime: int = DEFAULT_PRIME) -> List[S
 
 class RowSpan:
     """A coordinate subspace of F_p^dim: the span of the unit vectors at
-    its pivot columns, kept as the sorted pivot list alone.
-
-    Reduction zeroes the pivot columns; containment, equality and merging
-    of two spans are set operations on their pivots.
+    its pivot columns, kept as the sorted pivot list alone.  Reduction
+    zeroes the pivot columns.
     """
 
     def __init__(self, dim: int, p: int):
@@ -120,23 +121,6 @@ class RowSpan:
         if new:
             self.pivots = sorted(seen.union(new))
         return np.array(new, dtype=np.int64)
-
-    def absorb_span(self, other: "RowSpan") -> None:
-        self.pivots = sorted(set(self.pivots).union(other.pivots))
-
-    def contains(self, vecs: np.ndarray) -> bool:
-        return not self.reduce(vecs).any()
-
-    def contains_span(self, other: "RowSpan") -> bool:
-        return set(other.pivots) <= set(self.pivots)
-
-    def equals(self, other: "RowSpan") -> bool:
-        return self.pivots == other.pivots
-
-    def copy(self) -> "RowSpan":
-        out = RowSpan(self.dim, self.p)
-        out.pivots = list(self.pivots)
-        return out
 
 
 class CoordSolver:

@@ -288,34 +288,48 @@ def check_reduction_stability(n: int) -> Report:
         if w.letters:
             samples.append(Word(w.n, w.letters + (w.letters[-1],)))
 
+    # the tails depend only on n, so they are built once
+    u_far = gen_u(n + 1, n)
+    run_down = descending_run(n - 1, 1, n)
+    collapse_tail = u_far * descending_run(n - 1, 1, n + 1) * ascending_run(2, n, n + 1)
+    skip_n = skip_run(n - 2, 1, n)
+    e_n = gen_e(n)
+    blob_tail = e_n * skip_run(n - 1, 2, n) * skip_n
+    big_skip = skip_run(n - 2, 1, n + 1)
+    e_big = gen_e(n + 1)
+    big_tail = (e_big * skip_run(n - 1, 2, n + 1) * big_skip * skip_run(n - 1, 2, n + 1)
+                * skip_run(n, 3, n + 1))
+    e_u_far = e_big * u_far
+
     for w in samples:
+        label = str(w)
         w_big = w.with_n(n + 1)
         lhs = is_reduced(w_big)
-        rhs = is_reduced(w_big * gen_u(n + 1, n))
-        rep.add(f"append-far [{w}]", f"reduced({w})", f"reduced({w} U{n})", lhs == rhs)
+        rhs = is_reduced(w_big * u_far)
+        rep.add(f"append-far [{label}]", f"reduced({label})", f"reduced({label} U{n})", lhs == rhs)
 
         w_n = w.with_n(n)
         lhs = is_reduced(w_n)
-        rhs = is_reduced(w_n * descending_run(n - 1, 1, n))
-        rep.add(f"append-run [{w}]", f"reduced({w})", f"reduced({w} U{n-1}..U1)", lhs == rhs)
+        rhs = is_reduced(w_n * run_down)
+        rep.add(f"append-run [{label}]", f"reduced({label})", f"reduced({label} U{n-1}..U1)",
+                lhs == rhs)
 
-        left = (w_big * gen_u(n + 1, n) * descending_run(n - 1, 1, n + 1)
-                * ascending_run(2, n, n + 1))
-        right = w_big * gen_u(n + 1, n)
-        rep.add(f"run-collapse [{w}]", left, right, phi_equal(left, right))
+        left = w_big * collapse_tail
+        right = w_big * u_far
+        rep.add(f"run-collapse [{label}]", left, right, phi_equal(left, right))
 
         if n % 2 == 1:
             # the blobbed-growth form needs genuine skip runs, so odd n only
-            stem = w_n * skip_run(n - 2, 1, n)
-            rep.add(f"append-e [{w}]", f"reduced({stem})", f"reduced({stem} e)",
-                    is_reduced(stem) == is_reduced(stem * gen_e(n)))
-            grown = stem * gen_e(n) * skip_run(n - 1, 2, n) * skip_run(n - 2, 1, n)
-            rep.add(f"append-blob [{w}]", f"reduced({stem})", f"reduced({grown})",
+            stem = w_n * skip_n
+            stem_label = str(stem)
+            rep.add(f"append-e [{label}]", f"reduced({stem_label})", f"reduced({stem_label} e)",
+                    is_reduced(stem) == is_reduced(stem * e_n))
+            grown = stem * blob_tail
+            rep.add(f"append-blob [{label}]", f"reduced({stem_label})", f"reduced({grown})",
                     is_reduced(stem) == is_reduced(grown))
 
-        big_stem = w.with_n(n + 1) * skip_run(n - 2, 1, n + 1)
-        left = (gen_u(n + 1, n) * big_stem * gen_e(n + 1) * skip_run(n - 1, 2, n + 1)
-                * skip_run(n - 2, 1, n + 1) * skip_run(n - 1, 2, n + 1) * skip_run(n, 3, n + 1))
-        right = big_stem * gen_e(n + 1) * gen_u(n + 1, n)
-        rep.add(f"blob-collapse [{w}]", left, right, phi_equal(left, right))
+        big_stem = w_big * big_skip
+        left = u_far * big_stem * big_tail
+        right = big_stem * e_u_far
+        rep.add(f"blob-collapse [{label}]", left, right, phi_equal(left, right))
     return rep

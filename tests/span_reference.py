@@ -2,23 +2,29 @@
 
 `blobalg.modlin` keeps only coordinate subspaces and a monomial solver,
 because every word image at a specialization point is a scaled unit
-vector.  The general forms live here so tests can check the fast ones
-against them on any input:
+vector, and `blobalg.towers` decides span claims as sets of diagram
+indices with no point at all.  The general per-point forms live here so
+tests can check the fast ones against them on any input:
 
 * `ReferenceSpan`: a subspace of F_p^dim in reduced row echelon form, each
   row with a leading 1 in its pivot column and zeros in every other pivot
   column, absorbing arbitrary vectors;
 * `ReferenceSolver`: an RREF of a fixed independent row list together with
   the transform back to the original rows;
+* `point_actions`: the generator action tables at one point, composed
+  afresh and specialized;
 * `reference_closure`: the rank-stabilizing closure of arbitrary seed
-  vectors under the generator action tables.
+  vectors under those tables.
 """
 
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from blobalg.diagrams import compose
 from blobalg.modlin import SpecPoint, mulmod
+from blobalg.presentation import _generator_diagram
 
 
 class ReferenceSpan:
@@ -79,23 +85,8 @@ class ReferenceSpan:
                     batch[i + 1:][mask] = (rest[mask] - np.outer(col[mask], row)) % self.p
         return np.array(added, dtype=np.int64).reshape(len(added), self.dim)
 
-    def absorb_span(self, other: "ReferenceSpan") -> None:
-        self.absorb(other.rows)
-
     def contains(self, vecs: np.ndarray) -> bool:
         return not self.reduce(vecs).any()
-
-    def contains_span(self, other: "ReferenceSpan") -> bool:
-        return self.contains(other.rows)
-
-    def equals(self, other: "ReferenceSpan") -> bool:
-        return self.rank == other.rank and self.contains_span(other)
-
-    def copy(self) -> "ReferenceSpan":
-        out = ReferenceSpan(self.dim, self.p)
-        out.pivots = list(self.pivots)
-        out.rows = self.rows.copy()
-        return out
 
 
 def span_of(vecs: np.ndarray, dim: int, p: int) -> ReferenceSpan:
@@ -164,12 +155,28 @@ def _apply_action(action: Tuple[np.ndarray, np.ndarray], vecs: np.ndarray, p: in
     return (out_t.T) % p
 
 
+@lru_cache(maxsize=64)
+def point_actions(space, point: SpecPoint) -> Dict[Tuple[str, int], Tuple[np.ndarray, np.ndarray]]:
+    """Per (side, letter): the target index and the F_p scalar of the
+    generator times each basis diagram of `space` at the point."""
+    out = {}
+    for letter in space.letters:
+        gen = _generator_diagram(space.n, letter)
+        for side in ("L", "R"):
+            prods = [compose(gen, d) if side == "L" else compose(d, gen) for d in space.basis]
+            tgt = np.array([space.index[p.diagram] for p in prods], dtype=np.int64)
+            scal = np.array([p.coeff.specialize(point.q0, point.g0, point.d0, point.prime)
+                             for p in prods], dtype=np.int64)
+            out[(side, letter)] = (tgt, scal)
+    return out
+
+
 def reference_closure(space, seeds: np.ndarray, point: SpecPoint, sides: str,
                       letters: Optional[Sequence[int]] = None) -> ReferenceSpan:
     """Span of the seed vectors closed under multiplication on `sides` by
     the generators in `letters` (default: all of b_n), by absorbing the
     image of each new basis row until the rank stops growing."""
-    acts = space.actions(point)
+    acts = point_actions(space, point)
     if letters is None:
         letters = space.letters
     used = [acts[(s, letter)] for s in sides for letter in letters]

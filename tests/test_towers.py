@@ -23,13 +23,16 @@ from blobalg.towers import (
     standard_module,
     through_ideal,
 )
-from blobalg.words import cap_word, cap_word_right, gen_u, opposite, parse_word, unit
+from blobalg.words import blob_cap_word, cap_word, cap_word_right, gen_u, opposite, parse_word, unit
 
-from span_reference import reference_closure, span_of
+from span_reference import point_actions, reference_closure, span_of
 
 POINTS = default_points(0)
 # g and de vanish here, so many monomials specialize to zero
 ZERO_POINT = SpecPoint(POINTS[0].prime, POINTS[0].q0, 0, 0)
+# p = 1 mod 4 and q0^2 = -1 mod p, so [2] = q0 + 1/q0 vanishes here
+_DRAWN = default_points(0, 1_073_741_833)[0]
+DEGENERATE_POINT = SpecPoint(_DRAWN.prime, 357_924_867, _DRAWN.g0, _DRAWN.d0)
 
 
 def brute_ideal_rank(n, word, point, two_sided=True):
@@ -49,40 +52,44 @@ def brute_ideal_rank(n, word, point, two_sided=True):
 
 def test_full_ideal_is_everything():
     for n in (2, 3):
-        sub = ideal_span(n, unit(n), True, POINTS[0])
-        assert sub.rank == comb(2 * n, n)
+        assert len(ideal_span(n, unit(n), True)) == comb(2 * n, n)
 
 
 def test_ideal_rank_against_brute_force():
     for n, m in [(2, 0), (2, 2), (3, 1), (3, 3), (4, 0), (4, 2)]:
-        fast = through_ideal(n, m, POINTS[0]).rank
+        fast = len(through_ideal(n, m))
         brute = brute_ideal_rank(n, cap_word(m, n), POINTS[0])
         assert fast == brute
+    # one-sided: the blobbed left ideals that the standard modules quotient by
+    for n, m in [(2, 2), (3, 1), (3, 3), (4, 2)]:
+        word = blob_cap_word(m, n)
+        fast = len(ideal_span(n, word, False))
+        assert fast == brute_ideal_rank(n, word, POINTS[0], two_sided=False)
+        assert fast < len(ideal_span(n, word, True))
 
 
 def test_ideal_rank_small_values():
     # n=2: the 0-through ideal consists of the four cap-cup diagrams
-    assert through_ideal(2, 0, POINTS[0]).rank == 4
-    assert through_ideal(2, 2, POINTS[0]).rank == 6
+    assert len(through_ideal(2, 0)) == 4
+    assert len(through_ideal(2, 2)) == 6
     # filtration rank identity: sum of squared walk counts
     for n in range(2, 6):
         for m in range(n % 2, n + 1, 2):
             want = sum(comb(n, (n + m2) // 2) ** 2
                        for m2 in range(-m, m + 1) if (n - m2) % 2 == 0)
-            assert through_ideal(n, m, POINTS[0]).rank == want
+            assert len(through_ideal(n, m)) == want
 
 
 def test_ideal_rank_monotone():
     for n in range(2, 6):
-        ranks = [through_ideal(n, m, POINTS[0]).rank for m in range(n % 2, n + 1, 2)]
+        ranks = [len(through_ideal(n, m)) for m in range(n % 2, n + 1, 2)]
         assert ranks == sorted(ranks)
 
 
 def test_subspace_shape():
-    sub = ideal_span(3, cap_word(1, 3), True, POINTS[0])
-    assert isinstance(sub, RowSpan)
-    assert sub.dim == comb(6, 3) and sub.p == POINTS[0].prime
-    assert sub.rank == len(sub.pivots) == 18
+    sub = ideal_span(3, cap_word(1, 3), True)
+    assert isinstance(sub, frozenset)
+    assert len(sub) == 18 and sub <= set(range(comb(6, 3)))
 
 
 def test_regular_basis_n2_known_words():
@@ -168,10 +175,10 @@ def test_ideal_supports_match_through_line_filtration():
     for n in (2, 3, 4, 5):
         space = diagram_space(n)
         for m in range(n % 2, n + 1, 2):
-            support = {space.basis[i] for i in through_ideal(n, m, POINTS[0]).pivots}
+            support = {space.basis[i] for i in through_ideal(n, m)}
             assert support == {d for d in space.basis if through_count(d) <= m}
             if m > 0:
-                support = {space.basis[i] for i in blob_ideal(n, m, POINTS[0]).pivots}
+                support = {space.basis[i] for i in blob_ideal(n, m)}
                 assert support == {
                     d for d in space.basis
                     if through_count(d) < m
@@ -188,13 +195,12 @@ def test_generic_closure_matches_coordinate_closure():
     v1 = space.word_vector(parse_word("U1", n), pt)
     v2 = space.word_vector(parse_word("e", n), pt)
     mixed = reference_closure(space, (v1 + v2)[None, :], pt, "LR")
-    units = _closure(space, [int(np.argmax(v1)), int(np.argmax(v2))], pt, "LR")
-    assert reference_closure(space, np.vstack([v1, v2]), pt, "LR").pivots == units.pivots
-    assert units.contains(mixed.rows)
-    assert 0 < mixed.rank <= units.rank
-    acts = space.actions(pt)
-    for key in acts:
-        tgt, scal = acts[key]
+    units = _closure(space, [int(np.argmax(v1)), int(np.argmax(v2))], "LR")
+    assert reference_closure(space, np.vstack([v1, v2]), pt, "LR").pivots == sorted(units)
+    outside = [i for i in range(space.dim) if i not in units]
+    assert not mixed.rows[:, outside].any()
+    assert 0 < mixed.rank <= len(units)
+    for tgt, scal in point_actions(space, pt).values():
         for row in mixed.rows:
             image = np.zeros(space.dim, dtype=np.int64)
             for d in range(space.dim):
@@ -206,7 +212,7 @@ def test_generic_closure_matches_coordinate_closure():
 def test_quotient_dimension_two_by_rank_difference():
     # n = 3: the full algebra has rank 20, the 1-through ideal 18
     full = comb(6, 3)
-    assert full - through_ideal(3, 1, POINTS[0]).rank == 2
+    assert full - len(through_ideal(3, 1)) == 2
 
 
 def test_points_recorded_in_reports():
@@ -228,14 +234,15 @@ def test_decompose_closure_matches_explicit_products():
         lower = [w.with_n(n) for w in regular_basis(n - 1)]
         u_top = evaluate_word(gen_u(n, n - 1))
         mids = [compose_scaled(u_top, evaluate_word(b)) for b in lower]
+        got = _closure(space, space.word_span([unit(n), gen_u(n, n - 1)]), "LR", range(n - 1))
         for pt in (POINTS[0], ZERO_POINT):
             vecs = [space.word_vector(a, pt) for a in lower]
             vecs += [space.vector(compose_scaled(evaluate_word(a), mid), pt)
                      for a in lower for mid in mids]
             want = span_of(np.array(vecs), space.dim, pt.prime)
-            seeds = space.word_span([unit(n), gen_u(n, n - 1)], pt).pivots
-            got = _closure(space, seeds, pt, "LR", range(n - 1))
-            assert got.pivots == want.pivots
+            assert set(want.pivots) <= got
+            if pt is POINTS[0]:
+                assert want.pivots == sorted(got)
             if pt is ZERO_POINT and n > 2:
                 assert not all(v.any() for v in vecs)  # some products vanish here
 
@@ -247,13 +254,15 @@ def test_conjugate_spans_match_per_point_products():
         conjugators = [gen_u(n, n - 1)] + [cap_word_right(m, n) for m in range(n % 2, n + 1, 2)]
         for w in conjugators:
             ew = evaluate_word(w)
+            got = _conjugated_span(space, w, w)
             for pt in (POINTS[0], POINTS[1], ZERO_POINT):
                 vecs = [space.vector(compose_scaled(compose_scaled(ew, evaluate_word(b.with_n(n))), ew),
                                      pt)
                         for b in regular_basis(n)]
                 want = span_of(np.array(vecs), space.dim, pt.prime)
-                got = _conjugated_span(space, w, w, pt)
-                assert got.pivots == want.pivots, (n, str(w), pt)
+                assert set(want.pivots) <= got, (n, str(w), pt)
+                if pt is not ZERO_POINT:
+                    assert want.pivots == sorted(got), (n, str(w), pt)
                 vanished += sum(not v.any() for v in vecs)
     assert vanished  # only ZERO_POINT can send a monomial to zero
 
@@ -265,14 +274,17 @@ def test_word_span_matches_word_matrix():
         for m in range(n % 2, n + 1, 2):
             words += [cap_word_right(m, n) * w.with_n(n) for w in regular_basis(m)]
         words += [parse_word("e e", n), parse_word("U1 e U1", n)]  # scalars de and g
+        got = space.word_span(words)
         for pt in (POINTS[0], ZERO_POINT):
             vecs = space.word_matrix(words, pt)
             want = span_of(vecs, space.dim, pt.prime)
-            assert space.word_span(words, pt).pivots == want.pivots
+            assert set(want.pivots) <= got
+            if pt is POINTS[0]:
+                assert want.pivots == sorted(got)
         assert not vecs.any(axis=1).all()  # ZERO_POINT sends some images to zero
 
 
-def test_coordinate_rowspan_rows_and_copy():
+def test_coordinate_rowspan_absorb_and_reduce():
     p = POINTS[0].prime
     span = RowSpan.coordinate(5, p, [3, 1, 3])
     assert span.pivots == [1, 3] and span.rank == 2
@@ -280,15 +292,9 @@ def test_coordinate_rowspan_rows_and_copy():
     added = span.absorb(np.array([[0, 0, 0, 7, 0], [2, 0, 0, 0, 0], [0, 0, 0, 0, 0]]))
     assert span.pivots == [0, 1, 3]
     assert added.dtype == np.int64 and added.tolist() == [0]
-    assert span.contains(np.array([5, 1, 0, 7, 0])) and not span.contains(np.array([0, 0, 1, 0, 0]))
     assert (span.reduce(np.array([5, 1, 2, 7, 9])) == [0, 0, 2, 0, 9]).all()
-    dup = span.copy()
-    assert dup.absorb(np.array([0, 0, 0, 0, 9])).tolist() == [4]
-    assert span.pivots == [0, 1, 3] and dup.pivots == [0, 1, 3, 4]
-    assert dup.contains_span(span) and not span.contains_span(dup)
-    assert not span.equals(dup)
-    span.absorb_span(RowSpan.coordinate(5, p, [4]))
-    assert span.equals(dup)
+    assert span.absorb(np.array([0, 0, 0, 0, 9])).tolist() == [4]
+    assert span.pivots == [0, 1, 3, 4] and span.rank == 4
 
 
 def test_rowspan_rejects_non_monomial_rows():
@@ -303,14 +309,38 @@ def test_rowspan_rejects_non_monomial_rows():
 
 
 def test_bfs_closure_matches_reference_closure():
-    # every unit seed, one- and two-sided, including a point where g and de
-    # vanish and some action edges drop out
+    # every unit seed, one- and two-sided, at the points where g and de or
+    # [2] vanish and some action edges drop out; the per-point closure can
+    # only be smaller than the generic one.  A [2] edge closes a loop
+    # against a cup of the diagram and leaves it unchanged, so at
+    # DEGENERATE_POINT only self-loops drop out and nothing shrinks
+    shrunk = set()
     for n in range(1, 5):
         space = diagram_space(n)
-        for pt in (POINTS[0], ZERO_POINT):
-            for sides in ("L", "LR"):
-                for d in range(space.dim):
-                    seed = np.zeros((1, space.dim), dtype=np.int64)
-                    seed[0, d] = 1
+        for sides in ("L", "LR"):
+            for d in range(space.dim):
+                got = _closure(space, [d], sides)
+                seed = np.zeros((1, space.dim), dtype=np.int64)
+                seed[0, d] = 1
+                for pt in (POINTS[0], ZERO_POINT, DEGENERATE_POINT):
                     want = reference_closure(space, seed, pt, sides)
-                    assert _closure(space, [d], pt, sides).pivots == want.pivots, (n, d, sides)
+                    assert set(want.pivots) <= got, (n, d, sides, pt)
+                    if want.rank < len(got):
+                        shrunk.add(pt)
+    assert shrunk == {ZERO_POINT}
+    vanishing = [(tgt, scal == 0) for tgt, scal in point_actions(space, DEGENERATE_POINT).values()]
+    assert any(zero.any() for _, zero in vanishing)
+    assert all((tgt[zero] == np.flatnonzero(zero)).all() for tgt, zero in vanishing)
+
+
+def test_span_checks_pass_where_scalars_vanish():
+    # the point-free span decisions and the per-point module matrices agree
+    # with the generic algebra where [2] vanishes and where g and de do
+    p, q0 = DEGENERATE_POINT.prime, DEGENERATE_POINT.q0
+    assert p % 4 == 1 and q0 * q0 % p == p - 1 and (q0 + pow(q0, -1, p)) % p == 0
+    for pt in (DEGENERATE_POINT, ZERO_POINT):
+        for n in (3, 4, 5):
+            for fn in (check_ideal_inclusions, check_tower, check_quotient_dims,
+                       check_span_closure, check_standard_modules, check_word_basis):
+                rep = fn(n, [pt])
+                assert rep.passed, (pt, rep.title, [c.instance for c in rep.checks if not c.passed])
