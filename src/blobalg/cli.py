@@ -19,7 +19,7 @@ import os
 import sys
 from functools import lru_cache
 from math import comb
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .diagrams import all_diagrams, compose_scaled, diagram_from_dict, scaled_to_dict, ScaledDiagram
 from .modlin import DEFAULT_PRIME, check_prime, draw_points
@@ -44,6 +44,25 @@ from .towers import (
 )
 from .walks import all_walks, check_diamond_moves, check_walk_suite, parse_walk, path_word, walk_words
 from .words import Word, parse_word
+
+
+# Every suite, in the order "all" runs them: its smallest strand count and
+# the function of (n, points, seed) returning its reports.  "all" needs
+# n >= 1 and skips the suites that need more than it is given.
+_SUITES: Dict[str, Tuple[int, Callable[..., List[Report]]]] = {
+    "relations": (0, lambda n, points, seed: [check_defining_relations(n)]),
+    "identities": (0, lambda n, points, seed: [check_run_identities(n)]),
+    "redux": (3, lambda n, points, seed: [check_reduction_stability(n)]),
+    "diamond": (0, lambda n, points, seed: [check_diamond_moves(n)]),
+    "walks": (0, lambda n, points, seed: [check_walk_suite(n)]),
+    "ideals": (1, lambda n, points, seed: [check_ideal_inclusions(n, points, seed),
+                                           check_span_closure(n, points, seed)]),
+    "tower": (2, lambda n, points, seed: [check_tower(n, points, seed),
+                                          check_quotient_dims(n, points, seed)]),
+    "bases": (1, lambda n, points, seed: [check_word_basis(n, points, seed),
+                                          check_standard_modules(n, points, seed)]),
+    "appendix": (0, lambda n, points, seed: [check_diamond_walks(n), check_envelope_words(n)]),
+}
 
 
 @lru_cache(maxsize=1)
@@ -79,9 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True,
-                   choices=["relations", "identities", "redux", "diamond", "walks",
-                            "ideals", "tower", "bases", "appendix", "all"])
+    p.add_argument("--suite", required=True, choices=[*_SUITES, "all"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--prime", type=int, default=None)
@@ -192,40 +209,13 @@ def cmd_dims(args) -> int:
     return status
 
 
-_SUITES = ["relations", "identities", "redux", "diamond", "walks",
-           "ideals", "tower", "bases", "appendix"]
-
-# Smallest strand count each suite accepts; "all" skips the suites that
-# need more than it is given.
-_MIN_N = {"relations": 0, "identities": 0, "redux": 3, "diamond": 0, "walks": 0,
-          "ideals": 1, "tower": 2, "bases": 1, "appendix": 0, "all": 1}
-
-
 def run_suite(suite: str, n: int, seed: int, prime: int) -> List[Report]:
-    points = draw_points(seed, 3, prime)
-    if suite == "relations":
-        return [check_defining_relations(n)]
-    if suite == "identities":
-        return [check_run_identities(n)]
-    if suite == "redux":
-        return [check_reduction_stability(n)]
-    if suite == "diamond":
-        return [check_diamond_moves(n)]
-    if suite == "walks":
-        return [check_walk_suite(n)]
-    if suite == "ideals":
-        return [check_ideal_inclusions(n, points, seed), check_span_closure(n, points, seed)]
-    if suite == "tower":
-        return [check_tower(n, points, seed), check_quotient_dims(n, points, seed)]
-    if suite == "bases":
-        return [check_word_basis(n, points, seed), check_standard_modules(n, points, seed)]
-    if suite == "appendix":
-        return [check_diamond_walks(n), check_envelope_words(n)]
+    if suite != "all":
+        return _SUITES[suite][1](n, draw_points(seed, 3, prime), seed)
     out: List[Report] = []
-    for name in _SUITES:
-        if n < _MIN_N[name]:
-            continue
-        out.extend(run_suite(name, n, seed, prime))
+    for name, (min_n, _) in _SUITES.items():
+        if n >= min_n:
+            out.extend(run_suite(name, n, seed, prime))
     return out
 
 
@@ -237,8 +227,9 @@ def cmd_verify(args) -> int:
     if prime is None:
         prime = int(os.environ.get("BLOBALG_PRIME", str(DEFAULT_PRIME)))
     check_prime(prime)
-    if args.n < _MIN_N[args.suite]:
-        raise ValueError(f"suite {args.suite} needs n >= {_MIN_N[args.suite]}")
+    min_n = 1 if args.suite == "all" else _SUITES[args.suite][0]
+    if args.n < min_n:
+        raise ValueError(f"suite {args.suite} needs n >= {min_n}")
     reports = run_suite(args.suite, args.n, seed, prime)
     for rep in reports:
         for line in rep.lines():

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from itertools import combinations
+from typing import Dict, List, Optional, Tuple
 
 from .diagrams import (
     BlobDiagram,
@@ -155,36 +156,44 @@ def is_reduced(w: Word) -> bool:
 # -- defining relations ------------------------------------------------------
 
 
-def check_defining_relations(n: int) -> Report:
-    """Verify the six defining relation families in the diagram algebra."""
-    rep = Report(f"relations(n={n})", meta={"n": n})
-    loop = RingElem.loop()
-    gamma = RingElem.gamma()
-    delta_e = RingElem.delta_e()
+Relation = Tuple[str, str, str, Word, Word, Optional[RingElem]]
 
+
+def defining_relations(n: int) -> List[Relation]:
+    """Every instance of the six defining relation families on n strands,
+    as (label, lhs text, rhs text, lhs word, rhs word, scalar): the
+    relation reads lhs = scalar * rhs, and a scalar of None means 1."""
+    out: List[Relation] = []
     for i in range(1, n):
         u = gen_u(n, i)
-        rep.add(f"UU i={i}", f"U{i} U{i}", f"(q+q^-1) U{i}", phi_equal(u * u, u, loop))
+        out.append((f"UU i={i}", f"U{i} U{i}", f"(q+q^-1) U{i}", u * u, u, RingElem.loop()))
     for i in range(1, n):
         for j in (i - 1, i + 1):
             if 1 <= j <= n - 1:
                 u, v = gen_u(n, i), gen_u(n, j)
-                rep.add(f"UUU i={i},j={j}", f"U{i} U{j} U{i}", f"U{i}",
-                        phi_equal(u * v * u, u))
+                out.append((f"UUU i={i},j={j}", f"U{i} U{j} U{i}", f"U{i}", u * v * u, u, None))
     for i in range(1, n):
         for j in range(i + 2, n):
             u, v = gen_u(n, i), gen_u(n, j)
-            rep.add(f"far-commute i={i},j={j}", f"U{i} U{j}", f"U{j} U{i}",
-                    phi_equal(u * v, v * u))
+            out.append((f"far-commute i={i},j={j}", f"U{i} U{j}", f"U{j} U{i}",
+                        u * v, v * u, None))
     if n >= 2:
         u1, e = gen_u(n, 1), gen_e(n)
-        rep.add("UeU", "U1 e U1", "g U1", phi_equal(u1 * e * u1, u1, gamma))
+        out.append(("UeU", "U1 e U1", "g U1", u1 * e * u1, u1, RingElem.gamma()))
     if n >= 1:
         e = gen_e(n)
-        rep.add("ee", "e e", "de e", phi_equal(e * e, e, delta_e))
+        out.append(("ee", "e e", "de e", e * e, e, RingElem.delta_e()))
     for i in range(2, n):
         u, e = gen_u(n, i), gen_e(n)
-        rep.add(f"e-commute i={i}", f"U{i} e", f"e U{i}", phi_equal(u * e, e * u))
+        out.append((f"e-commute i={i}", f"U{i} e", f"e U{i}", u * e, e * u, None))
+    return out
+
+
+def check_defining_relations(n: int) -> Report:
+    """Verify the six defining relation families in the diagram algebra."""
+    rep = Report(f"relations(n={n})", meta={"n": n})
+    for label, lhs_text, rhs_text, lhs, rhs, scalar in defining_relations(n):
+        rep.add(label, lhs_text, rhs_text, phi_equal(lhs, rhs, scalar))
     return rep
 
 
@@ -221,7 +230,7 @@ def check_run_identities(n: int) -> Report:
 
     # Longer chains need j_i >= 2i-1 throughout: at smaller indices the
     # shifted runs degenerate to 1 and the equality genuinely fails.
-    for js in _increasing_tuples(3, n - 1):
+    for js in (c for k in range(3, n) for c in combinations(range(1, n), k)):
         if any(j < 2 * t - 1 for t, j in enumerate(js, start=1)):
             continue
         lhs = unit(n)
@@ -250,20 +259,6 @@ def check_run_identities(n: int) -> Report:
                 rhs = skip_run(2 * j - 1, 1, n)
                 rep.add(f"absorb-right j={j},k={k}", lhs, rhs, phi_equal(lhs, rhs))
     return rep
-
-
-def _increasing_tuples(min_len: int, max_value: int) -> List[Tuple[int, ...]]:
-    """Strictly increasing tuples over 1..max_value, length >= min_len."""
-    out: List[Tuple[int, ...]] = []
-
-    def grow(prefix: Tuple[int, ...], start: int) -> None:
-        if len(prefix) >= min_len:
-            out.append(prefix)
-        for nxt in range(start, max_value + 1):
-            grow(prefix + (nxt,), nxt + 1)
-
-    grow((), 1)
-    return sorted(out, key=lambda t: (len(t), t))
 
 
 # -- reduction stability -----------------------------------------------------
@@ -300,9 +295,17 @@ def check_reduction_stability(n: int) -> Report:
     big_tail = (e_big * skip_run(n - 1, 2, n + 1) * big_skip * skip_run(n - 1, 2, n + 1)
                 * skip_run(n, 3, n + 1))
     e_u_far = e_big * u_far
+    # the collapse sides are reported as text joined from parts formatted
+    # once, as Word.__str__ would print them ("" stands for an empty part)
+    far_t, collapse_t, big_skip_t, big_tail_t, e_u_far_t = (
+        str(t) if t.letters else "" for t in (u_far, collapse_tail, big_skip, big_tail, e_u_far))
+
+    def text(*parts: str) -> str:
+        return " ".join(filter(None, parts)) or "1"
 
     for w in samples:
         label = str(w)
+        body = label if w.letters else ""
         w_big = w.with_n(n + 1)
         lhs = is_reduced(w_big)
         rhs = is_reduced(w_big * u_far)
@@ -316,7 +319,8 @@ def check_reduction_stability(n: int) -> Report:
 
         left = w_big * collapse_tail
         right = w_big * u_far
-        rep.add(f"run-collapse [{label}]", left, right, phi_equal(left, right))
+        rep.add(f"run-collapse [{label}]", text(body, collapse_t), text(body, far_t),
+                phi_equal(left, right))
 
         if n % 2 == 1:
             # the blobbed-growth form needs genuine skip runs, so odd n only
@@ -331,5 +335,6 @@ def check_reduction_stability(n: int) -> Report:
         big_stem = w_big * big_skip
         left = u_far * big_stem * big_tail
         right = big_stem * e_u_far
-        rep.add(f"blob-collapse [{label}]", left, right, phi_equal(left, right))
+        rep.add(f"blob-collapse [{label}]", text(far_t, body, big_skip_t, big_tail_t),
+                text(body, big_skip_t, e_u_far_t), phi_equal(left, right))
     return rep

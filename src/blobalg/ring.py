@@ -255,10 +255,3 @@ def parse_scalar(text: str) -> RingElem:
                 raise ValueError(f"unknown symbol {sym!r} in scalar {text!r}")
         out = out + RingElem({(a, b, c): coeff})
     return out
-
-
-ZERO = RingElem.zero()
-ONE = RingElem.one()
-GAMMA = RingElem.gamma()
-DELTA_E = RingElem.delta_e()
-LOOP = RingElem.loop()

@@ -16,23 +16,29 @@ claim is decided the same way: b_{n-1} + b_{n-1} U_{n-1} b_{n-1} is the
 closure of {1, U_{n-1}} under left and right multiplication by the letters
 of b_{n-1}.
 
+Only the right action tables are composed.  ``flip`` is an
+anti-automorphism of b_n fixing every generator, so each left table is its
+right table conjugated by the flip permutation of the basis.
+
 Standard modules are built per specialization point in F_p: their action
 matrices are expressed in the walk-word basis modulo a quotient span, and
-the defining relations are checked on those matrices.
+the relation instances of ``presentation.defining_relations``, the same
+list the relations suite reports on, are checked on those matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations
 from math import comb
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .diagrams import ScaledDiagram, all_diagrams, compose, compose_scaled
+from .diagrams import ScaledDiagram, all_diagrams, compose, compose_scaled, flip
 from .modlin import CoordSolver, RowSpan, SpecPoint, draw_points, mulmod
-from .presentation import evaluate_word
+from .presentation import _generator_diagram, defining_relations, evaluate_word, phi_equal
 from .reports import Report
 from .walks import factor_walk_words, tail_word, walk_words
 from .words import (
@@ -65,12 +71,13 @@ class DiagramSpace:
         self.index = {d: i for i, d in enumerate(self.basis)}
         self.letters = list(range(0, n))  # 0 is e, i >= 1 is U_i
         self.targets: Dict[Tuple[str, int], List[int]] = {}
-        from .presentation import _generator_diagram
-
+        # gen * d = flip(flip(d) * gen); op is the flip permutation of the basis
+        op = [self.index[flip(d)] for d in self.basis]
         for letter in self.letters:
             gen = _generator_diagram(n, letter)
-            self.targets[("L", letter)] = [self.index[compose(gen, d).diagram] for d in self.basis]
-            self.targets[("R", letter)] = [self.index[compose(d, gen).diagram] for d in self.basis]
+            right = [self.index[compose(d, gen).diagram] for d in self.basis]
+            self.targets[("L", letter)] = [op[right[j]] for j in op]
+            self.targets[("R", letter)] = right
 
     def vector(self, scaled: ScaledDiagram, point: SpecPoint) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=np.int64)
@@ -226,13 +233,7 @@ def check_word_basis(n: int, points: Optional[Sequence[SpecPoint]] = None,
     rep.add("count", len(words), comb(2 * n, n), len(words) == comb(2 * n, n))
 
     for m in range(-n, n + 1, 2):
-        sq = squared_basis(n, m)
-        found = False
-        for w in sq.words:
-            s, so = evaluate_word(w), evaluate_word(opposite(w))
-            if s.coeff == so.coeff and s.diagram == so.diagram:
-                found = True
-                break
+        found = any(phi_equal(w, opposite(w)) for w in squared_basis(n, m).words)
         rep.add(f"self-opposite m={m}", "exists w = op(w) under evaluation", "true", found)
 
     def layer_ideal(m: int) -> FrozenSet[int]:
@@ -257,17 +258,10 @@ def check_word_basis(n: int, points: Optional[Sequence[SpecPoint]] = None,
 
 
 def commuting_subsets(n: int) -> List[Tuple[int, ...]]:
-    """Subsets of {1..n-1} with no two adjacent indices (products commute)."""
-    out: List[Tuple[int, ...]] = [()]
-    for size in range(1, n):
-        def grow(prefix: Tuple[int, ...], start: int) -> None:
-            if len(prefix) == size:
-                out.append(prefix)
-                return
-            for nxt in range(start, n):
-                grow(prefix + (nxt,), nxt + 2)
-        grow((), 1)
-    return out
+    """Subsets of {1..n-1} with no two adjacent indices (products commute),
+    by size, then lexicographic."""
+    return [c for k in range(n + 1) for c in combinations(range(1, n), k)
+            if all(b - a >= 2 for a, b in zip(c, c[1:]))]
 
 
 def check_ideal_inclusions(n: int, points: Optional[Sequence[SpecPoint]] = None,
@@ -455,34 +449,21 @@ def standard_module(n: int, m: int, point: SpecPoint) -> StandardModule:
 
 
 def matrices_satisfy_relations(mod: StandardModule) -> bool:
-    """Check the defining relations on the action matrices, exactly in F_p."""
-    p = mod.point.prime
-    two = (mod.point.q0 + pow(mod.point.q0, -1, p)) % p
-    g0, d0 = mod.point.g0 % p, mod.point.d0 % p
-    mats = mod.matrices
-    e = mats["e"]
+    """Check the defining relations of :func:`defining_relations` on the
+    action matrices, exactly in F_p: a word acts as the product of its
+    letters' matrices in word order, a scalar as its value at the point."""
+    pt = mod.point
 
-    def mm(a, b):
-        return mulmod(a, b, p)
+    def image(w: Word) -> np.ndarray:
+        mats = (mod.matrices["e" if x == 0 else f"U{x}"] for x in w.letters)
+        return reduce(lambda a, b: mulmod(a, b, pt.prime), mats)
 
     ok = True
-    top = mod.n - 1
-    for i in range(1, top + 1):
-        u = mats[f"U{i}"]
-        ok &= (mm(u, u) == (two * u) % p).all()
-        for j in range(i + 2, top + 1):
-            v = mats[f"U{j}"]
-            ok &= (mm(u, v) == mm(v, u)).all()
-        for j in (i - 1, i + 1):
-            if 1 <= j <= top:
-                v = mats[f"U{j}"]
-                ok &= (mm(mm(u, v), u) == u).all()
-        if i != 1:
-            ok &= (mm(u, e) == mm(e, u)).all()
-    if top >= 1:
-        u1 = mats["U1"]
-        ok &= (mm(mm(u1, e), u1) == (g0 * u1) % p).all()
-    ok &= (mm(e, e) == (d0 * e) % p).all()
+    for *_, lhs, rhs, scalar in defining_relations(mod.n):
+        want = image(rhs)
+        if scalar is not None:
+            want = scalar.specialize(pt.q0, pt.g0, pt.d0, pt.prime) * want % pt.prime
+        ok &= (image(lhs) == want).all()
     return bool(ok)
 
 

@@ -22,7 +22,7 @@ from blobalg.presentation import (
     phi_equal,
 )
 from blobalg.ring import RingElem
-from blobalg.towers import regular_basis
+from blobalg.towers import diagram_space, regular_basis
 from blobalg.words import Word, gen_e, gen_u, opposite, parse_word, unit
 
 from test_compose_oracle import reference_compose
@@ -311,13 +311,19 @@ def test_table_entries_equal_compose_on_every_diagram(cold_evaluate_word):
 
 
 def test_generator_steps_carry_one_of_four_scalars():
+    # also: the action tables of diagram_space, whose left tables come
+    # through flip, agree with compose on every basis diagram
     allowed = set(presentation._STEP_SCALARS)
     for n in range(1, 7):
         gens = [presentation._generator_diagram(n, letter) for letter in range(n)]
+        space = diagram_space(n)
         seen = set()
-        for d in all_diagrams(n):
-            for g in gens:
-                seen.add(compose(d, g).coeff)
-                seen.add(compose(g, d).coeff)
+        for i, d in enumerate(all_diagrams(n)):
+            for letter, g in enumerate(gens):
+                right, left = compose(d, g), compose(g, d)
+                seen.add(right.coeff)
+                seen.add(left.coeff)
+                assert space.targets[("R", letter)][i] == space.index[right.diagram]
+                assert space.targets[("L", letter)][i] == space.index[left.diagram]
         assert seen <= allowed, seen - allowed
         assert seen == allowed or n == 1

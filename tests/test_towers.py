@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -18,6 +19,7 @@ from blobalg.towers import (
     default_points,
     diagram_space,
     ideal_span,
+    matrices_satisfy_relations,
     regular_basis,
     squared_basis,
     standard_module,
@@ -151,6 +153,19 @@ def test_standard_module_matrices_and_json():
     assert data["n"] == 4 and data["m"] == 0
     assert len(data["basis"]) == mod.dim
     assert "U3" in data["matrices"] and "e" in data["matrices"]
+
+
+def test_relations_fail_on_a_broken_matrix():
+    p = POINTS[0].prime
+    for n in (3, 4):
+        for m in range(-n + 2, n - 1, 2):  # the weights with dimension >= 2
+            mod = standard_module(n, m, POINTS[0])
+            assert matrices_satisfy_relations(mod)
+            e, u1 = mod.matrices["e"], mod.matrices["U1"]
+            scaled = replace(mod, matrices={**mod.matrices, "e": 2 * e % p})
+            assert not matrices_satisfy_relations(scaled), (n, m)
+            swapped = replace(mod, matrices={**mod.matrices, "U1": u1[:, [1, 0, *range(2, mod.dim)]]})
+            assert not matrices_satisfy_relations(swapped), (n, m)
 
 
 def test_check_suites_small_n():
