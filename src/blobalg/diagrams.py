@@ -343,11 +343,7 @@ class LinComb:
             raise ValueError("mixed strand counts")
         terms = dict(self._terms)
         for diag, coeff in other._terms.items():
-            new = terms.get(diag, RingElem.zero()) + coeff
-            if new:
-                terms[diag] = new
-            else:
-                terms.pop(diag, None)
+            terms[diag] = terms[diag] + coeff if diag in terms else coeff
         return LinComb(self.n, terms)
 
     def scale(self, factor: RingElem) -> "LinComb":
@@ -356,12 +352,13 @@ class LinComb:
     def __mul__(self, other: "LinComb") -> "LinComb":
         if self.n != other.n:
             raise ValueError("mixed strand counts")
-        total = LinComb(self.n)
+        terms: Dict[BlobDiagram, RingElem] = {}
         for d1, c1 in self._terms.items():
             for d2, c2 in other._terms.items():
                 prod = compose(d1, d2)
-                total = total + LinComb(self.n, {prod.diagram: c1 * c2 * prod.coeff})
-        return total
+                coeff = c1 * c2 * prod.coeff
+                terms[prod.diagram] = terms[prod.diagram] + coeff if prod.diagram in terms else coeff
+        return LinComb(self.n, terms)
 
     def __str__(self) -> str:
         if not self._terms:

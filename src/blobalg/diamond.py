@@ -22,6 +22,7 @@ for the poset-maximal (all-S) walks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import List, Tuple
 
 from .presentation import phi_equal
@@ -32,16 +33,18 @@ from .words import Word
 
 @dataclass(frozen=True)
 class DiamondWalk:
+    """A right-stepping N/S sequence; the start height is derived from the
+    steps, never stored."""
+
     steps: Tuple[str, ...]
-    start_height: int
 
     def __post_init__(self):
         if any(s not in ("N", "S") for s in self.steps):
             raise ValueError("steps must be N or S")
-        n = len(self.steps)
-        want = 2 * n - 2 * sum(1 for s in self.steps if s == "N")
-        if self.start_height != want:
-            raise ValueError("start height does not put the endpoint at the rightmost vertex")
+
+    @property
+    def start_height(self) -> int:
+        return 2 * self.n - 2 * self.steps.count("N")
 
     @property
     def n(self) -> int:
@@ -62,9 +65,7 @@ class DiamondWalk:
 
 
 def diamond_walk(steps: str) -> DiamondWalk:
-    seq = tuple(steps)
-    n = len(seq)
-    return DiamondWalk(seq, 2 * n - 2 * sum(1 for s in seq if s == "N"))
+    return DiamondWalk(tuple(steps))
 
 
 def diamond_to_dict(t: DiamondWalk) -> dict:
@@ -82,21 +83,16 @@ def to_diamond(p: Walk) -> DiamondWalk:
     """Parse a Pascal walk's weight sequence into a diamond walk."""
     steps = []
     for prev, cur in zip(p.sigma, p.sigma[1:]):
-        if abs(cur) < abs(prev):
-            steps.append("S")
-        elif (prev, cur) == (0, 1):
-            steps.append("S")
-        else:
-            steps.append("N")
-    return diamond_walk("".join(steps))
+        shrinks = abs(cur) < abs(prev) or (prev, cur) == (0, 1)
+        steps.append("S" if shrinks else "N")
+    return DiamondWalk(tuple(steps))
 
 
 def all_diamond_walks(n: int) -> List[DiamondWalk]:
-    out = []
-    for mask in range(1 << n):
-        steps = "".join("N" if mask >> (n - 1 - k) & 1 else "S" for k in range(n))
-        out.append(diamond_walk(steps))
-    return sorted(out, key=lambda t: t.steps)
+    """All 2^n diamond walks of length n, in lexicographic order on steps."""
+    if n < 0:
+        raise ValueError("walk length must be nonnegative")
+    return [DiamondWalk(steps) for steps in product("NS", repeat=n)]
 
 
 def heights_leq(t: DiamondWalk, u: DiamondWalk) -> bool:

@@ -9,15 +9,19 @@ The three symbols are the scalars produced by diagram reduction:
     de         value extracted when a second blob lands on one line
 
 Elements are immutable and hashable; all arithmetic returns new values, so
-they may be shared freely between threads.
+they may be shared freely between threads.  The constructor is the only
+place that drops zero coefficients: arithmetic and :func:`parse_scalar`
+hand it raw sums.
 
 Canonical string form: terms sorted by (q-exp, g-exp, de-exp), factors
 written as ``g``, ``de``, ``q`` with ``^`` exponents, e.g. ``"q^-1 + q"``,
-``"g*q^2"``, ``"2*de"``.  :func:`parse_scalar` reads the same grammar back.
+``"g*q^2"``, ``"2*de"``.  :func:`parse_scalar` reads the same grammar back;
+a sign after ``^`` belongs to the exponent, even with spaces between.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Tuple
 
 Monomial = Tuple[int, int, int]  # (q-exponent, g-exponent, de-exponent)
@@ -101,11 +105,7 @@ class RingElem:
             return NotImplemented
         terms = dict(self._terms)
         for mono, coeff in other._terms.items():
-            new = terms.get(mono, 0) + coeff
-            if new:
-                terms[mono] = new
-            else:
-                terms.pop(mono, None)
+            terms[mono] = terms.get(mono, 0) + coeff
         return RingElem(terms)
 
     def __neg__(self) -> "RingElem":
@@ -121,11 +121,7 @@ class RingElem:
         for (a1, b1, c1), k1 in self._terms.items():
             for (a2, b2, c2), k2 in other._terms.items():
                 mono = (a1 + a2, b1 + b2, c1 + c2)
-                new = terms.get(mono, 0) + k1 * k2
-                if new:
-                    terms[mono] = new
-                else:
-                    terms.pop(mono, None)
+                terms[mono] = terms.get(mono, 0) + k1 * k2
         return RingElem(terms)
 
     def __pow__(self, exponent: int) -> "RingElem":
@@ -198,60 +194,33 @@ def parse_scalar(text: str) -> RingElem:
 
     Grammar: sum of terms joined by + and -, each term a * product of an
     optional integer and symbol factors q, g, de with optional ^exponent
-    (negative allowed on q only).
+    (negative allowed on q only).  A sign after ``^`` belongs to the
+    exponent, even with spaces between: ``q^ -1`` is ``q^-1``.
     """
-    s = text.strip()
+    s = re.sub(r"\^\s*", "^", text.strip())
     if not s:
         raise ValueError("empty scalar")
-    if s == "0":
-        return RingElem.zero()
-    # split into signed terms at top level
-    out = RingElem.zero()
-    i = 0
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    start = i
-    pieces = []
-    while i <= len(s):
-        prev = s[start:i].rstrip()[-1:] if i > start else ""
-        if i == len(s) or (s[i] in "+-" and prev != "^"):
-            pieces.append((sign, s[start:i].strip()))
-            if i < len(s):
-                sign = -1 if s[i] == "-" else 1
-                start = i + 1
-            i += 1
-        else:
-            i += 1
-    for sgn, piece in pieces:
-        if not piece:
-            raise ValueError(f"malformed scalar {text!r}")
-        coeff = sgn
-        a = b = c = 0
+    if s[0] not in "+-":
+        s = "+" + s
+    parts = re.split(r"(?<!\^)([+-])", s)[1:]
+    terms: Dict[Monomial, int] = {}
+    for sign, piece in zip(parts[::2], parts[1::2]):
+        coeff = -1 if sign == "-" else 1
+        exps = {"q": 0, "g": 0, "de": 0}
         for factor in piece.split("*"):
             factor = factor.strip()
             if not factor:
                 raise ValueError(f"malformed scalar {text!r}")
-            if factor.lstrip("-").isdigit():
+            if factor.isdigit():
                 coeff *= int(factor)
                 continue
-            if "^" in factor:
-                sym, _, exp_s = factor.partition("^")
-                exp = int(exp_s)
-            else:
-                sym, exp = factor, 1
-            if sym == "q":
-                a += exp
-            elif sym == "g":
-                if exp < 0:
-                    raise ValueError("g exponent must be nonnegative")
-                b += exp
-            elif sym == "de":
-                if exp < 0:
-                    raise ValueError("de exponent must be nonnegative")
-                c += exp
-            else:
+            sym, caret, exp_s = factor.partition("^")
+            if sym not in exps:
                 raise ValueError(f"unknown symbol {sym!r} in scalar {text!r}")
-        out = out + RingElem({(a, b, c): coeff})
-    return out
+            exp = int(exp_s) if caret else 1
+            if exp < 0 and sym != "q":
+                raise ValueError(f"{sym} exponent must be nonnegative")
+            exps[sym] += exp
+        mono = (exps["q"], exps["g"], exps["de"])
+        terms[mono] = terms.get(mono, 0) + coeff
+    return RingElem(terms)

@@ -66,6 +66,8 @@ def parse_walk(text: str) -> Walk:
 def all_walks(n: int, m: Optional[int] = None) -> List[Walk]:
     """All weight sequences of length n (optionally ending at weight m),
     in lexicographic order on sigma."""
+    if n < 0:
+        raise ValueError("walk length must be nonnegative")
     if m is not None and (abs(m) > n or (n - m) % 2 != 0):
         warnings.warn(f"no walks of length {n} reach weight {m}")
         return []

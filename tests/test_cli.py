@@ -175,6 +175,14 @@ def test_unreachable_weight_or_negative_size_exits_two(capsys, argv, message):
     assert err == message + "\n"
 
 
+@pytest.mark.parametrize("coeff", ['"q^"', '"g^-1"', '"2*-3"', '"x"', '"q+"', '""', "5"])
+def test_malformed_scalar_exits_two(capsys, coeff):
+    side = '{"pairs": [[1, 6], [2, 3], [4, 5]], "coeff": %s}' % coeff
+    code, out, err = run(capsys, "mul", "--n", "3", "--left", side, "--right", "U1 e")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_internal_error_exit_three(capsys, monkeypatch):
     import blobalg.cli as cli
 

@@ -198,3 +198,8 @@ def test_lincomb_algebra():
             by_hand = by_hand + LinComb(n, {s.diagram: s.coeff})
     assert prod == by_hand
     assert (u + u.scale(RingElem.integer(-1))) == LinComb(n)
+    # two term pairs land on U1: (U1 + 1)(U1 + 1) = 1 + (2 + [2]) U1
+    one = LinComb.of(ScaledDiagram(RingElem.one(), identity_diagram(n)))
+    assert (u + one) * (u + one) == one + u.scale(RingElem.integer(2) + RingElem.loop())
+    # terms cancel inside one product: U1 ([2] 1 - U1) = 0
+    assert u * (one.scale(RingElem.loop()) + u.scale(RingElem.integer(-1))) == LinComb(n)

@@ -30,9 +30,12 @@ def test_start_height_accounting():
     assert t.heights() == (4, 5, 4, 3)
     assert t.heights()[-1] == t.n
     with pytest.raises(ValueError):
-        DiamondWalk(("N", "S"), 5)
+        DiamondWalk(("N", "X"))
+
+
+def test_negative_length_rejected():
     with pytest.raises(ValueError):
-        DiamondWalk(("N", "X"), 2)
+        all_diamond_walks(-1)
 
 
 def test_bijection_to_n10():

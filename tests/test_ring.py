@@ -124,3 +124,18 @@ def test_equal_elements_have_identical_term_maps():
     a = Q(1) + G - Q(1)
     assert a.terms == G.terms
     assert hash(a) == hash(G)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("q^+1", "q"),
+    ("q^ -1", "q^-1"),
+    ("de^+2", "de^2"),
+    ("g^-0", "1"),
+    ("- q", "-q"),
+    ("-2*q+1", "1 - 2*q"),
+    ("2*3", "6"),
+    ("q - q", "0"),
+    ("-0", "0"),
+])
+def test_parse_lenient_forms(text, want):
+    assert str(parse_scalar(text)) == want

@@ -42,6 +42,15 @@ def test_parity_violation_warns_and_returns_empty():
     assert caught
 
 
+def test_negative_length_rejected():
+    with pytest.raises(ValueError):
+        all_walks(-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the length is rejected before the weight
+        with pytest.raises(ValueError):
+            all_walks(-2, 0)
+
+
 def test_lexicographic_order():
     sigmas = [w.sigma for w in all_walks(3)]
     assert sigmas == sorted(sigmas)
