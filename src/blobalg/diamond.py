@@ -158,21 +158,23 @@ def check_diamond_walks(n: int) -> Report:
     rep = Report(f"appendix-walks(n={n})", meta={"n": n})
     walks = all_walks(n)
     images = [to_diamond(p) for p in walks]
+    grid = all_diamond_walks(n)
+    lows = [t.lowest for t in grid]
     rep.add("injective", len(set(images)), len(walks), len(set(images)) == len(walks))
-    rep.add("onto", len(set(images)), 2 ** n, set(images) == set(all_diamond_walks(n)))
+    rep.add("onto", len(set(images)), 2 ** n, set(images) == set(grid))
     for m in range(-n, n + 1, 2):
         want = expected_lowest(n, m)
-        got = {to_diamond(p).lowest for p in all_walks(n, m)}
+        fwd = {t for p, t in zip(walks, images) if p.weight == m}
+        got = {t.lowest for t in fwd}
         note = "derived m=0 value" if m == 0 else ""
         rep.add(f"lowest m={m}", sorted(got), [want], got == {want}, note)
-        back = {t for t in all_diamond_walks(n) if t.lowest == want}
-        fwd = {to_diamond(p) for p in all_walks(n, m)}
+        back = {t for t, low in zip(grid, lows) if low == want}
         rep.add(f"fibre m={m}", len(fwd), len(back), fwd == back)
     top = diamond_walk("S" * n)
     rep.add("max-walk", "all-S walk", "dominates every diamond walk",
-            all(heights_leq(t, top) for t in all_diamond_walks(n)))
+            all(heights_leq(t, top) for t in grid))
     if n >= 6:
-        zero_fibre = [t for t in all_diamond_walks(n) if t.lowest == expected_lowest(n, 0)]
+        zero_fibre = [t for t, low in zip(grid, lows) if low == expected_lowest(n, 0)]
         found = any(
             not heights_leq(a, b) and not heights_leq(b, a)
             for i, a in enumerate(zero_fibre) for b in zero_fibre[i + 1:]

@@ -16,7 +16,9 @@ hand it raw sums.
 Canonical string form: terms sorted by (q-exp, g-exp, de-exp), factors
 written as ``g``, ``de``, ``q`` with ``^`` exponents, e.g. ``"q^-1 + q"``,
 ``"g*q^2"``, ``"2*de"``.  :func:`parse_scalar` reads the same grammar back;
-a sign after ``^`` belongs to the exponent, even with spaces between.
+spaces on either side of ``^`` are dropped (``q ^ -1`` is ``q^-1``) and a
+sign after ``^`` belongs to the exponent.  Any other space inside a factor
+is an error: ``2 q`` does not parse.
 """
 
 from __future__ import annotations
@@ -80,9 +82,6 @@ class RingElem:
     @property
     def terms(self) -> Dict[Monomial, int]:
         return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def is_one(self) -> bool:
         return self._terms == {(0, 0, 0): 1}
@@ -194,10 +193,10 @@ def parse_scalar(text: str) -> RingElem:
 
     Grammar: sum of terms joined by + and -, each term a * product of an
     optional integer and symbol factors q, g, de with optional ^exponent
-    (negative allowed on q only).  A sign after ``^`` belongs to the
-    exponent, even with spaces between: ``q^ -1`` is ``q^-1``.
+    (negative allowed on q only).  Spaces around ``^`` are dropped and a
+    sign after it belongs to the exponent: ``q ^ -1`` is ``q^-1``.
     """
-    s = re.sub(r"\^\s*", "^", text.strip())
+    s = re.sub(r"\s*\^\s*", "^", text.strip())
     if not s:
         raise ValueError("empty scalar")
     if s[0] not in "+-":

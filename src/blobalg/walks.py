@@ -12,11 +12,13 @@ words.
 ``factor_walk_words`` splits each walk word as prefix * tail where the
 tail is cap_word(|m|, n) for m <= 0 and blob_cap_word(m, n) for m > 0;
 every emitted factorization is verified in the diagram algebra.
+
+A weight no walk of length n reaches (|m| > n, or m of the wrong parity)
+raises ``ValueError``, as does a negative length.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import comb
 from typing import List, Optional, Tuple
@@ -69,8 +71,7 @@ def all_walks(n: int, m: Optional[int] = None) -> List[Walk]:
     if n < 0:
         raise ValueError("walk length must be nonnegative")
     if m is not None and (abs(m) > n or (n - m) % 2 != 0):
-        warnings.warn(f"no walks of length {n} reach weight {m}")
-        return []
+        raise ValueError(f"no walks of length {n} reach weight {m}")
     walks: List[Tuple[int, ...]] = [(0,)]
     for _ in range(n):
         walks = [w + (w[-1] + step,) for w in walks for step in (-1, 1)]
@@ -131,17 +132,19 @@ def factor_walk_words(n: int, m: int) -> List[Tuple[Word, Word]]:
     absorbed into the tail).  Every factorization is verified exactly in
     the diagram algebra; failure to verify is a programming error.
     """
-    out = []
-    for p in all_walks(n, m):
-        word = path_word(p)
-        tail = tail_word(m, n)
-        prefix = _literal_prefix(path_word(p, variant=True), tail)
-        if prefix is None:
-            prefix = _recursive_prefix(p)
-        if not phi_equal(word, prefix * tail):
-            raise AssertionError(f"factorization failed for walk {p}")
-        out.append((prefix, tail))
-    return out
+    walks = all_walks(n, m)
+    tail = tail_word(m, n)
+    return [(_prefix(p, path_word(p), path_word(p, variant=True), tail), tail) for p in walks]
+
+
+def _prefix(p: Walk, word: Word, variant_word: Word, tail: Word) -> Word:
+    """The verified prefix before `tail` of p's standard and variant words."""
+    prefix = _literal_prefix(variant_word, tail)
+    if prefix is None:
+        prefix = _recursive_prefix(p)
+    if not phi_equal(word, prefix * tail):
+        raise AssertionError(f"factorization failed for walk {p}")
+    return prefix
 
 
 def _literal_prefix(word: Word, tail: Word) -> Optional[Word]:
@@ -178,28 +181,36 @@ def check_walk_suite(n: int) -> Report:
     """Walk counts, reducedness of walk words, factorizations, and the
     agreement of standard and variant word forms."""
     rep = Report(f"walks(n={n})", meta={"n": n})
-    rep.add("count-all", len(all_walks(n)), 2 ** n, len(all_walks(n)) == 2 ** n)
+    walks = all_walks(n)
+    words = [(path_word(p), path_word(p, variant=True)) for p in walks]
+    rep.add("count-all", len(walks), 2 ** n, len(walks) == 2 ** n)
     for m in range(-n, n + 1, 2):
-        got = len(all_walks(n, m))
+        got = sum(p.weight == m for p in walks)
         want = comb(n, (n + m) // 2)
         rep.add(f"count m={m}", got, want, got == want)
-    for p in all_walks(n):
-        w = path_word(p)
+    for p, (w, v) in zip(walks, words):
         rep.add(f"reduced [{p}]", f"scalar of {w}", "1", is_reduced(w))
-        v = path_word(p, variant=True)
         ok = phi_equal(w, v) and len(v.letters) <= len(w.letters)
         rep.add(f"variant [{p}]", w, v, ok)
     for m in range(-n, n + 1, 2):
-        pairs = factor_walk_words(n, m)
         tail = tail_word(m, n)
-        ok = all(is_reduced(prefix) for prefix, _ in pairs)
-        rep.add(f"factor m={m}", f"{len(pairs)} prefixes * {tail}",
+        prefixes = [_prefix(p, w, v, tail) for p, (w, v) in zip(walks, words) if p.weight == m]
+        ok = all(is_reduced(prefix) for prefix in prefixes)
+        rep.add(f"factor m={m}", f"{len(prefixes)} prefixes * {tail}",
                 "reduced prefixes, images verified", ok)
     return rep
 
 
 def _substitute(p: Walk, at: int, segment: Tuple[int, ...]) -> Walk:
     return Walk(p.sigma[:at] + segment + p.sigma[at + len(segment):])
+
+
+# The zigzag and ridge families for l >= 0: the segment, its replacement,
+# and the index (negative: from the end) in the segment where U_i acts.
+_FAMILIES = (
+    ("zigzag", lambda l: ((0,) + (-1, -2) * l + (-1, 0, 1), (0,) + (1, 2) * l + (1, 2, 1)), -2),
+    ("ridge", lambda l: ((0, 1) + (2, 3) * l + (2, 1), (0, -1) + (0, -1) * l + (0, 1)), 1),
+)
 
 
 def check_diamond_moves(n: int) -> Report:
@@ -210,46 +221,25 @@ def check_diamond_moves(n: int) -> Report:
     the ridge (0 1 (2 3)^l 2 1) versus (0 -1 (0 -1)^l 0 1).
     """
     rep = Report(f"diamond(n={n})", meta={"n": n})
-    for p in all_walks(n):
+    walks = all_walks(n)
+    words = {p: path_word(p) for p in walks}
+
+    def move(label: str, i: int, p: Walk, q: Walk) -> None:
+        rep.add(f"{label} [{p}]", f"U{i} w({p})", f"w({q})",
+                phi_equal(gen_u(n, i) * words[p], words[q]))
+
+    for p in walks:
         s = p.sigma
         for i in range(1, n):
             l, mid = s[i - 1], s[i]
-            if s[i + 1] != l or abs(l) <= 1:
-                continue
-            toward = l - 1 if l > 0 else l + 1
-            away = l + 1 if l > 0 else l - 1
-            if mid != toward:
-                continue
-            q = _substitute(p, i, (away,))
-            lhs = gen_u(n, i) * path_word(p)
-            rhs = path_word(q)
-            rep.add(f"notch i={i} [{p}]", f"U{i} w({p})", f"w({q})", phi_equal(lhs, rhs))
-    for p in all_walks(n):
-        s = p.sigma
-        for l in range(0, (n - 3) // 2 + 1):
-            seg = (0,) + (-1, -2) * l + (-1, 0, 1)
-            for start in range(0, n + 2 - len(seg)):
-                if s[start:start + len(seg)] != seg:
-                    continue
-                i = start + len(seg) - 2  # position of the final 0
-                repl = (0,) + (1, 2) * l + (1, 2, 1)
-                q = _substitute(p, start, repl)
-                lhs = gen_u(n, i) * path_word(p)
-                rhs = path_word(q)
-                rep.add(f"zigzag i={i},l={l} [{p}]", f"U{i} w({p})", f"w({q})",
-                        phi_equal(lhs, rhs))
-    for p in all_walks(n):
-        s = p.sigma
-        for l in range(0, (n - 3) // 2 + 1):
-            seg = (0, 1) + (2, 3) * l + (2, 1)
-            for start in range(0, n + 2 - len(seg)):
-                if s[start:start + len(seg)] != seg:
-                    continue
-                i = start + 1  # position of the leading 1
-                repl = (0, -1) + (0, -1) * l + (0, 1)
-                q = _substitute(p, start, repl)
-                lhs = gen_u(n, i) * path_word(p)
-                rhs = path_word(q)
-                rep.add(f"ridge i={i},l={l} [{p}]", f"U{i} w({p})", f"w({q})",
-                        phi_equal(lhs, rhs))
+            if s[i + 1] == l and abs(l) > 1 and abs(mid) < abs(l):
+                move(f"notch i={i}", i, p, _substitute(p, i, (2 * l - mid,)))
+    for name, pieces, at in _FAMILIES:
+        for p in walks:
+            for l in range(0, (n - 3) // 2 + 1):
+                seg, repl = pieces(l)
+                for start in range(0, n + 2 - len(seg)):
+                    if p.sigma[start:start + len(seg)] == seg:
+                        i = start + at % len(seg)
+                        move(f"{name} i={i},l={l}", i, p, _substitute(p, start, repl))
     return rep

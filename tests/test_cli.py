@@ -120,6 +120,26 @@ def test_verify_fail_exit_one(capsys, monkeypatch):
     assert "passed=false" in out
 
 
+def test_unbuildable_standard_module_fails_its_check(capsys, monkeypatch):
+    import blobalg.towers as towers
+
+    real = towers.walk_words
+
+    def repeated(n, m, variant=False):
+        words = real(n, m, variant)
+        return [words[0]] * len(words)
+
+    monkeypatch.setattr(towers, "walk_words", repeated)
+    code, out, err = run(capsys, "verify", "--suite", "bases", "--n", "3")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert any(line.startswith("[PASS] bases(n=3)/") for line in lines)
+    assert "== bases(n=3): ok" in out
+    failed = [line for line in lines if line.startswith("[FAIL] modules(n=3)/dim m=")]
+    assert failed and all("not built: rows are not independent" in line for line in failed)
+    assert "passed=false" in out
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense", "--n", "3"])

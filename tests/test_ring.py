@@ -136,6 +136,15 @@ def test_equal_elements_have_identical_term_maps():
     ("2*3", "6"),
     ("q - q", "0"),
     ("-0", "0"),
+    ("q^ 1", "q"),
+    ("q ^1", "q"),
+    ("q ^ -1", "q^-1"),
+    ("de ^2", "de^2"),
 ])
 def test_parse_lenient_forms(text, want):
     assert str(parse_scalar(text)) == want
+
+
+def test_space_inside_a_factor_is_rejected():
+    with pytest.raises(ValueError):
+        parse_scalar("2 q")

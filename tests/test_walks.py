@@ -3,7 +3,11 @@ from math import comb
 
 import pytest
 
+import blobalg.diamond as diamond
+import blobalg.walks as walks
+from blobalg.diamond import check_diamond_walks
 from blobalg.presentation import evaluate_word, is_reduced, phi_equal
+from blobalg.towers import default_points, standard_module
 from blobalg.walks import (
     Walk,
     all_walks,
@@ -35,11 +39,14 @@ def test_counts():
     assert len(all_walks(3, 1)) == 3
 
 
-def test_parity_violation_warns_and_returns_empty():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert all_walks(3, 0) == []
-    assert caught
+def test_unreachable_weight_raises_without_warning():
+    point = default_points(0)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would fail the test
+        for build in (lambda: all_walks(3, 0), lambda: walk_words(3, 0),
+                      lambda: standard_module(3, 0, point)):
+            with pytest.raises(ValueError, match="no walks of length 3 reach weight 0"):
+                build()
 
 
 def test_negative_length_rejected():
@@ -145,3 +152,37 @@ def test_diamond_moves():
     # the ridge family includes the worked example U2 (U1 e U2 U1) = e U2 U1
     rep = check_diamond_moves(3)
     assert any("zigzag" in c.instance for c in rep.checks)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call is recorded; returns the record."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_checks_enumerate_once_and_build_each_walk_once(monkeypatch, n):
+    enumerated = _count_calls(monkeypatch, walks, "all_walks")
+    check_walk_suite(n)
+    assert enumerated == [(n,)]
+
+    enumerated.clear()
+    words = _count_calls(monkeypatch, walks, "path_word")
+    check_diamond_moves(n)
+    assert enumerated == [(n,)]
+    assert len(words) == 2 ** n
+
+    enumerated = _count_calls(monkeypatch, diamond, "all_walks")
+    images = _count_calls(monkeypatch, diamond, "to_diamond")
+    grids = _count_calls(monkeypatch, diamond, "all_diamond_walks")
+    check_diamond_walks(n)
+    assert enumerated == [(n,)]
+    assert len(images) == 2 ** n
+    assert grids == [(n,)]
