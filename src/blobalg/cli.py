@@ -189,8 +189,11 @@ def cmd_dims(args) -> int:
     print("n |S_n| sum|S_(n,m)|^2 C(2n,n) |B_n| ok")
     status = 0
     for n in range(1, args.n_max + 1):
-        per_m = {m: len(all_walks(n, m)) for m in range(-n, n + 1, 2)}
-        walks_total = len(all_walks(n))
+        walks = all_walks(n)
+        per_m = dict.fromkeys(range(-n, n + 1, 2), 0)
+        for p in walks:
+            per_m[p.weight] += 1
+        walks_total = len(walks)
         squares = sum(k ** 2 for k in per_m.values())
         central = comb(2 * n, n)
         bn = len(all_diagrams(n)) if n <= 7 else central

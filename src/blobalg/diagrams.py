@@ -19,6 +19,15 @@ scalar in Z[g, de][q, q^-1]:
     k blobs on one strand   ->  de^(k-1), one blob kept
 
 so a product of two diagrams is always scalar * diagram.
+
+A product whose right factor is a generator (built by
+``generator_diagram``, which records its letter) is a local step with no
+strand trace.  e blobs the arc ending at point 2n (scalar de if it was
+blobbed already).  U_i caps d's bottom points 2n-i and 2n+1-i: if one arc
+joins them it closes into a loop ([2], or g with its blob removed),
+otherwise their far ends become one arc, blobbed if either was (de if
+both were); then U_i's plain cup (2n-i, 2n+1-i) is added.  The step's
+result is validated like any other product.
 """
 
 from __future__ import annotations
@@ -127,6 +136,19 @@ def e_diagram(n: int) -> BlobDiagram:
     return BlobDiagram(n, d.pairs, frozenset({(1, 2 * n)}))
 
 
+# Every diagram generator_diagram has built, mapped to its letter (0 is e,
+# i >= 1 is U_i).  compose looks its right operand up here by value.
+_GENERATOR_LETTERS: Dict[BlobDiagram, int] = {}
+
+
+@lru_cache(maxsize=4096)
+def generator_diagram(n: int, letter: int) -> BlobDiagram:
+    """The diagram of one generator: e for letter 0, U_i for letter i."""
+    d = e_diagram(n) if letter == 0 else u_diagram(n, letter)
+    _GENERATOR_LETTERS[d] = letter
+    return d
+
+
 def through_count(d: BlobDiagram) -> int:
     """Number of lines joining the top boundary to the bottom boundary."""
     return sum(1 for i, j in d.pairs if i <= d.n < j)
@@ -179,6 +201,43 @@ def _point_arrays(d: BlobDiagram) -> Tuple[List[int], List[int]]:
     return mate, blob
 
 
+def _generator_step(d: BlobDiagram, letter: int) -> Tuple[BlobDiagram, int, int, int]:
+    """d times the generator of `letter`, as (diagram, plain loops, blobbed
+    loops, excess blobs).  Only the arcs at d's bottom points that the
+    generator touches change; no strand is traced."""
+    n, pairs, blobs = d.n, d.pairs, d.blobs
+    n2 = 2 * n
+    if letter == 0:
+        # e blobs the arc ending at 2n; nothing nests over it
+        arc = next(arc for arc in pairs if arc[1] == n2)
+        if arc in blobs:
+            return d, 0, 0, 1
+        return BlobDiagram(n, pairs, blobs | {arc}), 0, 0, 0
+    # U_i caps d's bottom points b and a, and brings its own plain cup (b, a)
+    a = n2 + 1 - letter
+    b = a - 1
+    for arc in pairs:
+        if b in arc:
+            arc_b = arc
+        if a in arc:
+            arc_a = arc
+    if arc_a == arc_b:
+        if arc_a in blobs:
+            return BlobDiagram(n, pairs, blobs - {arc_a}), 0, 1, 0
+        return d, 1, 0, 0
+    arcs = _arc_rows(n)
+    x = arc_b[0] if arc_b[1] == b else arc_b[1]
+    y = arc_a[0] if arc_a[1] == a else arc_a[1]
+    joined = arcs[x][y] if x < y else arcs[y][x]
+    kept = [arc for arc in pairs if arc != arc_a and arc != arc_b]
+    kept += (joined, arcs[b][a])
+    kept.sort()
+    count = (arc_a in blobs) + (arc_b in blobs)
+    if count:
+        blobs = (blobs - {arc_a, arc_b}) | {joined}
+    return BlobDiagram(n, tuple(kept), blobs), 0, 0, max(count - 1, 0)
+
+
 def compose(d1: BlobDiagram, d2: BlobDiagram) -> ScaledDiagram:
     """Stack d1 on top of d2 and reduce to scalar * diagram.
 
@@ -191,10 +250,18 @@ def compose(d1: BlobDiagram, d2: BlobDiagram) -> ScaledDiagram:
     strand crossed lie on closed loops, traced afterwards.  Blobs are
     counted per strand; the scalar is the monomial of the module
     docstring, looked up by (plain loops, blobbed loops, excess blobs).
-    The result is checked by :func:`validate` before it is returned.
+    When d2 equals a diagram from :func:`generator_diagram`, only the arcs
+    that generator touches are rewritten (the step of the module
+    docstring) and nothing is traced.  Either way the result is checked
+    by :func:`validate` before it is returned.
     """
     if d1.n != d2.n:
         raise ValueError(f"strand counts differ: {d1.n} vs {d2.n}")
+    letter = _GENERATOR_LETTERS.get(d2)
+    if letter is not None:
+        result, plain, blobbed, excess = _generator_step(d1, letter)
+        validate(result)
+        return ScaledDiagram(_scalar(plain, blobbed, excess), result)
     n = d1.n
     glue = 2 * n + 1  # d1 point glue - j meets d2 point j
     mate1, blob1 = _point_arrays(d1)

@@ -28,9 +28,8 @@ from .diagrams import (
     BlobDiagram,
     ScaledDiagram,
     compose,
-    e_diagram,
+    generator_diagram,
     identity_diagram,
-    u_diagram,
 )
 from .reports import Report
 from .ring import RingElem
@@ -45,11 +44,6 @@ from .words import (
     skip_run,
     unit,
 )
-
-
-@lru_cache(maxsize=4096)
-def _generator_diagram(n: int, letter: int) -> BlobDiagram:
-    return e_diagram(n) if letter == 0 else u_diagram(n, letter)
 
 
 _TABLE_LIMIT = 1 << 17
@@ -69,7 +63,7 @@ _steps: Dict[int, array] = {}
 
 
 def _new_table(n: int) -> None:
-    gens = [_generator_diagram(n, letter) for letter in range(n)]
+    gens = [generator_diagram(n, letter) for letter in range(n)]
     _diagrams[n] = gens
     _ids[n] = {d: i for i, d in enumerate(gens)}
     _steps[n] = array("q", [-1]) * (n * n)

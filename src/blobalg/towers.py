@@ -36,9 +36,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .diagrams import ScaledDiagram, all_diagrams, compose, compose_scaled, flip
+from .diagrams import ScaledDiagram, all_diagrams, compose, compose_scaled, flip, generator_diagram
 from .modlin import CoordSolver, RowSpan, SpecPoint, draw_points, mulmod
-from .presentation import _generator_diagram, defining_relations, evaluate_word, phi_equal
+from .presentation import defining_relations, evaluate_word, phi_equal
 from .reports import Report
 from .walks import factor_walk_words, tail_word, walk_words
 from .words import (
@@ -74,7 +74,7 @@ class DiagramSpace:
         # gen * d = flip(flip(d) * gen); op is the flip permutation of the basis
         op = [self.index[flip(d)] for d in self.basis]
         for letter in self.letters:
-            gen = _generator_diagram(n, letter)
+            gen = generator_diagram(n, letter)
             right = [self.index[compose(d, gen).diagram] for d in self.basis]
             self.targets[("L", letter)] = [op[right[j]] for j in op]
             self.targets[("R", letter)] = right

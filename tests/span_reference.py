@@ -24,7 +24,7 @@ import numpy as np
 
 from blobalg.diagrams import compose
 from blobalg.modlin import SpecPoint, mulmod
-from blobalg.presentation import _generator_diagram
+from blobalg.diagrams import generator_diagram
 
 
 class ReferenceSpan:
@@ -161,7 +161,7 @@ def point_actions(space, point: SpecPoint) -> Dict[Tuple[str, int], Tuple[np.nda
     generator times each basis diagram of `space` at the point."""
     out = {}
     for letter in space.letters:
-        gen = _generator_diagram(space.n, letter)
+        gen = generator_diagram(space.n, letter)
         for side in ("L", "R"):
             prods = [compose(gen, d) if side == "L" else compose(d, gen) for d in space.basis]
             tgt = np.array([space.index[p.diagram] for p in prods], dtype=np.int64)

@@ -94,6 +94,22 @@ def test_dims(capsys):
     assert lines[6].strip() == "|S_(3,-3)|=1 |S_(3,-1)|=3 |S_(3,1)|=3 |S_(3,3)|=1"
 
 
+def test_dims_enumerates_the_walks_once_per_n(capsys, monkeypatch):
+    from blobalg import cli
+
+    calls = []
+    real = cli.all_walks
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "all_walks", counted)
+    code, out, _ = run(capsys, "dims", "--n-max", "8")
+    assert code == 0 and "NO" not in out
+    assert calls == [(n,) for n in range(1, 9)]
+
+
 def test_env_var_defaults(capsys, monkeypatch):
     monkeypatch.setenv("BLOBALG_SEED", "99")
     code, out, _ = run(capsys, "verify", "--suite", "relations", "--n", "3")

@@ -14,6 +14,10 @@ references share no code with it:
 ``reference_validate`` is the earlier quadratic validator, which compares
 every pair of arcs for crossings and scans for an enclosing arc per blob.
 All must agree with the production code.
+
+A right operand that is a generator takes ``compose``'s local step instead
+of the trace; both references check that path too, on every product at
+n <= 7 and on random diagrams at n = 8..10.
 """
 
 import itertools
@@ -22,13 +26,20 @@ from typing import List, Tuple
 
 import pytest
 
+from blobalg import diagrams
 from blobalg.diagrams import (
     BlobDiagram,
     ScaledDiagram,
     _scalar,
     all_diagrams,
     compose,
+    diagram_from_dict,
+    diagram_to_dict,
+    e_diagram,
+    generator_diagram,
+    identity_diagram,
     make_diagram,
+    u_diagram,
     validate,
 )
 from blobalg.ring import RingElem
@@ -318,3 +329,116 @@ def test_compose_builds_monomials_without_ring_products(monkeypatch):
         for d2 in basis:
             compose(d1, d2)
     assert _scalar(3, 1, 2) == want
+
+
+# -- the generator step ------------------------------------------------------
+
+
+def _random_diagram(n, rng):
+    """A random blob diagram on n strands, drawn without enumerating them: a
+    random bracket word on 1..2n gives the arcs, and each west-exposed arc
+    (one that closes on an empty stack) gets a blob with probability 1/2."""
+    pairs, blobs, stack = [], [], []
+    for p in range(1, 2 * n + 1):
+        if stack and (len(stack) == 2 * n + 1 - p or rng.random() < 0.5):
+            i = stack.pop()
+            pairs.append((i, p))
+            if not stack and rng.random() < 0.5:
+                blobs.append((i, p))
+        else:
+            stack.append(p)
+    return make_diagram(n, pairs, blobs)
+
+
+def _count_traces(monkeypatch):
+    """Count the general trace's calls of _point_arrays (two per compose)."""
+    calls = []
+    real = diagrams._point_arrays
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(diagrams, "_point_arrays", counted)
+    return calls
+
+
+def _generator_products_agree(d, n):
+    for letter in range(n):
+        gen = generator_diagram(n, letter)
+        got = compose(d, gen)
+        assert got == reference_compose(d, gen), (d, letter)
+        assert got == compose_by_union_find(d, gen), (d, letter)
+
+
+def test_generator_step_agrees_on_every_product_small_n(monkeypatch):
+    traces = _count_traces(monkeypatch)
+    for n in range(1, 8):
+        for d in all_diagrams(n):
+            _generator_products_agree(d, n)
+    assert traces == []
+
+
+def test_generator_step_agrees_on_random_diagrams_large_n(monkeypatch):
+    rng = random.Random("generator-step")
+    traces = _count_traces(monkeypatch)
+    for n, count in ((8, 300), (9, 200), (10, 150)):
+        for _ in range(count):
+            _generator_products_agree(_random_diagram(n, rng), n)
+    assert traces == []
+
+
+def test_generator_built_elsewhere_gives_the_same_product():
+    # the step is chosen by the operand's value, not by where it was built
+    for n in range(1, 6):
+        for letter in range(n):
+            gen = generator_diagram(n, letter)
+            copies = (make_diagram(n, gen.pairs, gen.blobs),
+                      diagram_from_dict(diagram_to_dict(gen)))
+            for copy in copies:
+                assert copy == gen and copy is not gen
+                for d in all_diagrams(n):
+                    assert compose(d, copy) == compose(d, gen) == reference_compose(d, gen)
+
+
+def test_non_generator_operands_take_the_general_trace(monkeypatch):
+    rng = random.Random("not-a-generator")
+    operands = []
+    for n in range(1, 8):
+        e = generator_diagram(n, 0)
+        operands += [identity_diagram(n), BlobDiagram(n, e.pairs, frozenset()),
+                     _random_diagram(n, rng)]
+    gens = {generator_diagram(n, letter) for n in range(1, 8) for letter in range(n)}
+    traces = _count_traces(monkeypatch)
+    for d2 in operands:
+        if d2 in gens:
+            continue
+        for _ in range(40):
+            d1 = _random_diagram(d2.n, rng)
+            traces.clear()
+            assert compose(d1, d2) == reference_compose(d1, d2)
+            assert traces == [d1, d2]
+
+
+def test_generator_step_result_is_validated(monkeypatch):
+    n = 5
+    for letter in range(n):
+        generator_diagram(n, letter)
+    # equal in value to the generators above, built on their own
+    operands = [u_diagram(n, i) for i in range(1, n)] + [e_diagram(n)]
+    basis = all_diagrams(n)
+    calls = []
+    real = diagrams.validate
+
+    def counted(d):
+        calls.append(d)
+        real(d)
+
+    monkeypatch.setattr(diagrams, "validate", counted)
+    traces = _count_traces(monkeypatch)
+    for d in basis[::5]:
+        for gen in operands:
+            calls.clear()
+            got = compose(d, gen)
+            assert calls == [got.diagram]
+    assert traces == []

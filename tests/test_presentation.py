@@ -10,6 +10,7 @@ from blobalg.diagrams import (
     compose_scaled,
     e_diagram,
     flip,
+    generator_diagram,
     identity_diagram,
     u_diagram,
 )
@@ -306,7 +307,7 @@ def test_table_entries_equal_compose_on_every_diagram(cold_evaluate_word):
         entries = _decoded(n)
         assert len(entries) == n * len(seen)
         for d, letter, target, scalar in entries:
-            assert compose(d, presentation._generator_diagram(n, letter)) == \
+            assert compose(d, generator_diagram(n, letter)) == \
                 ScaledDiagram(scalar, target)
 
 
@@ -315,7 +316,7 @@ def test_generator_steps_carry_one_of_four_scalars():
     # through flip, agree with compose on every basis diagram
     allowed = set(presentation._STEP_SCALARS)
     for n in range(1, 7):
-        gens = [presentation._generator_diagram(n, letter) for letter in range(n)]
+        gens = [generator_diagram(n, letter) for letter in range(n)]
         space = diagram_space(n)
         seen = set()
         for i, d in enumerate(all_diagrams(n)):
