@@ -111,10 +111,10 @@ def _parse_side(text: str, n: int) -> ScaledDiagram:
         return evaluate_word(parse_word(text, n))
     data = json.loads(text)
     try:
-        if int(data.get("n", n)) != n:
+        if type(data.get("n")) is int and data["n"] != n:  # other types fail in make_diagram
             raise ValueError("diagram strand count disagrees with --n")
         coeff = parse_scalar(data["coeff"]) if "coeff" in data else RingElem.one()
-        return ScaledDiagram(coeff, diagram_from_dict({**data, "n": n}))
+        return ScaledDiagram(coeff, diagram_from_dict({"n": n, **data}))
     except KeyError as exc:
         raise ValueError(f"diagram JSON has no field {exc}") from None
     except (TypeError, AttributeError) as exc:

@@ -4,11 +4,11 @@ A blob diagram on n strands is a planar perfect matching of 2n boundary
 points, some arcs carrying a blob.  Boundary numbering runs clockwise:
 top edge left-to-right is 1..n, bottom edge right-to-left is n+1..2n, so
 the western edge of the frame is the gap between point 2n and point 1.
-Under this convention:
-
-  * planarity      = the pairing is non-crossing in the circular order,
-  * blob-eligible  = the arc is west-exposed, i.e. not nested under any
-    other arc (it can be slid over to touch the western edge).
+A diagram is planar when its pairing is non-crossing, and an arc may
+carry a blob when it is west-exposed: nested under no other arc, so it
+can slide to the western edge.  One pass over the arcs in start order
+decides both, for ``validate``, ``west_exposed`` and ``all_diagrams``;
+``make_diagram`` accepts only ``int`` points, which the pass compares.
 
 Composition stacks d1 on top of d2 and traces strands through the
 interface.  Every closed loop and every excess blob is converted to a
@@ -59,7 +59,14 @@ class BlobDiagram:
 
 
 def make_diagram(n: int, pairs: Sequence[Sequence[int]], blobs: Sequence[Sequence[int]] = ()) -> BlobDiagram:
-    """Normalize, validate and freeze a diagram."""
+    """Normalize, validate and freeze a diagram; n and every point must be
+    an ``int``, as the arc pass would take ``True`` for 1 or ``2.0`` for 2."""
+    if type(n) is not int:
+        raise ValueError(f"strand count {n!r} is not an integer")
+    pairs, blobs = [tuple(arc) for arc in pairs], [tuple(arc) for arc in blobs]
+    for p in (p for arc in pairs + blobs for p in arc):
+        if type(p) is not int:
+            raise ValueError(f"diagram point {p!r} is not an integer")
     norm = tuple(sorted((min(i, j), max(i, j)) for i, j in pairs))
     blob_set = frozenset((min(i, j), max(i, j)) for i, j in blobs)
     d = BlobDiagram(n, norm, blob_set)
@@ -67,52 +74,52 @@ def make_diagram(n: int, pairs: Sequence[Sequence[int]], blobs: Sequence[Sequenc
     return d
 
 
-def validate(d: BlobDiagram) -> None:
-    """Raise ValueError unless d satisfies all diagram invariants.
+_NOT_A_MATCHING = "pairs are not a perfect matching of 1..2n"
 
-    One pass over the points 1..2n with a stack of open arcs.  The pairs
-    must be a perfect matching of 1..2n, listed as (start, end) arcs with
-    start < end in ascending order of start (the form make_diagram
-    produces).  A closing point must close the arc on top of the stack,
-    otherwise two arcs cross.  An arc is west-exposed exactly when the
-    stack is empty as it opens; only such arcs may carry a blob.
+
+def _exposed_arcs(n: int, pairs: Sequence[Arc]) -> List[Arc]:
+    """The west-exposed arcs of pairs, which must be a non-crossing perfect
+    matching of 1..2n as (start, end) arcs, start < end, sorted by start.
+
+    A stack holds the open arcs, innermost on top.  Each arc closes those
+    ending before its start, must nest in the one left on top, and is
+    west-exposed when none is left.
     """
-    n2 = 2 * d.n
-    pairs = d.pairs
-    mate = [0] * (n2 + 1)
-    for i, j in pairs:
-        if not (1 <= i <= n2 and 1 <= j <= n2) or i == j or mate[i] or mate[j]:
-            raise ValueError("pairs are not a perfect matching of 1..2n")
-        mate[i] = j
-        mate[j] = i
-    if len(pairs) != d.n:
-        raise ValueError("pairs are not a perfect matching of 1..2n")
-    exposed = [False] * (n2 + 1)
-    stack: List[int] = []
-    opened = 0
-    for p in range(1, n2 + 1):
-        m = mate[p]
-        if m > p:
-            if pairs[opened][0] != p:
+    if len(pairs) != n:
+        raise ValueError(_NOT_A_MATCHING)
+    stack: List[Arc] = []
+    exposed: List[Arc] = []
+    prev = 0
+    for arc in pairs:
+        i, j = arc
+        if not prev < i < j <= 2 * n:
+            if 0 < i < prev or j < i:
                 raise ValueError("pairs are not sorted (start, end) arcs")
-            opened += 1
-            exposed[p] = not stack
-            stack.append(p)
-        else:
-            top = stack.pop()
-            if top != m:
-                raise ValueError(f"arcs ({top},{mate[top]}) and ({m},{p}) cross")
-    for i, j in d.blobs:
-        if not 1 <= i < j <= n2 or mate[i] != j:
-            raise ValueError(f"blob on missing arc {(i, j)}")
-        if not exposed[i]:
-            raise ValueError(f"blob on nested arc {(i, j)}")
+            raise ValueError(_NOT_A_MATCHING)
+        prev = i
+        while stack and stack[-1][1] < i:
+            stack.pop()
+        if not stack:
+            exposed.append(arc)
+        elif stack[-1][1] <= j:
+            k, l = stack[-1]  # l == i or l == j repeats a point; i < l < j crosses
+            raise ValueError(_NOT_A_MATCHING if l in arc else f"arcs ({i},{j}) and ({k},{l}) cross")
+        stack.append(arc)
+    return exposed
+
+
+def validate(d: BlobDiagram) -> None:
+    """Raise ValueError unless d's pairs pass the arc pass of
+    :func:`_exposed_arcs` and only west-exposed arcs carry a blob."""
+    exposed = _exposed_arcs(d.n, d.pairs)
+    for arc in d.blobs:
+        if arc not in exposed:
+            raise ValueError(f"blob on {'nested' if arc in d.pairs else 'missing'} arc {arc}")
 
 
 def west_exposed(d: BlobDiagram, arc: Arc) -> bool:
     """True when no other arc nests over this one toward the west gap."""
-    i, j = arc
-    return not any(k < i and j < l for k, l in d.pairs if (k, l) != (i, j))
+    return arc in _exposed_arcs(d.n, d.pairs)
 
 
 def identity_diagram(n: int) -> BlobDiagram:
@@ -360,11 +367,10 @@ def all_diagrams(n: int) -> Tuple[BlobDiagram, ...]:
     """
     out = []
     for matching in _noncross_matchings(tuple(range(1, 2 * n + 1))):
-        base = make_diagram(n, matching)
-        exposed = [arc for arc in base.pairs if west_exposed(base, arc)]
+        exposed = _exposed_arcs(n, matching)
         for mask in range(1 << len(exposed)):
             blobs = frozenset(exposed[b] for b in range(len(exposed)) if mask >> b & 1)
-            out.append(BlobDiagram(n, base.pairs, blobs))
+            out.append(BlobDiagram(n, matching, blobs))
     out.sort(key=BlobDiagram.sort_key)
     if len(out) != comb(2 * n, n):
         raise AssertionError(f"enumeration produced {len(out)} diagrams at n={n}")
@@ -451,4 +457,4 @@ def scaled_to_dict(s: ScaledDiagram) -> dict:
 
 
 def diagram_from_dict(data: dict) -> BlobDiagram:
-    return make_diagram(int(data["n"]), data["pairs"], data.get("blobs", ()))
+    return make_diagram(data["n"], data["pairs"], data.get("blobs", ()))

@@ -32,7 +32,7 @@ Monomial = Tuple[int, int, int]  # (q-exponent, g-exponent, de-exponent)
 class RingElem:
     """A sparse Laurent polynomial in q with polynomial g, de parts."""
 
-    __slots__ = ("_terms", "_key")
+    __slots__ = ("_terms",)  # (monomial, coeff) pairs sorted by monomial, none zero
 
     def __init__(self, terms: Dict[Monomial, int] | None = None):
         clean: Dict[Monomial, int] = {}
@@ -43,8 +43,7 @@ class RingElem:
                 coeff = int(coeff)
                 if coeff:
                     clean[(int(a), int(b), int(c))] = coeff
-        self._terms = clean
-        self._key = tuple(sorted(clean.items()))
+        self._terms = tuple(sorted(clean.items()))
 
     # -- constructors ------------------------------------------------------
 
@@ -84,7 +83,7 @@ class RingElem:
         return dict(self._terms)
 
     def is_one(self) -> bool:
-        return self._terms == {(0, 0, 0): 1}
+        return self._terms == (((0, 0, 0), 1),)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -92,10 +91,10 @@ class RingElem:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingElem):
             return NotImplemented
-        return self._key == other._key
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self._terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -103,12 +102,12 @@ class RingElem:
         if not isinstance(other, RingElem):
             return NotImplemented
         terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
+        for mono, coeff in other._terms:
             terms[mono] = terms.get(mono, 0) + coeff
         return RingElem(terms)
 
     def __neg__(self) -> "RingElem":
-        return RingElem({m: -c for m, c in self._terms.items()})
+        return RingElem({m: -c for m, c in self._terms})
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + (-other)
@@ -117,8 +116,8 @@ class RingElem:
         if not isinstance(other, RingElem):
             return NotImplemented
         terms: Dict[Monomial, int] = {}
-        for (a1, b1, c1), k1 in self._terms.items():
-            for (a2, b2, c2), k2 in other._terms.items():
+        for (a1, b1, c1), k1 in self._terms:
+            for (a2, b2, c2), k2 in other._terms:
                 mono = (a1 + a2, b1 + b2, c1 + c2)
                 terms[mono] = terms.get(mono, 0) + k1 * k2
         return RingElem(terms)
@@ -146,7 +145,7 @@ class RingElem:
         if q0 % p == 0:
             raise ValueError("q must specialize to an invertible element")
         total = 0
-        for (a, b, c), coeff in self._terms.items():
+        for (a, b, c), coeff in self._terms:
             val = coeff * pow(q0, a, p)
             if b:
                 val *= pow(g0, b, p)
@@ -176,7 +175,7 @@ class RingElem:
         if not self._terms:
             return "0"
         parts = []
-        for i, (mono, coeff) in enumerate(self._key):
+        for i, (mono, coeff) in enumerate(self._terms):
             body = self._factor_str(mono, coeff)
             if i == 0:
                 parts.append(body if coeff > 0 else "-" + body)

@@ -11,7 +11,8 @@ words.
 
 ``factor_walk_words`` splits each walk word as prefix * tail where the
 tail is cap_word(|m|, n) for m <= 0 and blob_cap_word(m, n) for m > 0;
-every emitted factorization is verified in the diagram algebra.
+every emitted factorization is verified in the diagram algebra (one that
+is not raises; ``check_walk_suite`` fails a check naming its walk instead).
 
 A weight no walk of length n reaches (|m| > n, or m of the wrong parity)
 raises ``ValueError``, as does a negative length.
@@ -130,21 +131,27 @@ def factor_walk_words(n: int, m: int) -> List[Tuple[Word, Word]]:
     rebuilds the prefix by the edge recursion (away-from-zero edges keep the
     prefix, toward-zero edges append the truncated run, the blob edge is
     absorbed into the tail).  Every factorization is verified exactly in
-    the diagram algebra; failure to verify is a programming error.
+    the diagram algebra; failure to verify is a programming error and
+    raises AssertionError.
     """
     walks = all_walks(n, m)
     tail = tail_word(m, n)
-    return [(_prefix(p, path_word(p), path_word(p, variant=True), tail), tail) for p in walks]
+    out = []
+    for p in walks:
+        prefix = _prefix(p, path_word(p), path_word(p, variant=True), tail)
+        if prefix is None:
+            raise AssertionError(f"factorization failed for walk {p}")
+        out.append((prefix, tail))
+    return out
 
 
-def _prefix(p: Walk, word: Word, variant_word: Word, tail: Word) -> Word:
-    """The verified prefix before `tail` of p's standard and variant words."""
+def _prefix(p: Walk, word: Word, variant_word: Word, tail: Word) -> Optional[Word]:
+    """The prefix before `tail` of p's variant word, else of the edge
+    recursion; None unless `word` equals prefix * tail in the algebra."""
     prefix = _literal_prefix(variant_word, tail)
     if prefix is None:
         prefix = _recursive_prefix(p)
-    if not phi_equal(word, prefix * tail):
-        raise AssertionError(f"factorization failed for walk {p}")
-    return prefix
+    return prefix if phi_equal(word, prefix * tail) else None
 
 
 def _literal_prefix(word: Word, tail: Word) -> Optional[Word]:
@@ -194,10 +201,12 @@ def check_walk_suite(n: int) -> Report:
         rep.add(f"variant [{p}]", w, v, ok)
     for m in range(-n, n + 1, 2):
         tail = tail_word(m, n)
-        prefixes = [_prefix(p, w, v, tail) for p, (w, v) in zip(walks, words) if p.weight == m]
-        ok = all(is_reduced(prefix) for prefix in prefixes)
+        prefixes = [(p, _prefix(p, w, v, tail)) for p, (w, v) in zip(walks, words) if p.weight == m]
+        failed = next((p for p, prefix in prefixes if prefix is None), None)
+        ok = failed is None and all(is_reduced(prefix) for _, prefix in prefixes)
         rep.add(f"factor m={m}", f"{len(prefixes)} prefixes * {tail}",
-                "reduced prefixes, images verified", ok)
+                "reduced prefixes, images verified", ok,
+                f"factorization failed for walk {failed}" if failed is not None else "")
     return rep
 
 

@@ -219,6 +219,43 @@ def test_malformed_scalar_exits_two(capsys, coeff):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("value", ["true", "2.0", "1.5"])
+@pytest.mark.parametrize("where", ["point", "blob point", "n"])
+def test_non_integer_diagram_input_exits_two(capsys, value, where):
+    v = json.loads(value)
+    n = int(v)  # the strand count v would pass as, if it were coerced
+    data = {"pairs": [[1, 2], [3, 4]][:n], "blobs": [[1, 2]]}
+    if where == "n":
+        data["n"] = v
+    else:
+        arc = data["pairs" if where == "point" else "blobs"][0]
+        arc[arc.index(n)] = v
+    code, out, err = run(capsys, "mul", "--n", str(n), "--left", json.dumps(data), "--right", "e")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "is not an integer" in err
+
+
+def test_unverified_walk_factorization_fails_its_check(capsys, monkeypatch):
+    import blobalg.walks as walks
+    from blobalg.words import unit
+
+    # every prefix comes out as the empty word, which is wrong for 0,-1,-2,-1
+    monkeypatch.setattr(walks, "_literal_prefix", lambda word, tail: unit(word.n))
+    with pytest.raises(AssertionError, match="factorization failed for walk 0,-1,-2,-1"):
+        walks.factor_walk_words(3, -1)
+    code, out, err = run(capsys, "verify", "--suite", "walks", "--n", "3")
+    assert code == 1 and err == ""
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == [
+        "[FAIL] walks(n=3)/factor m=-1: 3 prefixes * U1 == reduced prefixes, images verified"
+        "  (factorization failed for walk 0,-1,-2,-1)",
+        "[FAIL] walks(n=3)/factor m=1: 3 prefixes * U1 e U2 U1 == reduced prefixes, images verified"
+        "  (factorization failed for walk 0,1,0,1)",
+    ]
+    assert out.endswith("passed=false\n")
+
+
 def test_internal_error_exit_three(capsys, monkeypatch):
     import blobalg.cli as cli
 

@@ -13,7 +13,9 @@ references share no code with it:
 
 ``reference_validate`` is the earlier quadratic validator, which compares
 every pair of arcs for crossings and scans for an enclosing arc per blob.
-All must agree with the production code.
+All must agree with the production code.  The arc pass behind ``validate``
+is also held to the reference on random malformed diagrams, and the arcs
+``all_diagrams`` decorates to the reference nesting rule.
 
 A right operand that is a generator takes ``compose``'s local step instead
 of the trace; both references check that path too, on every product at
@@ -252,7 +254,7 @@ def _accepts(check, d):
 
 
 def test_validate_agrees_with_reference_on_every_diagram():
-    for n in range(0, 6):
+    for n in range(0, 7):
         for d in all_diagrams(n):
             validate(d)
             reference_validate(d)
@@ -311,6 +313,77 @@ def test_validate_requires_canonical_arc_order():
         with pytest.raises(ValueError, match="sorted"):
             validate(d)
         assert make_diagram(2, pairs) == BlobDiagram(2, ((1, 4), (2, 3)), frozenset())
+
+
+def _canonical(d):
+    """The (start, end) form, start < end, sorted by start, that validate
+    requires and reference_validate does not check."""
+    return all(i < j for i, j in d.pairs) and list(d.pairs) == sorted(d.pairs)
+
+
+def _malformed(n, rng):
+    """A random diagram on n strands with up to three random faults."""
+    d = _random_diagram(n, rng)
+    pairs, blobs = [list(arc) for arc in d.pairs], set(d.blobs)
+    n2 = 2 * n
+    for _ in range(rng.randrange(4)):
+        fault = rng.randrange(8)
+        if fault == 0 and len(pairs) > 1:  # unsorted arcs
+            a, b = rng.sample(range(len(pairs)), 2)
+            pairs[a], pairs[b] = pairs[b], pairs[a]
+        elif fault == 1 and pairs:  # start > end
+            arc = rng.choice(pairs)
+            arc.reverse()
+        elif fault == 2 and pairs:  # a repeated or out-of-range point
+            arc = rng.choice(pairs)
+            arc[rng.randrange(2)] = rng.choice([-1, 0, n2 + 1, rng.randint(1, max(n2, 1))])
+        elif fault == 3 and pairs:  # too few arcs
+            pairs.pop(rng.randrange(len(pairs)))
+        elif fault == 4:  # too many arcs
+            pairs.insert(rng.randrange(len(pairs) + 1), rng.choice(pairs + [[n2 + 1, n2 + 2]]))
+        elif fault == 5 and len(pairs) > 1:  # rewire two arcs: nested, side by side or crossing
+            a, b = rng.sample(range(len(pairs)), 2)
+            pts = sorted(pairs[a] + pairs[b])
+            rng.shuffle(pts)
+            pairs[a], pairs[b] = sorted(pts[:2]), sorted(pts[2:])
+        elif fault == 6 and pairs:  # a blob on an arc of the pairs, nested or not
+            blobs.add(tuple(rng.choice(pairs)))
+        elif fault == 7:  # a blob on a missing arc
+            blobs.add(tuple(sorted(rng.sample(range(0, n2 + 2), 2))))
+    return BlobDiagram(n, tuple(tuple(arc) for arc in pairs), frozenset(blobs))
+
+
+def test_validate_agrees_with_reference_on_random_malformed_diagrams():
+    rng = random.Random("arc-pass")
+    verdicts = {True: 0, False: 0}
+    for _ in range(24000):
+        d = _malformed(rng.randint(0, 6), rng)
+        want = _accepts(reference_validate, d) and _canonical(d)
+        assert _accepts(validate, d) == want, d
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 4000, verdicts
+
+
+def _reference_exposed(pairs):
+    """The reference nesting rule: an arc no other arc encloses."""
+    return {(i, j) for i, j in pairs if not any(k < i and j < l for k, l in pairs)}
+
+
+def test_all_diagrams_decorates_exactly_the_reference_exposed_arcs():
+    # every non-crossing matching, found among all perfect matchings by the
+    # reference validator, carries every subset of its exposed arcs as blobs
+    for n in range(0, 7):
+        decorated = {}
+        for d in all_diagrams(n):
+            decorated.setdefault(d.pairs, set()).add(d.blobs)
+        matchings = [pairs for pairs in _perfect_matchings(tuple(range(1, 2 * n + 1)))
+                     if _accepts(reference_validate, BlobDiagram(n, pairs, frozenset()))]
+        assert sorted(decorated) == sorted(matchings)
+        for pairs in matchings:
+            exposed = sorted(_reference_exposed(pairs))
+            subsets = {frozenset(c) for r in range(len(exposed) + 1)
+                       for c in itertools.combinations(exposed, r)}
+            assert decorated[pairs] == subsets, pairs
 
 
 def test_compose_builds_monomials_without_ring_products(monkeypatch):
