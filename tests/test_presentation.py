@@ -8,6 +8,8 @@ from blobalg.diagrams import (
     all_diagrams,
     compose,
     compose_scaled,
+    diagram_from_dict,
+    diagram_to_dict,
     e_diagram,
     flip,
     generator_diagram,
@@ -18,6 +20,7 @@ from blobalg.presentation import (
     check_defining_relations,
     check_reduction_stability,
     check_run_identities,
+    evaluate_from,
     evaluate_word,
     is_reduced,
     phi_equal,
@@ -26,7 +29,8 @@ from blobalg.ring import RingElem
 from blobalg.towers import diagram_space, regular_basis
 from blobalg.words import Word, gen_e, gen_u, opposite, parse_word, unit
 
-from test_compose_oracle import reference_compose
+from redux_reference import reference_reduction_stability
+from test_compose_oracle import _random_diagram, reference_compose
 
 
 def test_evaluation_examples():
@@ -146,10 +150,11 @@ def test_report_shape():
 # -- the letter-transition table behind evaluate_word -------------------------
 
 
-def _fold(w):
-    """The image of w folded from the identity with the reference composer,
-    independent of evaluate_word and its transition table."""
-    got = ScaledDiagram(RingElem.one(), identity_diagram(w.n))
+def _fold(w, start=None):
+    """The image of w folded from the identity (or from the scaled diagram
+    `start`) with the reference composer, independent of evaluate_word and
+    its transition table."""
+    got = start or ScaledDiagram(RingElem.one(), identity_diagram(w.n))
     for letter in w.letters:
         gen = e_diagram(w.n) if letter == 0 else u_diagram(w.n, letter)
         step = reference_compose(got.diagram, gen)
@@ -328,3 +333,80 @@ def test_generator_steps_carry_one_of_four_scalars():
                 assert space.targets[("L", letter)][i] == space.index[left.diagram]
         assert seen <= allowed, seen - allowed
         assert seen == allowed or n == 1
+
+
+# -- walking a tail on from a word's image ------------------------------------
+
+
+def _random_word(rng, n, most):
+    """A word of at most `most` random letters (the empty word when n = 0)."""
+    return Word(n, tuple(rng.randrange(n) for _ in range(rng.randrange(most + 1) if n else 0)))
+
+
+def test_evaluate_from_equals_the_concatenated_word(cold_evaluate_word):
+    rng = random.Random("continue")
+    for n in range(0, 9):
+        for _ in range(60):
+            w, tail = _random_word(rng, n, 10), _random_word(rng, n, 8)
+            got = evaluate_from(cold_evaluate_word(w), tail)
+            assert got == cold_evaluate_word(w * tail) == _fold(w * tail), (w, tail)
+        # an empty stem starts from the identity, which no walk interns
+        for tail in (unit(n), *(Word(n, (letter,)) for letter in range(n))):
+            assert evaluate_from(cold_evaluate_word(unit(n)), tail) == _fold(tail)
+        # an empty tail returns the image unchanged
+        w = _random_word(rng, n, 10)
+        assert evaluate_from(cold_evaluate_word(w), unit(n)) == cold_evaluate_word(w)
+
+
+def test_evaluate_from_interns_a_diagram_the_table_lacks(cold_evaluate_word):
+    rng = random.Random("intern")
+    scalars = (RingElem.one(), RingElem.gamma(), RingElem.loop() * RingElem.delta_e())
+    for n in range(1, 6):
+        for d in all_diagrams(n):
+            start = ScaledDiagram(rng.choice(scalars), d)
+            tail = _random_word(rng, n, 6)
+            assert evaluate_from(start, tail) == _fold(tail, start), (d, tail)
+    # diagrams read from JSON, on more strands than all_diagrams reaches here
+    for n in range(6, 11):
+        for _ in range(20):
+            d = diagram_from_dict(diagram_to_dict(_random_diagram(n, rng)))
+            start = ScaledDiagram(rng.choice(scalars), d)
+            tail = _random_word(rng, n, 8)
+            before = len(presentation._diagrams.get(n, ()))
+            assert evaluate_from(start, tail) == _fold(tail, start), (d, tail)
+            assert cold_evaluate_word.cache_info().currsize == 0
+            if tail.letters:
+                assert d in presentation._ids[n]
+                assert len(presentation._diagrams[n]) > before
+
+
+def test_evaluate_from_across_a_table_flush(cold_evaluate_word, monkeypatch):
+    rng = random.Random("flush")
+    monkeypatch.setattr(presentation, "_TABLE_LIMIT", 7)
+    for n in (3, 6, 9):
+        for _ in range(40):
+            w, tail = _random_word(rng, n, 8), _random_word(rng, n, 8)
+            image = cold_evaluate_word(w)
+            # other walks between the two calls fill the table past its
+            # limit, so the continuation may start from a new table
+            for _ in range(3):
+                cold_evaluate_word(_random_word(rng, n, 8))
+            assert evaluate_from(image, tail) == _fold(w * tail), (w, tail)
+            assert len(presentation._steps[n]) == n * len(presentation._diagrams[n])
+
+
+def test_evaluate_from_rejects_another_strand_count():
+    with pytest.raises(ValueError, match="strand counts differ"):
+        evaluate_from(evaluate_word(gen_u(3, 1)), gen_u(4, 1))
+
+
+def test_reduction_stability_matches_the_concatenated_reference():
+    for n in range(3, 8):
+        assert check_reduction_stability(n).lines() == reference_reduction_stability(n).lines()
+
+
+def test_reduction_stability_caches_no_tail_images(cold_evaluate_word):
+    # only the stems w and the one-letter U_n enter the cache (3,813 words
+    # at n = 7); evaluating every w * tail as its own word cached 18,588
+    check_reduction_stability(7)
+    assert cold_evaluate_word.cache_info().currsize < 4000
