@@ -216,13 +216,20 @@ def run_suite(suite: str, n: int, seed: int, prime: int) -> List[Report]:
     return out
 
 
+def _env_int(name: str, default: int) -> int:
+    """The integer value of environment variable `name`, or `default`."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def cmd_verify(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("BLOBALG_SEED", "0"))
-    prime = args.prime
-    if prime is None:
-        prime = int(os.environ.get("BLOBALG_PRIME", str(DEFAULT_PRIME)))
+    seed = _env_int("BLOBALG_SEED", 0) if args.seed is None else args.seed
+    prime = _env_int("BLOBALG_PRIME", DEFAULT_PRIME) if args.prime is None else args.prime
     check_prime(prime)
     min_n = 1 if args.suite == "all" else _SUITES[args.suite][0]
     if args.n < min_n:

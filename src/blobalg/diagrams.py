@@ -60,7 +60,9 @@ class BlobDiagram:
 
 def make_diagram(n: int, pairs: Sequence[Sequence[int]], blobs: Sequence[Sequence[int]] = ()) -> BlobDiagram:
     """Normalize, validate and freeze a diagram; n and every point must be
-    an ``int``, as the arc pass would take ``True`` for 1 or ``2.0`` for 2."""
+    an ``int``, as the arc pass would take ``True`` for 1 or ``2.0`` for 2.
+    A blob arc listed twice is rejected: two blobs on one strand would be a
+    factor de, which a diagram does not carry."""
     if type(n) is not int:
         raise ValueError(f"strand count {n!r} is not an integer")
     pairs, blobs = [tuple(arc) for arc in pairs], [tuple(arc) for arc in blobs]
@@ -68,7 +70,11 @@ def make_diagram(n: int, pairs: Sequence[Sequence[int]], blobs: Sequence[Sequenc
         if type(p) is not int:
             raise ValueError(f"diagram point {p!r} is not an integer")
     norm = tuple(sorted((min(i, j), max(i, j)) for i, j in pairs))
-    blob_set = frozenset((min(i, j), max(i, j)) for i, j in blobs)
+    blob_arcs = [(min(i, j), max(i, j)) for i, j in blobs]
+    blob_set = frozenset(blob_arcs)
+    if len(blob_set) < len(blob_arcs):
+        repeated = next(a for k, a in enumerate(blob_arcs) if a in blob_arcs[:k])
+        raise ValueError(f"blob arc {repeated} is listed more than once")
     d = BlobDiagram(n, norm, blob_set)
     validate(d)
     return d

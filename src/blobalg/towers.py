@@ -9,12 +9,12 @@ indices.  Those spans are `frozenset`s of basis indices, and each claim is
 decided once, exactly, by set operations.  The specialization points and
 the Schwartz-Zippel note are still recorded on every report.
 
-Ideal spans are computed by closure: start from the generating word's
-diagram and multiply by generators on the required side(s), which is
-reachability over the generator action tables.  The tower's decompose
-claim is decided the same way: b_{n-1} + b_{n-1} U_{n-1} b_{n-1} is the
-closure of {1, U_{n-1}} under left and right multiplication by the letters
-of b_{n-1}.
+Every ideal, tower and quotient span is a closure: start from some
+diagrams and multiply by generators on the required side(s), which is
+reachability over the generator action tables.  Every basis diagram is a
+unit-scalar product of generators, so x b_k is the right closure of x's
+diagram under the letters of b_k, and left * b_n * right multiplies each
+diagram of left * b_n once by right.
 
 Only the right action tables are composed.  ``flip`` is an
 anti-automorphism of b_n fixing every generator, so each left table is its
@@ -40,6 +40,7 @@ from .diagrams import ScaledDiagram, all_diagrams, compose, compose_scaled, flip
 from .modlin import CoordSolver, RowSpan, SpecPoint, draw_points, mulmod
 from .presentation import defining_relations, evaluate_word, phi_equal
 from .reports import Report
+from .ring import RingElem
 from .walks import factor_walk_words, tail_word, walk_words
 from .words import (
     Word,
@@ -299,14 +300,13 @@ def check_ideal_inclusions(n: int, points: Optional[Sequence[SpecPoint]] = None,
 
 @lru_cache(maxsize=64)
 def _conjugated_span(space: DiagramSpace, left: Word, right: Word) -> FrozenSet[int]:
-    """The span of left * b_n * right: the diagrams of left * w * right
-    over the regular basis words w of b_n."""
-    n = space.n
-    lv = evaluate_word(left.with_n(n))
-    rv = evaluate_word(right.with_n(n))
+    """The span of left * b_n * right: left * b_n is the right closure of
+    left's diagram under every letter, and each of its diagrams is
+    multiplied once by right's image."""
+    one, rv = RingElem.one(), evaluate_word(right.with_n(space.n))
     return frozenset(
-        space.index[compose_scaled(compose_scaled(lv, evaluate_word(w.with_n(n))), rv).diagram]
-        for w in regular_basis(n)
+        space.index[compose_scaled(ScaledDiagram(one, space.basis[d]), rv).diagram]
+        for d in _closure(space, space.word_span([left.with_n(space.n)]), "R")
     )
 
 
@@ -317,10 +317,11 @@ def check_tower(n: int, points: Optional[Sequence[SpecPoint]] = None,
     n = 2, where [2] or g must be invertible), and the sandwich
     Er_m b_n Er_m = Er_m b_m.
 
-    The decomposition is decided by closing {1, U_{n-1}} under left and
-    right multiplication by e, U_1, ..., U_{n-2} and asking for all of
-    b_n; no product of two basis words is formed.  The squeeze and
-    sandwich left-hand sides come from `_conjugated_span`."""
+    Every span is a closure over the action tables; no basis word is
+    evaluated.  The decomposition closes {1, U_{n-1}} on both sides under
+    e, U_1, ..., U_{n-2} and asks for all of b_n.  The left-hand sides come
+    from `_conjugated_span`; the right-hand sides close U_{n-1} and Er_m
+    on the right under the letters of b_{n-2} and b_m."""
     if n < 2:
         raise ValueError("tower checks need n >= 2")
     rep, _, space, note = _start_check("tower", n, points, seed)
@@ -330,18 +331,17 @@ def check_tower(n: int, points: Optional[Sequence[SpecPoint]] = None,
     rep.add("decompose", f"b_{n-1} + b_{n-1} U{n-1} b_{n-1}", f"all of b_{n} (rank {space.dim})",
             ok, note)
 
+    want = _closure(space, space.word_span([u_top]), "R", range(n - 2))
+    ok = _conjugated_span(space, u_top, u_top) == want
     if n == 2:
-        ok = _conjugated_span(space, u_top, u_top) == space.word_span([gen_u(2, 1)])
         rep.add("squeeze n=2", "U1 b_2 U1", "([2]K + gK) U1 b_0 = K U1", ok,
                 note + "; needs [2] or g invertible, points have g nonzero")
-    if n >= 3:
-        want = space.word_span(u_top * w.with_n(n) for w in regular_basis(n - 2))
-        ok = _conjugated_span(space, u_top, u_top) == want
+    else:
         rep.add("squeeze", f"U{n-1} b_{n} U{n-1}", f"U{n-1} b_{n-2}", ok, note)
 
     for m in range(n % 2, n + 1, 2):
         er = cap_word_right(m, n)
-        want = space.word_span(er * w.with_n(n) for w in regular_basis(m))
+        want = _closure(space, space.word_span([er]), "R", range(m))
         ok = _conjugated_span(space, er, er) == want
         extra = "; m=0 needs [2] or g invertible, points have g nonzero" if m == 0 else ""
         rep.add(f"sandwich m={m}", f"Er_{m} b_{n} Er_{m}", f"Er_{m} b_{m}", ok, note + extra)

@@ -14,17 +14,22 @@ tests can check the fast ones against them on any input:
 * `point_actions`: the generator action tables at one point, composed
   afresh and specialized;
 * `reference_closure`: the rank-stabilizing closure of arbitrary seed
-  vectors under those tables.
+  vectors under those tables;
+* `reference_conjugated_span` and `reference_subalgebra_span`: the tower
+  spans left * b_n * right and x * b_k as the diagram sets of explicit
+  products with every regular-basis word, the definition that
+  `towers` replaces by closures over the action tables.
 """
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from blobalg.diagrams import compose
+from blobalg.diagrams import compose, compose_scaled, generator_diagram
 from blobalg.modlin import SpecPoint, mulmod
-from blobalg.diagrams import generator_diagram
+from blobalg.presentation import evaluate_word
+from blobalg.towers import regular_basis
 
 
 class ReferenceSpan:
@@ -186,3 +191,20 @@ def reference_closure(space, seeds: np.ndarray, point: SpecPoint, sides: str,
         batch = np.vstack([_apply_action(a, frontier, point.prime) for a in used])
         frontier = span.absorb(batch)
     return span
+
+
+def reference_conjugated_span(space, left, right) -> FrozenSet[int]:
+    """The diagrams of left * w * right over the regular basis words w of
+    b_n, each formed as two explicit products."""
+    n = space.n
+    lv, rv = evaluate_word(left.with_n(n)), evaluate_word(right.with_n(n))
+    return frozenset(
+        space.index[compose_scaled(compose_scaled(lv, evaluate_word(w.with_n(n))), rv).diagram]
+        for w in regular_basis(n)
+    )
+
+
+def reference_subalgebra_span(space, x, k: int) -> FrozenSet[int]:
+    """The diagrams of x * w over the regular basis words w of b_k, read
+    as words on the n strands of `space`."""
+    return space.word_span(x * w.with_n(space.n) for w in regular_basis(k))

@@ -116,6 +116,14 @@ def test_env_var_defaults(capsys, monkeypatch):
     assert code == 0 and "seed=99" in out
 
 
+@pytest.mark.parametrize("name", ["BLOBALG_SEED", "BLOBALG_PRIME"])
+def test_non_integer_env_var_exits_two(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "x")
+    code, out, err = run(capsys, "verify", "--suite", "relations", "--n", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: {name} must be an integer, got 'x'\n"
+
+
 def test_verify_pass_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "relations", "--n", "4")
     assert code == 0
@@ -234,6 +242,14 @@ def test_non_integer_diagram_input_exits_two(capsys, value, where):
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "is not an integer" in err
+
+
+@pytest.mark.parametrize("blobs", [[[1, 4], [1, 4]], [[1, 4], [4, 1]]])
+def test_repeated_blob_arc_exits_two(capsys, blobs):
+    left = json.dumps({"pairs": [[1, 4], [2, 3]], "blobs": blobs})
+    code, out, err = run(capsys, "mul", "--n", "2", "--left", left, "--right", "U1")
+    assert code == 2 and out == ""
+    assert err == "error: blob arc (1, 4) is listed more than once\n"
 
 
 def test_unverified_walk_factorization_fails_its_check(capsys, monkeypatch):

@@ -62,6 +62,13 @@ def test_validate_rejects_crossing_and_bad_blob():
         make_diagram(2, [(1, 4), (1, 4)])
 
 
+def test_make_diagram_rejects_a_repeated_blob_arc():
+    for blobs in ([(1, 4), (1, 4)], [(1, 4), (4, 1)]):
+        with pytest.raises(ValueError, match=r"blob arc \(1, 4\) is listed more than once"):
+            make_diagram(2, [(1, 4), (2, 3)], blobs=blobs)
+    assert make_diagram(2, [(1, 4), (2, 3)], blobs=[(4, 1)]).blobs == {(1, 4)}
+
+
 def test_compose_relations():
     s = compose(u_diagram(4, 2), u_diagram(4, 2))
     assert s.coeff == RingElem.loop() and s.diagram == u_diagram(4, 2)

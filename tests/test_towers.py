@@ -25,9 +25,24 @@ from blobalg.towers import (
     standard_module,
     through_ideal,
 )
-from blobalg.words import blob_cap_word, cap_word, cap_word_right, gen_u, opposite, parse_word, unit
+from blobalg.words import (
+    blob_cap_word,
+    cap_word,
+    cap_word_right,
+    gen_e,
+    gen_u,
+    opposite,
+    parse_word,
+    unit,
+)
 
-from span_reference import point_actions, reference_closure, span_of
+from span_reference import (
+    point_actions,
+    reference_closure,
+    reference_conjugated_span,
+    reference_subalgebra_span,
+    span_of,
+)
 
 POINTS = default_points(0)
 # g and de vanish here, so many monomials specialize to zero
@@ -280,6 +295,58 @@ def test_conjugate_spans_match_per_point_products():
                     assert want.pivots == sorted(got), (n, str(w), pt)
                 vanished += sum(not v.any() for v in vecs)
     assert vanished  # only ZERO_POINT can send a monomial to zero
+
+
+def _conjugators(n):
+    """Every word check_tower and check_quotient_dims conjugate b_n by."""
+    return [gen_u(n, n - 1)] + [cap_word_right(m, n) for m in range(n % 2, n + 1, 2)]
+
+
+def test_conjugated_closures_match_products_with_every_basis_word():
+    for n in range(2, 8):
+        space = diagram_space(n)
+        for w in _conjugators(n):
+            assert _conjugated_span(space, w, w) == reference_conjugated_span(space, w, w), (n, str(w))
+    for n in range(2, 6):  # left and right in their own places
+        space = diagram_space(n)
+        for left in _conjugators(n):
+            for right in _conjugators(n):
+                want = reference_conjugated_span(space, left, right)
+                assert _conjugated_span(space, left, right) == want, (n, str(left), str(right))
+
+
+def test_right_closures_match_products_with_the_smaller_algebra():
+    for n in range(3, 8):
+        space = diagram_space(n)
+        u_top = gen_u(n, n - 1)
+        got = _closure(space, space.word_span([u_top]), "R", range(n - 2))
+        assert got == reference_subalgebra_span(space, u_top, n - 2), n
+        for m in range(n % 2, n + 1, 2):
+            er = cap_word_right(m, n)
+            got = _closure(space, space.word_span([er]), "R", range(m))
+            assert got == reference_subalgebra_span(space, er, m), (n, m)
+
+
+def test_tower_and_quotients_evaluate_no_basis_word(monkeypatch):
+    import blobalg.towers as towers
+
+    n = 6
+    space = diagram_space(n)
+    evaluated, products = [], []
+    monkeypatch.setattr(towers, "regular_basis", lambda k: pytest.fail("regular_basis called"))
+    monkeypatch.setattr(towers, "evaluate_word", lambda w: evaluated.append(w) or evaluate_word(w))
+    monkeypatch.setattr(towers, "compose_scaled",
+                        lambda a, b: products.append(a) or compose_scaled(a, b))
+    _conjugated_span.cache_clear()
+    assert check_tower(n).passed and check_quotient_dims(n).passed
+    ms = range(n % 2, n + 1, 2)
+    ers = [cap_word_right(m, n) for m in ms]
+    ideal_gens = [cap_word(m, n) for m in ms]  # through_ideal seeds
+    assert set(evaluated) <= {unit(n), gen_u(n, n - 1), *ers, *(gen_e(n) * er for er in ers),
+                              *ideal_gens}
+    # one product per diagram of each distinct left * b_n closure
+    assert len(products) == sum(len(_closure(space, space.word_span([w]), "R"))
+                                for w in set(_conjugators(n)))
 
 
 def test_word_span_matches_word_matrix():
