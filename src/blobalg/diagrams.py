@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
-from .ring import RingElem
+from .ring import RingElem, monomial
 
 Arc = Tuple[int, int]
 
@@ -59,16 +59,21 @@ class BlobDiagram:
 
 
 def make_diagram(n: int, pairs: Sequence[Sequence[int]], blobs: Sequence[Sequence[int]] = ()) -> BlobDiagram:
-    """Normalize, validate and freeze a diagram; n and every point must be
-    an ``int``, as the arc pass would take ``True`` for 1 or ``2.0`` for 2.
+    """Normalize, validate and freeze a diagram; every arc must be a pair
+    of points, and n and every point an ``int``, as the arc pass would take
+    ``True`` for 1 or ``2.0`` for 2.
     A blob arc listed twice is rejected: two blobs on one strand would be a
     factor de, which a diagram does not carry."""
     if type(n) is not int:
         raise ValueError(f"strand count {n!r} is not an integer")
     pairs, blobs = [tuple(arc) for arc in pairs], [tuple(arc) for arc in blobs]
-    for p in (p for arc in pairs + blobs for p in arc):
-        if type(p) is not int:
-            raise ValueError(f"diagram point {p!r} is not an integer")
+    for kind, arcs in (("arc", pairs), ("blob arc", blobs)):
+        for arc in arcs:
+            if len(arc) != 2:
+                raise ValueError(f"{kind} {list(arc)} is not a pair of points")
+            for p in arc:
+                if type(p) is not int:
+                    raise ValueError(f"diagram point {p!r} is not an integer")
     norm = tuple(sorted((min(i, j), max(i, j)) for i, j in pairs))
     blob_arcs = [(min(i, j), max(i, j)) for i, j in blobs]
     blob_set = frozenset(blob_arcs)
@@ -184,12 +189,6 @@ class ScaledDiagram:
         return f"({self.coeff}) {self.diagram}"
 
 
-@lru_cache(maxsize=1024)
-def _scalar(plain: int, blobbed: int, excess: int) -> RingElem:
-    """The monomial [2]^plain g^blobbed de^excess, [2] = q + q^-1."""
-    return RingElem({(plain - 2 * k, blobbed, excess): comb(plain, k) for k in range(plain + 1)})
-
-
 @lru_cache(maxsize=64)
 def _arc_rows(n: int) -> Tuple[Tuple[Arc, ...], ...]:
     """The arcs of n strands as shared tuples: ``_arc_rows(n)[i][j]`` is
@@ -262,7 +261,7 @@ def compose(d1: BlobDiagram, d2: BlobDiagram) -> ScaledDiagram:
     arcs come out sorted with start < end.  The interface positions no
     strand crossed lie on closed loops, traced afterwards.  Blobs are
     counted per strand; the scalar is the monomial of the module
-    docstring, looked up by (plain loops, blobbed loops, excess blobs).
+    docstring, ``monomial(plain loops, blobbed loops, excess blobs)``.
     When d2 equals a diagram from :func:`generator_diagram`, only the arcs
     that generator touches are rewritten (the step of the module
     docstring) and nothing is traced.  Either way the result is checked
@@ -274,7 +273,7 @@ def compose(d1: BlobDiagram, d2: BlobDiagram) -> ScaledDiagram:
     if letter is not None:
         result, plain, blobbed, excess = _generator_step(d1, letter)
         validate(result)
-        return ScaledDiagram(_scalar(plain, blobbed, excess), result)
+        return ScaledDiagram(monomial(plain, blobbed, excess), result)
     n = d1.n
     glue = 2 * n + 1  # d1 point glue - j meets d2 point j
     mate1, blob1 = _point_arrays(d1)
@@ -340,7 +339,7 @@ def compose(d1: BlobDiagram, d2: BlobDiagram) -> ScaledDiagram:
 
     result = BlobDiagram(n, tuple(pairs), frozenset(blobs) if blobs else _NO_BLOBS)
     validate(result)
-    return ScaledDiagram(_scalar(plain, blobbed, excess), result)
+    return ScaledDiagram(monomial(plain, blobbed, excess), result)
 
 
 def compose_scaled(s1: ScaledDiagram, s2: ScaledDiagram) -> ScaledDiagram:

@@ -9,11 +9,12 @@ A basis diagram times one generator is one diagram times 1, [2], g or de,
 so words are evaluated by walking a letter-transition table: per strand
 count, the diagrams met so far are interned as integer ids, and the entry
 for (diagram id, letter) packs the product's id with the code of its step
-scalar.  ``compose`` runs only to fill an entry not yet in the table.
-``evaluate_from`` continues such a walk: given the image of a word w and a
-tail word, it looks up (or interns) the image's diagram and walks only the
-tail's letters, so the image of w * tail needs neither w's letters again
-nor a cached entry for the longer word.
+scalar.  ``compose`` runs only to fill an entry not yet in the table.  A
+walk counts its steps per code; its scalar is built once, as ``monomial``
+of those counts.  ``evaluate_from`` continues a walk from the image of a
+word w: it looks up (or interns) the image's diagram and walks only the
+tail's letters, so w * tail needs neither w's letters again nor a cache
+entry of its own.
 
 A word is *reduced* when it is not a non-unit scalar times a shorter
 expression; since every length-reducing relation introduces a non-unit
@@ -36,7 +37,7 @@ from .diagrams import (
     identity_diagram,
 )
 from .reports import Report
-from .ring import RingElem
+from .ring import RingElem, monomial
 from .words import (
     Word,
     ascending_run,
@@ -52,9 +53,8 @@ from .words import (
 
 _TABLE_LIMIT = 1 << 17
 
-# The scalars a basis diagram times one generator can carry, indexed by the
-# step code a table entry stores.
-_STEP_SCALARS = (RingElem.one(), RingElem.loop(), RingElem.gamma(), RingElem.delta_e())
+# The scalar of each step code a table entry stores: 1, [2], g and de.
+_STEP_SCALARS = (monomial(0, 0, 0), monomial(1, 0, 0), monomial(0, 1, 0), monomial(0, 0, 1))
 _STEP_CODES = {scalar: code for code, scalar in enumerate(_STEP_SCALARS)}
 
 # Per strand count n, the diagrams seen by evaluate_word interned as ids
@@ -93,25 +93,23 @@ def _fill(n: int, source: int, letter: int) -> int:
     product and store its table entry."""
     diagrams = _diagrams[n]
     step = compose(diagrams[source], diagrams[letter])
-    code = _STEP_CODES.get(step.coeff)
-    if code is None:
-        raise RuntimeError(f"step scalar {step.coeff} is not 1, [2], g or de")
+    code = _STEP_CODES[step.coeff]  # a generator step's scalar is 1, [2], g or de
     entry = _steps[n][source * n + letter] = 4 * _intern(n, step.diagram) + code
     return entry
 
 
-def _walk(n: int, cur: int, letters: Tuple[int, ...], coeff: RingElem) -> ScaledDiagram:
-    """Walk `letters` through the table of n from diagram id `cur`,
-    multiplying `coeff` by each step scalar other than 1."""
+def _walk(n: int, cur: int, letters: Tuple[int, ...]) -> ScaledDiagram:
+    """Walk `letters` through the table of n from diagram id `cur`: the
+    diagram reached, times the monomial of the steps taken, counted by code."""
     steps = _steps[n]
+    count = [0, 0, 0, 0]
     for letter in letters:
         entry = steps[cur * n + letter]
         if entry < 0:
             entry = _fill(n, cur, letter)
         cur = entry >> 2
-        if entry & 3:
-            coeff = coeff * _STEP_SCALARS[entry & 3]
-    return ScaledDiagram(coeff, _diagrams[n][cur])
+        count[entry & 3] += 1
+    return ScaledDiagram(monomial(count[1], count[2], count[3]), _diagrams[n][cur])
 
 
 @lru_cache(maxsize=_TABLE_LIMIT)
@@ -122,8 +120,8 @@ def evaluate_word(w: Word) -> ScaledDiagram:
     basis diagram times one generator is one diagram times 1, [2], g or
     de, so a word the cache misses is walked through a transition table
     over interned diagrams: from the first letter's generator, each letter
-    looks up (target diagram, step scalar) and multiplies the coefficient
-    by a step scalar other than 1.  A table miss costs one
+    looks up (target diagram, step code); the coefficient is the monomial
+    of the walk's [2], g and de step counts.  A table miss costs one
     :func:`compose`, whose result is validated, and fills the entry.  The
     table of each strand count is emptied once it holds ``1 << 17``
     diagrams, the cache's bound.  The empty word maps to the identity.
@@ -134,7 +132,7 @@ def evaluate_word(w: Word) -> ScaledDiagram:
     if not letters:
         return ScaledDiagram(RingElem.one(), identity_diagram(n))
     _table(n)
-    return _walk(n, letters[0], letters[1:], RingElem.one())
+    return _walk(n, letters[0], letters[1:])
 
 
 def evaluate_from(image: ScaledDiagram, tail: Word) -> ScaledDiagram:
@@ -143,8 +141,8 @@ def evaluate_from(image: ScaledDiagram, tail: Word) -> ScaledDiagram:
     Only the tail's letters are walked, from the id of the image's diagram
     in the current table of ``tail.n``; a diagram the table does not hold
     (the identity, a diagram from elsewhere, or one dropped when the table
-    was emptied) is interned first.  The tail's step scalars multiply the
-    image's coefficient, and nothing enters ``evaluate_word``'s cache.
+    was emptied) is interned first.  The tail's monomial multiplies the
+    image's coefficient once, unless it is 1; nothing enters the cache.
     """
     n = tail.n
     if image.diagram.n != n:
@@ -152,7 +150,9 @@ def evaluate_from(image: ScaledDiagram, tail: Word) -> ScaledDiagram:
     if not tail.letters:
         return image
     _table(n)
-    return _walk(n, _intern(n, image.diagram), tail.letters, image.coeff)
+    step = _walk(n, _intern(n, image.diagram), tail.letters)
+    return ScaledDiagram(image.coeff if step.coeff.is_one() else image.coeff * step.coeff,
+                         step.diagram)
 
 
 _clear_cache = evaluate_word.cache_clear

@@ -24,6 +24,8 @@ is an error: ``2 q`` does not parse.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from math import comb
 from typing import Dict, Tuple
 
 Monomial = Tuple[int, int, int]  # (q-exponent, g-exponent, de-exponent)
@@ -36,13 +38,15 @@ class RingElem:
 
     def __init__(self, terms: Dict[Monomial, int] | None = None):
         clean: Dict[Monomial, int] = {}
-        if terms:
-            for (a, b, c), coeff in terms.items():
-                if b < 0 or c < 0:
-                    raise ValueError("g and de exponents must be nonnegative")
-                coeff = int(coeff)
-                if coeff:
-                    clean[(int(a), int(b), int(c))] = coeff
+        for (a, b, c), coeff in (terms or {}).items():
+            if type(a) is not int or type(b) is not int or type(c) is not int:
+                raise ValueError(f"exponents {(a, b, c)!r} are not integers")
+            if type(coeff) is not int:
+                raise ValueError(f"coefficient {coeff!r} is not an integer")
+            if b < 0 or c < 0:
+                raise ValueError("g and de exponents must be nonnegative")
+            if coeff:
+                clean[(a, b, c)] = coeff
         self._terms = tuple(sorted(clean.items()))
 
     # -- constructors ------------------------------------------------------
@@ -187,6 +191,12 @@ class RingElem:
         return f"RingElem({str(self)!r})"
 
 
+@lru_cache(maxsize=1024)
+def monomial(a: int, b: int, c: int) -> RingElem:
+    """[2]^a g^b de^c, [2] = q + q^-1, from binomial coefficients alone."""
+    return RingElem({(a - 2 * k, b, c): comb(a, k) for k in range(a + 1)})
+
+
 def parse_scalar(text: str) -> RingElem:
     """Parse the canonical string form back into an element.
 
@@ -209,12 +219,14 @@ def parse_scalar(text: str) -> RingElem:
             factor = factor.strip()
             if not factor:
                 raise ValueError(f"malformed scalar {text!r}")
-            if factor.isdigit():
+            if factor.isdecimal():
                 coeff *= int(factor)
                 continue
             sym, caret, exp_s = factor.partition("^")
             if sym not in exps:
                 raise ValueError(f"unknown symbol {sym!r} in scalar {text!r}")
+            if caret and not re.fullmatch(r"[+-]?\d+", exp_s):
+                raise ValueError(f"{sym} exponent {exp_s!r} is not an integer in scalar {text!r}")
             exp = int(exp_s) if caret else 1
             if exp < 0 and sym != "q":
                 raise ValueError(f"{sym} exponent must be nonnegative")

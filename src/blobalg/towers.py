@@ -95,6 +95,10 @@ class DiagramSpace:
         diagram, so this is the set of their diagram indices."""
         return frozenset(self.index[evaluate_word(w).diagram] for w in words)
 
+    def left_images(self, span: Iterable[int]) -> FrozenSet[int]:
+        """The diagrams g * d over every generator g and index d in span."""
+        return frozenset(self.targets[("L", letter)][d] for letter in self.letters for d in span)
+
     def word_matrix(self, words: Sequence[Word], point: SpecPoint) -> np.ndarray:
         out = np.zeros((len(words), self.dim), dtype=np.int64)
         for i, w in enumerate(words):
@@ -497,11 +501,10 @@ def check_span_closure(n: int, points: Optional[Sequence[SpecPoint]] = None,
     """Left multiplication by any generator keeps each walk-word span
     inside itself plus its stated quotient span."""
     rep, _, space, note = _start_check("span-closure", n, points, seed)
-    gens = [gen_e(n)] + [gen_u(n, i) for i in range(1, n)]
     for m in range(-n, n + 1, 2):
         words = walk_words(n, m)
-        allowed = _quotient_span(n, m) | space.word_span(words)
-        ok = space.word_span(g * w for g in gens for w in words) <= allowed
+        span = space.word_span(words)
+        ok = space.left_images(span) <= _quotient_span(n, m) | span
         rep.add(f"closure m={m}", f"generators * {len(words)} walk words",
                 "inside walk span + quotient span", ok, note)
     return rep

@@ -43,7 +43,11 @@ class Walk:
     sigma: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", tuple(int(x) for x in self.sigma))
+        sigma = tuple(self.sigma)
+        for x in sigma:
+            if type(x) is not int:
+                raise ValueError(f"weight {x!r} is not an integer")
+        object.__setattr__(self, "sigma", sigma)
         if not self.sigma or self.sigma[0] != 0:
             raise ValueError("weight sequence must start at 0")
         for a, b in zip(self.sigma, self.sigma[1:]):

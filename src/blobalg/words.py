@@ -2,7 +2,8 @@
 
 Letters are stored as ints: 0 is the blob generator e (``U0`` is accepted
 as an input alias), i >= 1 is U_i.  A word carries its ambient strand
-count n and validates every letter against it; the empty word is the
+count n and validates every letter against it; n and every letter must be
+an ``int`` (``bool`` excluded), never truncated.  The empty word is the
 algebra unit and prints as ``"1"``.  Text form is whitespace separated,
 e.g. ``"e U1 e U2 U1"``.
 """
@@ -12,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+_INT = frozenset({int})  # the one type a strand count or letter may have, bool excluded
+
 
 @dataclass(frozen=True)
 class Word:
@@ -19,9 +22,14 @@ class Word:
     letters: Tuple[int, ...] = ()
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise ValueError(f"strand count {self.n!r} is not an integer")
         if self.n < 0:
             raise ValueError("strand count must be nonnegative")
-        letters = tuple(map(int, self.letters))
+        letters = tuple(self.letters)
+        if not _INT.issuperset(map(type, letters)):
+            bad = next(x for x in letters if type(x) is not int)
+            raise ValueError(f"letter {bad!r} is not an integer")
         object.__setattr__(self, "letters", letters)
         if letters and (min(letters) < 0 or max(letters) >= self.n):
             for letter in letters:

@@ -18,7 +18,10 @@ tests can check the fast ones against them on any input:
 * `reference_conjugated_span` and `reference_subalgebra_span`: the tower
   spans left * b_n * right and x * b_k as the diagram sets of explicit
   products with every regular-basis word, the definition that
-  `towers` replaces by closures over the action tables.
+  `towers` replaces by closures over the action tables;
+* `reference_left_images`: the diagrams of every generator times every
+  given word, each product evaluated as its own word, which the
+  span-closure check replaces by one step of the left action tables.
 """
 
 from functools import lru_cache
@@ -30,6 +33,7 @@ from blobalg.diagrams import compose, compose_scaled, generator_diagram
 from blobalg.modlin import SpecPoint, mulmod
 from blobalg.presentation import evaluate_word
 from blobalg.towers import regular_basis
+from blobalg.words import Word
 
 
 class ReferenceSpan:
@@ -208,3 +212,10 @@ def reference_subalgebra_span(space, x, k: int) -> FrozenSet[int]:
     """The diagrams of x * w over the regular basis words w of b_k, read
     as words on the n strands of `space`."""
     return space.word_span(x * w.with_n(space.n) for w in regular_basis(k))
+
+
+def reference_left_images(space, words) -> FrozenSet[int]:
+    """The diagrams of g * w over every generator g of b_n and every word
+    w, each product evaluated as a word."""
+    n = space.n
+    return space.word_span(Word(n, (letter,)) * w for letter in range(n) for w in words)

@@ -227,6 +227,28 @@ def test_malformed_scalar_exits_two(capsys, coeff):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("coeff, message", [
+    ("q^", "error: q exponent '' is not an integer in scalar 'q^'"),
+    ("q^1.5", "error: q exponent '1.5' is not an integer in scalar 'q^1.5'"),
+])
+def test_malformed_exponent_is_named(capsys, coeff, message):
+    side = json.dumps({"pairs": [[1, 6], [2, 3], [4, 5]], "coeff": coeff})
+    code, out, err = run(capsys, "mul", "--n", "3", "--left", side, "--right", "U1 e")
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
+@pytest.mark.parametrize("side, message", [
+    ({"pairs": [[1, 2, 3], [4]]}, "error: arc [1, 2, 3] is not a pair of points"),
+    ({"pairs": [[1], [2, 3, 4]]}, "error: arc [1] is not a pair of points"),
+    ({"pairs": [[1, 4], [2, 3]], "blobs": [[1]]}, "error: blob arc [1] is not a pair of points"),
+])
+def test_arc_that_is_not_a_pair_exits_two(capsys, side, message):
+    code, out, err = run(capsys, "mul", "--n", "2", "--left", json.dumps(side), "--right", "U1")
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
 @pytest.mark.parametrize("value", ["true", "2.0", "1.5"])
 @pytest.mark.parametrize("where", ["point", "blob point", "n"])
 def test_non_integer_diagram_input_exits_two(capsys, value, where):

@@ -32,7 +32,6 @@ from blobalg import diagrams
 from blobalg.diagrams import (
     BlobDiagram,
     ScaledDiagram,
-    _scalar,
     all_diagrams,
     compose,
     diagram_from_dict,
@@ -44,7 +43,7 @@ from blobalg.diagrams import (
     u_diagram,
     validate,
 )
-from blobalg.ring import RingElem
+from blobalg.ring import RingElem, monomial
 
 
 def reference_compose(d1, d2):
@@ -396,12 +395,12 @@ def test_compose_builds_monomials_without_ring_products(monkeypatch):
 
     monkeypatch.setattr(RingElem, "__mul__", forbidden)
     monkeypatch.setattr(RingElem, "__pow__", forbidden)
-    _scalar.cache_clear()
+    monomial.cache_clear()
     basis = all_diagrams(4)
     for d1 in basis:
         for d2 in basis:
             compose(d1, d2)
-    assert _scalar(3, 1, 2) == want
+    assert monomial(3, 1, 2) == want
 
 
 # -- the generator step ------------------------------------------------------

@@ -69,6 +69,20 @@ def test_make_diagram_rejects_a_repeated_blob_arc():
     assert make_diagram(2, [(1, 4), (2, 3)], blobs=[(4, 1)]).blobs == {(1, 4)}
 
 
+@pytest.mark.parametrize("pairs, blobs, message", [
+    ([[1, 2, 3], [4]], [], "arc [1, 2, 3] is not a pair of points"),
+    ([[1], [2, 3, 4]], [], "arc [1] is not a pair of points"),
+    ([[1, 4], []], [], "arc [] is not a pair of points"),
+    ([[1, 4], [2, 3]], [[1]], "blob arc [1] is not a pair of points"),
+    ([[1, 4], [2, 3]], [[1, 4, 2]], "blob arc [1, 4, 2] is not a pair of points"),
+])
+def test_make_diagram_names_an_arc_that_is_not_a_pair(pairs, blobs, message):
+    # an arc of the wrong length used to fail with tuple unpacking's message
+    with pytest.raises(ValueError) as info:
+        make_diagram(2, pairs, blobs)
+    assert str(info.value) == message
+
+
 def test_compose_relations():
     s = compose(u_diagram(4, 2), u_diagram(4, 2))
     assert s.coeff == RingElem.loop() and s.diagram == u_diagram(4, 2)

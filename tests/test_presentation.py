@@ -25,7 +25,7 @@ from blobalg.presentation import (
     is_reduced,
     phi_equal,
 )
-from blobalg.ring import RingElem
+from blobalg.ring import RingElem, monomial
 from blobalg.towers import diagram_space, regular_basis
 from blobalg.words import Word, gen_e, gen_u, opposite, parse_word, unit
 
@@ -333,6 +333,83 @@ def test_generator_steps_carry_one_of_four_scalars():
                 assert space.targets[("L", letter)][i] == space.index[left.diagram]
         assert seen <= allowed, seen - allowed
         assert seen == allowed or n == 1
+
+
+# -- the walk counts its steps; the scalar is one monomial --------------------
+
+
+def _forbid_ring_products(monkeypatch):
+    def forbidden(self, other):
+        raise AssertionError("the table walk multiplied RingElems")
+
+    monkeypatch.setattr(RingElem, "__mul__", forbidden)
+    monkeypatch.setattr(RingElem, "__pow__", forbidden)
+
+
+def _bfs_words(n):
+    """Every word of a breadth-first search over words on n strands (each
+    new diagram gets one word, extended by every letter), with its image
+    folded by the reference composer."""
+    frontier = [(w, _fold(w)) for w in (Word(n, (letter,)) for letter in range(n))]
+    seen = {image.diagram for _, image in frontier}
+    out = list(frontier)
+    while frontier:
+        nxt = []
+        for w, image in frontier:
+            for letter in range(n):
+                step = Word(n, (letter,))
+                longer = (w * step, _fold(step, image))
+                out.append(longer)
+                if longer[1].diagram not in seen:
+                    seen.add(longer[1].diagram)
+                    nxt.append(longer)
+        frontier = nxt
+    return out
+
+
+def test_walk_images_need_no_ring_products(cold_evaluate_word, monkeypatch):
+    rng = random.Random("monomial")
+    cases = [case for n in range(1, 6) for case in _bfs_words(n)]
+    for n in range(6, 10):
+        cases += [(w, _fold(w)) for w in (_random_word(rng, n, 20) for _ in range(60))]
+    # the products-n10 shape: random 24-letter words on 10 strands
+    for _ in range(200):
+        w = Word(10, tuple(rng.randrange(10) for _ in range(24)))
+        cases.append((w, _fold(w)))
+    assert any(len(image.coeff.terms) > 1 for _, image in cases)
+    cold_evaluate_word.cache_clear()
+    monomial.cache_clear()
+    _forbid_ring_products(monkeypatch)
+    for w, want in cases:
+        assert cold_evaluate_word(w) == want, w
+    assert presentation._STEP_SCALARS == (
+        RingElem.one(), RingElem.loop(), RingElem.gamma(), RingElem.delta_e())
+
+
+def test_evaluate_from_multiplies_at_most_once(cold_evaluate_word, monkeypatch):
+    rng = random.Random("once")
+    cases = []
+    for n in range(1, 10):
+        for _ in range(40):
+            w, tail = _random_word(rng, n, 10), _random_word(rng, n, 8)
+            image = _fold(w)
+            # the scalar of the tail's steps alone, from the stem's diagram
+            tail_scalar = _fold(tail, ScaledDiagram(RingElem.one(), image.diagram)).coeff
+            cases.append((image, tail, _fold(tail, image), tail_scalar.is_one()))
+    assert any(unit_tail for *_, unit_tail in cases)
+    assert not all(unit_tail for *_, unit_tail in cases)
+    calls = []
+    real = RingElem.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(RingElem, "__mul__", counting)
+    for image, tail, want, unit_tail in cases:
+        del calls[:]
+        assert evaluate_from(image, tail) == want, tail
+        assert len(calls) == (0 if unit_tail else 1), tail
 
 
 # -- walking a tail on from a word's image ------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from blobalg.ring import RingElem, parse_scalar
+from blobalg.ring import RingElem, monomial, parse_scalar
 
 Q = RingElem.q_power
 ONE = RingElem.one()
@@ -148,3 +148,39 @@ def test_parse_lenient_forms(text, want):
 def test_space_inside_a_factor_is_rejected():
     with pytest.raises(ValueError):
         parse_scalar("2 q")
+
+
+@pytest.mark.parametrize("terms, message", [
+    ({(0, 0, 0): 2.7}, "coefficient 2.7 is not an integer"),
+    ({(0, 0, 0): True}, "coefficient True is not an integer"),
+    ({(0, 0, 0): "2"}, "coefficient '2' is not an integer"),
+    ({(0.5, 0, 0): 1}, "exponents (0.5, 0, 0) are not integers"),
+    ({(0, True, 0): 1}, "exponents (0, True, 0) are not integers"),
+    ({(0, 0, 1.0): 1}, "exponents (0, 0, 1.0) are not integers"),
+])
+def test_non_int_coefficients_and_exponents_are_rejected(terms, message):
+    # they used to be truncated: RingElem({(0, 0, 0): 2.7}) printed 2
+    with pytest.raises(ValueError) as info:
+        RingElem(terms)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("q^", "q exponent '' is not an integer in scalar 'q^'"),
+    ("q^1.5", "q exponent '1.5' is not an integer in scalar 'q^1.5'"),
+    ("2*g^x + 1", "g exponent 'x' is not an integer in scalar '2*g^x + 1'"),
+    ("de^", "de exponent '' is not an integer in scalar 'de^'"),
+    ("\u00b2", "unknown symbol '\u00b2' in scalar '\u00b2'"),
+])
+def test_malformed_exponents_are_named(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_scalar(text)
+    assert str(info.value) == message
+
+
+def test_monomial_equals_the_product_of_its_factors():
+    for a in range(6):
+        for b in range(6):
+            for c in range(6):
+                assert monomial(a, b, c) == LOOP ** a * G ** b * DE ** c, (a, b, c)
+    assert monomial(0, 0, 0) is monomial(0, 0, 0)  # cached: one object per triple

@@ -25,6 +25,7 @@ from blobalg.towers import (
     standard_module,
     through_ideal,
 )
+from blobalg.walks import walk_words
 from blobalg.words import (
     blob_cap_word,
     cap_word,
@@ -40,6 +41,7 @@ from span_reference import (
     point_actions,
     reference_closure,
     reference_conjugated_span,
+    reference_left_images,
     reference_subalgebra_span,
     span_of,
 )
@@ -347,6 +349,29 @@ def test_tower_and_quotients_evaluate_no_basis_word(monkeypatch):
     # one product per diagram of each distinct left * b_n closure
     assert len(products) == sum(len(_closure(space, space.word_span([w]), "R"))
                                 for w in set(_conjugators(n)))
+
+
+def test_left_images_match_evaluated_generator_products():
+    for n in range(1, 8):
+        space = diagram_space(n)
+        for m in range(-n, n + 1, 2):
+            words = walk_words(n, m)
+            got = space.left_images(space.word_span(words))
+            assert got == reference_left_images(space, words), (n, m)
+
+
+def test_span_closure_evaluates_only_walk_words_and_ideal_seeds(monkeypatch):
+    import blobalg.towers as towers
+
+    n = 6
+    evaluated = []
+    monkeypatch.setattr(towers, "evaluate_word", lambda w: evaluated.append(w) or evaluate_word(w))
+    towers._cached_ideal.cache_clear()
+    assert check_span_closure(n).passed
+    walk = {w for m in range(-n, n + 1, 2) for w in walk_words(n, m)}
+    ms = range(n % 2, n + 1, 2)
+    seeds = {cap_word(m, n) for m in ms} | {blob_cap_word(m, n) for m in ms if m}
+    assert evaluated and set(evaluated) <= walk | seeds
 
 
 def test_word_span_matches_word_matrix():

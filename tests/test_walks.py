@@ -31,6 +31,20 @@ def test_walk_validation():
     assert parse_walk("0,-1,0,1").sigma == (0, -1, 0, 1)
 
 
+@pytest.mark.parametrize("sigma, message", [
+    ((0, 1.0, 0.2), "weight 1.0 is not an integer"),
+    ((0, True), "weight True is not an integer"),
+    ((0.0, 1), "weight 0.0 is not an integer"),
+    (("0", "1"), "weight '0' is not an integer"),
+])
+def test_non_int_weights_are_rejected(sigma, message):
+    # they used to be truncated: Walk((0, 1.0, 0.2)) printed 0,1,0
+    with pytest.raises(ValueError) as info:
+        Walk(sigma)
+    assert str(info.value) == message
+    assert Walk([0, 1, 0]).sigma == (0, 1, 0)
+
+
 def test_counts():
     for n in range(0, 13):
         assert len(all_walks(n)) == 2 ** n

@@ -134,6 +134,24 @@ def test_letter_errors_name_the_first_bad_letter(n, letters, message):
     assert str(info.value) == message
 
 
-def test_letters_are_coerced_to_an_int_tuple():
-    w = Word(4, [True, 3.0, "2"])
-    assert w.letters == (1, 3, 2) and all(type(x) is int for x in w.letters)
+def test_letters_are_stored_as_an_int_tuple():
+    w = Word(4, [1, 3, 2])
+    assert w.letters == (1, 3, 2) and type(w.letters) is tuple
+    assert w.with_n(5).letters == (1, 3, 2)
+
+
+@pytest.mark.parametrize("n, letters, message", [
+    (3, (1.5,), "letter 1.5 is not an integer"),
+    (3, (True, 2.9), "letter True is not an integer"),
+    (3, (1, 2.9), "letter 2.9 is not an integer"),
+    (3, ("2",), "letter '2' is not an integer"),
+    (4, [True, 3.0, "2"], "letter True is not an integer"),
+    (2.5, (1,), "strand count 2.5 is not an integer"),
+    (True, (0,), "strand count True is not an integer"),
+    ("3", (), "strand count '3' is not an integer"),
+])
+def test_non_int_strand_counts_and_letters_are_rejected(n, letters, message):
+    # they used to be truncated: Word(3, (1.5,)) printed U1
+    with pytest.raises(ValueError) as info:
+        Word(n, letters)
+    assert str(info.value) == message
