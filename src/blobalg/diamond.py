@@ -73,9 +73,15 @@ def diamond_to_dict(t: DiamondWalk) -> dict:
 
 
 def diamond_from_dict(data: dict) -> DiamondWalk:
+    """The walk of ``data["steps"]``; a ``start_height``, if given, must be
+    an ``int`` (``bool`` excluded) equal to the derived one."""
     t = diamond_walk(data["steps"])
-    if "start_height" in data and int(data["start_height"]) != t.start_height:
-        raise ValueError("start_height does not match the step sequence")
+    if "start_height" in data:
+        height = data["start_height"]
+        if type(height) is not int:
+            raise ValueError(f"start_height {height!r} is not an integer")
+        if height != t.start_height:
+            raise ValueError("start_height does not match the step sequence")
     return t
 
 

@@ -6,15 +6,17 @@ Because any product of basis diagrams is scalar * diagram, the image of a
 word is always a single :class:`ScaledDiagram`.
 
 A basis diagram times one generator is one diagram times 1, [2], g or de,
-so words are evaluated by walking a letter-transition table: per strand
-count, the diagrams met so far are interned as integer ids, and the entry
-for (diagram id, letter) packs the product's id with the code of its step
-scalar.  ``compose`` runs only to fill an entry not yet in the table.  A
-walk counts its steps per code; its scalar is built once, as ``monomial``
-of those counts.  ``evaluate_from`` continues a walk from the image of a
-word w: it looks up (or interns) the image's diagram and walks only the
-tail's letters, so w * tail needs neither w's letters again nor a cache
-entry of its own.
+so words are evaluated by walking a letter-transition table, the right
+action of the generators on the basis of b_n: per strand count, the
+diagrams met so far are interned as integer ids, the identity first, and
+the entry for (diagram id, letter) packs the product's id with the code of
+its step scalar.  A table holds at most C(2n, n) diagrams, so it is never
+emptied; ``reset_tables`` gives the tests a cold start.  ``compose`` runs
+only to fill an entry not yet in the table.  A walk counts its steps per
+code; its scalar is built once, as ``monomial`` of those counts.
+``evaluate_from`` continues a walk from the image of a word w: it looks up
+(or interns) the image's diagram and walks only the tail's letters, so
+w * tail needs neither w's letters again nor a cache entry of its own.
 
 A word is *reduced* when it is not a non-unit scalar times a shorter
 expression; since every length-reducing relation introduces a non-unit
@@ -51,29 +53,32 @@ from .words import (
 )
 
 
-_TABLE_LIMIT = 1 << 17
-
 # The scalar of each step code a table entry stores: 1, [2], g and de.
 _STEP_SCALARS = (monomial(0, 0, 0), monomial(1, 0, 0), monomial(0, 1, 0), monomial(0, 0, 1))
 _STEP_CODES = {scalar: code for code, scalar in enumerate(_STEP_SCALARS)}
 
 # Per strand count n, the diagrams seen by evaluate_word interned as ids
-# (ids 0..n-1 are the generator diagrams of letters 0..n-1), and the flat
-# transition table: entry id * n + letter is 4 * target id + step code, or
-# -1 while that product has not been composed.
+# (id 0 is the identity), and the flat transition table: entry id * n +
+# letter is 4 * target id + step code, or -1 while that product has not
+# been composed.  Every diagram a walk reaches is a basis diagram of b_n,
+# so a table never holds more than C(2n, n) of them.
 _ids: Dict[int, Dict[BlobDiagram, int]] = {}
 _diagrams: Dict[int, List[BlobDiagram]] = {}
 _steps: Dict[int, array] = {}
 
 
+def reset_tables() -> None:
+    """Empty the transition tables of every strand count (a cold start)."""
+    _ids.clear()
+    _diagrams.clear()
+    _steps.clear()
+
+
 def _table(n: int) -> None:
-    """Make sure strand count n has a table with room left: a new one (the
-    n generators) when there is none or it holds ``_TABLE_LIMIT`` diagrams."""
-    if n not in _steps or len(_diagrams[n]) >= _TABLE_LIMIT:
-        gens = [generator_diagram(n, letter) for letter in range(n)]
-        _diagrams[n] = gens
-        _ids[n] = {d: i for i, d in enumerate(gens)}
-        _steps[n] = array("q", [-1]) * (n * n)
+    """Start the table of n, rooted at the identity, if there is none."""
+    if n not in _steps:
+        _ids[n], _diagrams[n], _steps[n] = {}, [], array("q")
+        _intern(n, identity_diagram(n))
 
 
 def _intern(n: int, d: BlobDiagram) -> int:
@@ -91,8 +96,7 @@ def _intern(n: int, d: BlobDiagram) -> int:
 def _fill(n: int, source: int, letter: int) -> int:
     """Compose diagram `source` with the generator of `letter`, intern the
     product and store its table entry."""
-    diagrams = _diagrams[n]
-    step = compose(diagrams[source], diagrams[letter])
+    step = compose(_diagrams[n][source], generator_diagram(n, letter))
     code = _STEP_CODES[step.coeff]  # a generator step's scalar is 1, [2], g or de
     entry = _steps[n][source * n + letter] = 4 * _intern(n, step.diagram) + code
     return entry
@@ -112,37 +116,32 @@ def _walk(n: int, cur: int, letters: Tuple[int, ...]) -> ScaledDiagram:
     return ScaledDiagram(monomial(count[1], count[2], count[3]), _diagrams[n][cur])
 
 
-@lru_cache(maxsize=_TABLE_LIMIT)
+@lru_cache(maxsize=1 << 17)
 def evaluate_word(w: Word) -> ScaledDiagram:
     """The diagram image of a word, with its exact scalar.
 
     The image is the left-to-right product of the generator diagrams.  A
     basis diagram times one generator is one diagram times 1, [2], g or
     de, so a word the cache misses is walked through a transition table
-    over interned diagrams: from the first letter's generator, each letter
-    looks up (target diagram, step code); the coefficient is the monomial
-    of the walk's [2], g and de step counts.  A table miss costs one
-    :func:`compose`, whose result is validated, and fills the entry.  The
-    table of each strand count is emptied once it holds ``1 << 17``
-    diagrams, the cache's bound.  The empty word maps to the identity.
-    ``evaluate_word.cache_clear()`` empties the cache and the tables
-    together.
+    over interned diagrams: from the identity, each letter looks up
+    (target diagram, step code); the coefficient is the monomial of the
+    walk's [2], g and de step counts, and the empty word maps to the
+    identity.  A table miss costs one :func:`compose`, whose result is
+    validated, and fills the entry.  ``evaluate_word.cache_clear()``
+    empties the word cache only; :func:`reset_tables` empties the tables.
     """
-    n, letters = w.n, w.letters
-    if not letters:
-        return ScaledDiagram(RingElem.one(), identity_diagram(n))
-    _table(n)
-    return _walk(n, letters[0], letters[1:])
+    _table(w.n)
+    return _walk(w.n, 0, w.letters)
 
 
 def evaluate_from(image: ScaledDiagram, tail: Word) -> ScaledDiagram:
     """The image of w * tail, given ``image = evaluate_word(w)``.
 
     Only the tail's letters are walked, from the id of the image's diagram
-    in the current table of ``tail.n``; a diagram the table does not hold
-    (the identity, a diagram from elsewhere, or one dropped when the table
-    was emptied) is interned first.  The tail's monomial multiplies the
-    image's coefficient once, unless it is 1; nothing enters the cache.
+    in the table of ``tail.n``; a diagram the table does not hold (one
+    from elsewhere, or met before :func:`reset_tables`) is interned first.
+    The tail's monomial multiplies the image's coefficient once, unless it
+    is 1; nothing enters the cache.
     """
     n = tail.n
     if image.diagram.n != n:
@@ -153,19 +152,6 @@ def evaluate_from(image: ScaledDiagram, tail: Word) -> ScaledDiagram:
     step = _walk(n, _intern(n, image.diagram), tail.letters)
     return ScaledDiagram(image.coeff if step.coeff.is_one() else image.coeff * step.coeff,
                          step.diagram)
-
-
-_clear_cache = evaluate_word.cache_clear
-
-
-def _clear_tables() -> None:
-    _clear_cache()
-    _ids.clear()
-    _diagrams.clear()
-    _steps.clear()
-
-
-evaluate_word.cache_clear = _clear_tables
 
 
 def phi_equal(u: Word, v: Word, scalar: RingElem | None = None) -> bool:

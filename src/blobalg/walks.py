@@ -67,7 +67,16 @@ class Walk:
 
 
 def parse_walk(text: str) -> Walk:
-    return Walk(tuple(int(tok) for tok in text.split(",")))
+    """Comma-separated weights; each is an ASCII integer, spaces and sign
+    allowed.  ``int`` reads the bytes, as on a str it would also take other
+    scripts' digits."""
+    weights = []
+    for tok in text.split(","):
+        try:
+            weights.append(int(tok.encode("ascii")))
+        except ValueError:  # UnicodeEncodeError included
+            raise ValueError(f"weight {tok!r} is not an integer in walk {text!r}") from None
+    return Walk(tuple(weights))
 
 
 def all_walks(n: int, m: Optional[int] = None) -> List[Walk]:

@@ -91,7 +91,7 @@ def parse_word(text: str, n: int) -> Word:
     for tok in tokens:
         if tok == "e":
             letters.append(0)
-        elif tok.startswith("U") and tok[1:].isdigit():
+        elif tok.startswith("U") and tok[1:].isascii() and tok[1:].isdigit():
             letters.append(int(tok[1:]))
         else:
             raise ValueError(f"bad word token {tok!r}")

@@ -227,6 +227,19 @@ def test_malformed_scalar_exits_two(capsys, coeff):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["phi", "--n", "4", "--word", "U\u00b2"], "error: bad word token 'U\u00b2'"),
+    (["phi", "--n", "4", "--word", "U\u0663"], "error: bad word token 'U\u0663'"),
+    (["mul", "--n", "4", "--left", "U1", "--right", "e U\u00b2"], "error: bad word token 'U\u00b2'"),
+    (["word", "--path", "0,,1"], "error: weight '' is not an integer in walk '0,,1'"),
+    (["word", "--path", "0,\u0661"], "error: weight '\u0661' is not an integer in walk '0,\u0661'"),
+])
+def test_bad_word_or_walk_token_is_named(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
 @pytest.mark.parametrize("coeff, message", [
     ("q^", "error: q exponent '' is not an integer in scalar 'q^'"),
     ("q^1.5", "error: q exponent '1.5' is not an integer in scalar 'q^1.5'"),

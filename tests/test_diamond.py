@@ -109,6 +109,15 @@ def test_json_roundtrip():
         diamond_from_dict({"steps": "NSS", "start_height": 0})
 
 
+@pytest.mark.parametrize("height", [2.9, 2.0, "2", True, None, [2]])
+def test_start_height_must_be_an_int(height):
+    # int() would truncate 2.9 to the derived height 2, and read "2" as 2
+    assert diamond_from_dict({"steps": "NS", "start_height": 2}).start_height == 2
+    with pytest.raises(ValueError) as info:
+        diamond_from_dict({"steps": "NS", "start_height": height})
+    assert str(info.value) == f"start_height {height!r} is not an integer"
+
+
 def test_check_reports():
     for n in range(0, 9):
         rep = check_diamond_walks(n)

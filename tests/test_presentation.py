@@ -166,8 +166,10 @@ def _fold(w, start=None):
 def cold_evaluate_word():
     """evaluate_word with an empty cache and table, before and after."""
     evaluate_word.cache_clear()
+    presentation.reset_tables()
     yield evaluate_word
     evaluate_word.cache_clear()
+    presentation.reset_tables()
 
 
 def _filled(n):
@@ -188,14 +190,25 @@ def _decoded(n):
     return out
 
 
-def test_cache_clear_empties_the_transition_table(cold_evaluate_word):
+def test_reset_tables_empties_the_transition_table(cold_evaluate_word):
     for n in (2, 5):
         cold_evaluate_word(Word(n, (1, 0, 1)))
-        assert _filled(n) == 2
+        assert _filled(n) == 3
     assert cold_evaluate_word.cache_info().currsize == 2
-    cold_evaluate_word.cache_clear()
-    assert presentation._steps == presentation._ids == presentation._diagrams == {}
+    cold_evaluate_word.cache_clear()  # the word cache only
     assert cold_evaluate_word.cache_info().currsize == 0
+    assert [_filled(n) for n in (2, 5)] == [3, 3]
+    assert [len(presentation._diagrams[n]) for n in (2, 5)] == [3, 3]  # U1 e U1 = g U1
+    presentation.reset_tables()
+    assert presentation._steps == presentation._ids == presentation._diagrams == {}
+
+
+def test_tables_hold_exactly_the_basis(cold_evaluate_word):
+    for n in range(1, 7):
+        for w in regular_basis(n):
+            cold_evaluate_word(w)
+        assert set(presentation._diagrams[n]) == set(all_diagrams(n))
+        assert presentation._diagrams[n][0] == identity_diagram(n)
 
 
 def _prefix_sharing_words(rng, n, count):
@@ -233,31 +246,6 @@ def test_empty_and_one_letter_words(cold_evaluate_word):
             assert cold_evaluate_word(w * w) == _fold(w * w)
 
 
-def test_table_walk_after_clear_and_overflow(cold_evaluate_word, monkeypatch):
-    rng = random.Random("overflow")
-    monkeypatch.setattr(presentation, "_TABLE_LIMIT", 7)
-    emptied = 0
-    for n in (3, 6, 9):
-        words = _prefix_sharing_words(rng, n, 80)
-        for i, w in enumerate(words):
-            if i % 25 == 0:
-                cold_evaluate_word.cache_clear()
-            before = len(presentation._diagrams.get(n, ()))
-            misses = cold_evaluate_word.cache_info().misses
-            assert cold_evaluate_word(w) == _fold(w), w
-            after = len(presentation._diagrams.get(n, ()))
-            if cold_evaluate_word.cache_info().misses == misses or not w.letters:
-                assert after == before
-                continue
-            # a walk starts from a new table (the n generators) when there is
-            # none or it is full, and adds at most one diagram per later letter
-            fresh = not 0 < before < 7
-            emptied += fresh and before > 0
-            assert 0 <= after - (n if fresh else before) <= len(w) - 1
-            assert len(presentation._steps[n]) == n * after
-    assert emptied
-
-
 def test_compose_runs_once_per_new_table_entry(cold_evaluate_word, monkeypatch):
     calls = []
     real = presentation.compose
@@ -277,25 +265,35 @@ def test_compose_runs_once_per_new_table_entry(cold_evaluate_word, monkeypatch):
             assert len(calls) == _filled(n) - filled
             assert len(set(calls)) == len(calls)
         # rewalking every word, now out of the cache, composes nothing
-        presentation._clear_cache()
+        cold_evaluate_word.cache_clear()
         del calls[:]
         for w in words:
             assert cold_evaluate_word(w) == _fold(w)
         assert calls == []
-        # and neither do the empty word nor any one-letter word
-        cold_evaluate_word.cache_clear()
-        cold_evaluate_word(unit(n))
+    # after a reset a one-letter word composes once (identity times the
+    # letter) and, walked again out of the cache, nothing; the empty word
+    # composes nothing at all
+    for n in range(1, 9):
         for letter in range(n):
-            cold_evaluate_word(Word(n, (letter,)))
-        assert calls == []
+            w = Word(n, (letter,))
+            cold_evaluate_word.cache_clear()
+            presentation.reset_tables()
+            del calls[:]
+            assert cold_evaluate_word(unit(n)) == _fold(unit(n))
+            assert calls == []
+            assert cold_evaluate_word(w) == _fold(w)
+            assert calls == [(identity_diagram(n), generator_diagram(n, letter))]
+            cold_evaluate_word.cache_clear()
+            assert cold_evaluate_word(w) == _fold(w)
+            assert len(calls) == 1
 
 
 def test_table_entries_equal_compose_on_every_diagram(cold_evaluate_word):
     for n in range(1, 6):
-        # breadth-first over words: each new diagram gets one word, and
-        # every diagram reached is extended by every letter
-        frontier = [Word(n, (letter,)) for letter in range(n)]
-        seen = {cold_evaluate_word(w).diagram for w in frontier}
+        # breadth-first over words from the empty one: each new diagram
+        # gets one word, and every diagram reached is extended by every letter
+        frontier = [unit(n)]
+        seen = {cold_evaluate_word(unit(n)).diagram}
         while frontier:
             nxt = []
             for w in frontier:
@@ -306,8 +304,8 @@ def test_table_entries_equal_compose_on_every_diagram(cold_evaluate_word):
                         seen.add(d)
                         nxt.append(longer)
             frontier = nxt
-        # every diagram but the identity is the image of a nonempty word
-        assert seen == set(all_diagrams(n)) - {identity_diagram(n)}
+        # every diagram is the image of a word, the identity of the empty one
+        assert seen == set(all_diagrams(n))
         assert set(presentation._diagrams[n]) == seen
         entries = _decoded(n)
         assert len(entries) == n * len(seen)
@@ -427,7 +425,7 @@ def test_evaluate_from_equals_the_concatenated_word(cold_evaluate_word):
             w, tail = _random_word(rng, n, 10), _random_word(rng, n, 8)
             got = evaluate_from(cold_evaluate_word(w), tail)
             assert got == cold_evaluate_word(w * tail) == _fold(w * tail), (w, tail)
-        # an empty stem starts from the identity, which no walk interns
+        # an empty stem starts from the identity, id 0 of every table
         for tail in (unit(n), *(Word(n, (letter,)) for letter in range(n))):
             assert evaluate_from(cold_evaluate_word(unit(n)), tail) == _fold(tail)
         # an empty tail returns the image unchanged
@@ -455,21 +453,6 @@ def test_evaluate_from_interns_a_diagram_the_table_lacks(cold_evaluate_word):
             if tail.letters:
                 assert d in presentation._ids[n]
                 assert len(presentation._diagrams[n]) > before
-
-
-def test_evaluate_from_across_a_table_flush(cold_evaluate_word, monkeypatch):
-    rng = random.Random("flush")
-    monkeypatch.setattr(presentation, "_TABLE_LIMIT", 7)
-    for n in (3, 6, 9):
-        for _ in range(40):
-            w, tail = _random_word(rng, n, 8), _random_word(rng, n, 8)
-            image = cold_evaluate_word(w)
-            # other walks between the two calls fill the table past its
-            # limit, so the continuation may start from a new table
-            for _ in range(3):
-                cold_evaluate_word(_random_word(rng, n, 8))
-            assert evaluate_from(image, tail) == _fold(w * tail), (w, tail)
-            assert len(presentation._steps[n]) == n * len(presentation._diagrams[n])
 
 
 def test_evaluate_from_rejects_another_strand_count():

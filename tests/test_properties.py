@@ -84,11 +84,12 @@ def word_batches(draw):
 @given(word_batches())
 def test_table_walk_matches_reference_fold(batch):
     # a cold table for the first word; later words walk entries it filled
-    evaluate_word.cache_clear()
+    presentation.reset_tables()
     for w in batch:
-        presentation._clear_cache()  # the word cache only: walk the table
+        evaluate_word.cache_clear()  # the word cache only: walk the table
         assert evaluate_word(w) == _fold(w)
     evaluate_word.cache_clear()
+    presentation.reset_tables()
 
 
 @PROPERTY

@@ -29,6 +29,7 @@ def test_walk_validation():
     with pytest.raises(ValueError):
         Walk((0, 2))
     assert parse_walk("0,-1,0,1").sigma == (0, -1, 0, 1)
+    assert parse_walk("0, +1 ,0,-1").sigma == (0, 1, 0, -1)  # ASCII signs and spaces
 
 
 @pytest.mark.parametrize("sigma, message", [
@@ -43,6 +44,19 @@ def test_non_int_weights_are_rejected(sigma, message):
         Walk(sigma)
     assert str(info.value) == message
     assert Walk([0, 1, 0]).sigma == (0, 1, 0)
+
+
+@pytest.mark.parametrize("text, token", [
+    ("0,,1", ""),
+    ("0,1.0", "1.0"),
+    ("0,x", "x"),
+    ("0,\u0661", "\u0661"),
+    ("0,\u00b9", "\u00b9"),
+])
+def test_parse_walk_names_the_bad_weight(text, token):
+    with pytest.raises(ValueError) as info:
+        parse_walk(text)
+    assert str(info.value) == f"weight {token!r} is not an integer in walk {text!r}"
 
 
 def test_counts():

@@ -113,6 +113,16 @@ def test_parse_and_str():
         parse_word("x", 3)
 
 
+@pytest.mark.parametrize("token", ["U\u00b2", "U\u0663", "U1\u0663"])
+def test_letter_index_is_ascii_digits(token):
+    # str.isdigit and int() also take digits of other scripts: int("²")
+    # raises its own unnamed error, and int("٣") is 3
+    with pytest.raises(ValueError) as info:
+        parse_word(f"e {token} U1", 4)
+    assert str(info.value) == f"bad word token {token!r}"
+    assert parse_word("U3 U03", 4) == Word(4, (3, 3))
+
+
 def test_letter_validation():
     with pytest.raises(ValueError):
         Word(3, (3,))
