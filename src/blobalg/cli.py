@@ -65,14 +65,23 @@ _SUITES: Dict[str, Tuple[int, Callable[..., List[Report]]]] = {
 }
 
 
+def _ascii_int(text: str) -> int:
+    """An integer written in ASCII, sign and surrounding spaces allowed, as
+    ``int`` reads it; ``int`` on a str would also take other scripts' digits."""
+    try:
+        return int(text.encode("ascii"))
+    except ValueError:  # UnicodeEncodeError included
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="blobalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("walks", help="enumerate Pascal-triangle walks")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--n", type=_ascii_int, required=True)
+    p.add_argument("--m", type=_ascii_int, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("word", help="the word of a walk")
@@ -80,28 +89,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", action="store_true")
 
     p = sub.add_parser("phi", help="evaluate a word to a scaled diagram")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
     p.add_argument("--word", required=True)
 
     p = sub.add_parser("mul", help="multiply two words or diagrams")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
 
     p = sub.add_parser("basis", help="word bases")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--n", type=_ascii_int, required=True)
+    p.add_argument("--m", type=_ascii_int, default=None)
     p.add_argument("--squared", action="store_true")
     p.add_argument("--format", choices=["text", "json", "latex"], default="text")
 
     p = sub.add_parser("dims", help="walk counts against diagram counts")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_ascii_int, required=True)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=[*_SUITES, "all"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--prime", type=int, default=None)
+    p.add_argument("--n", type=_ascii_int, required=True)
+    p.add_argument("--seed", type=_ascii_int, default=None)
+    p.add_argument("--prime", type=_ascii_int, default=None)
     return parser
 
 
@@ -222,8 +231,8 @@ def _env_int(name: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
-    except ValueError:
+        return _ascii_int(raw)
+    except argparse.ArgumentTypeError:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 

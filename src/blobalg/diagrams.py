@@ -26,8 +26,14 @@ strand trace.  e blobs the arc ending at point 2n (scalar de if it was
 blobbed already).  U_i caps d's bottom points 2n-i and 2n+1-i: if one arc
 joins them it closes into a loop ([2], or g with its blob removed),
 otherwise their far ends become one arc, blobbed if either was (de if
-both were); then U_i's plain cup (2n-i, 2n+1-i) is added.  The step's
-result is validated like any other product.
+both were); then U_i's plain cup (2n-i, 2n+1-i) is added.
+
+A diagram is validated once, where it enters the package: by
+``make_diagram``, and so by ``diagram_from_dict`` and the generator and
+identity constructors.  ``compose`` (trace and step) and ``flip`` build
+``BlobDiagram`` directly and check nothing, as a product of valid
+diagrams, or a mirror of one, is valid.  A ``BlobDiagram(...)`` built by
+hand is unchecked.
 """
 
 from __future__ import annotations
@@ -173,11 +179,12 @@ def through_count(d: BlobDiagram) -> int:
 
 
 def flip(d: BlobDiagram) -> BlobDiagram:
-    """Top-bottom mirror; the diagram form of the opposite map."""
-    remap = lambda x: 2 * d.n + 1 - x
-    pairs = [(remap(i), remap(j)) for i, j in d.pairs]
-    blobs = [(remap(i), remap(j)) for i, j in d.blobs]
-    return make_diagram(d.n, pairs, blobs)
+    """Top-bottom mirror; the diagram form of the opposite map.  Point x
+    goes to 2n+1-x, which keeps the west gap, so the mirror is built
+    unchecked."""
+    m = 2 * d.n + 1
+    pairs = tuple(sorted((m - j, m - i) for i, j in d.pairs))
+    return BlobDiagram(d.n, pairs, frozenset((m - j, m - i) for i, j in d.blobs))
 
 
 @dataclass(frozen=True)
@@ -264,15 +271,14 @@ def compose(d1: BlobDiagram, d2: BlobDiagram) -> ScaledDiagram:
     docstring, ``monomial(plain loops, blobbed loops, excess blobs)``.
     When d2 equals a diagram from :func:`generator_diagram`, only the arcs
     that generator touches are rewritten (the step of the module
-    docstring) and nothing is traced.  Either way the result is checked
-    by :func:`validate` before it is returned.
+    docstring) and nothing is traced.  Either way the result is built
+    unchecked: the product of valid diagrams is valid.
     """
     if d1.n != d2.n:
         raise ValueError(f"strand counts differ: {d1.n} vs {d2.n}")
     letter = _GENERATOR_LETTERS.get(d2)
     if letter is not None:
         result, plain, blobbed, excess = _generator_step(d1, letter)
-        validate(result)
         return ScaledDiagram(monomial(plain, blobbed, excess), result)
     n = d1.n
     glue = 2 * n + 1  # d1 point glue - j meets d2 point j
@@ -338,7 +344,6 @@ def compose(d1: BlobDiagram, d2: BlobDiagram) -> ScaledDiagram:
             plain += 1
 
     result = BlobDiagram(n, tuple(pairs), frozenset(blobs) if blobs else _NO_BLOBS)
-    validate(result)
     return ScaledDiagram(monomial(plain, blobbed, excess), result)
 
 

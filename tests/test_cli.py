@@ -124,6 +124,44 @@ def test_non_integer_env_var_exits_two(capsys, monkeypatch, name):
     assert err == f"error: {name} must be an integer, got 'x'\n"
 
 
+# other scripts' digits, which int() reads from a str: Arabic-Indic 3, 1, 2
+# and 2147483647, and fullwidth 3
+_ARABIC_PRIME = "".join(chr(0x0660 + int(c)) for c in "2147483647")
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["phi", "--n", "\u0663", "--word", "U1"], "--n", "\u0663"),
+    (["mul", "--n", "\u0662", "--left", "U1", "--right", "U1"], "--n", "\u0662"),
+    (["walks", "--n", "3", "--m", "\u0661"], "--m", "\u0661"),
+    (["basis", "--n", "\uff13"], "--n", "\uff13"),
+    (["dims", "--n-max", "\u0663"], "--n-max", "\u0663"),
+    (["verify", "--suite", "relations", "--n", "2", "--seed", "\u0663"], "--seed", "\u0663"),
+    (["verify", "--suite", "relations", "--n", "2", "--prime", _ARABIC_PRIME], "--prime", _ARABIC_PRIME),
+])
+def test_non_ascii_integer_argument_exits_two(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.splitlines()[-1].endswith(f"error: argument {flag}: invalid int value: {value!r}")
+
+
+@pytest.mark.parametrize("name, value", [("BLOBALG_SEED", "\u0663"), ("BLOBALG_PRIME", _ARABIC_PRIME)])
+def test_non_ascii_integer_env_var_exits_two(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, "verify", "--suite", "relations", "--n", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: {name} must be an integer, got {value!r}\n"
+
+
+def test_ascii_integers_keep_their_sign_and_spaces(capsys, monkeypatch):
+    code, out, _ = run(capsys, "phi", "--n", " +3 ", "--word", "U1")
+    assert code == 0 and json.loads(out)["n"] == 3
+    monkeypatch.setenv("BLOBALG_SEED", " 3 ")
+    code, out, _ = run(capsys, "verify", "--suite", "relations", "--n", "2", "--prime", "2147483647 ")
+    assert code == 0 and out.endswith("suite=relations n=2 seed=3 prime=2147483647 passed=true\n")
+
+
 def test_verify_pass_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "relations", "--n", "4")
     assert code == 0

@@ -26,6 +26,7 @@ from blobalg.diagrams import (
 from blobalg.presentation import evaluate_word
 from blobalg.ring import RingElem
 from blobalg.words import cap_word, parse_word
+from test_compose_oracle import _random_diagram
 
 
 def test_generator_diagrams():
@@ -120,6 +121,25 @@ def test_flip():
     assert lhs == rhs
     for d in all_diagrams(3):
         assert flip(flip(d)) == d
+
+
+def _mirror_through_make_diagram(d):
+    m = 2 * d.n + 1
+    return make_diagram(d.n, [(m - i, m - j) for i, j in d.pairs],
+                        [(m - i, m - j) for i, j in d.blobs])
+
+
+def test_flip_equals_the_validated_mirror():
+    # flip builds its result unchecked; make_diagram validates and
+    # normalizes the same mirrored arcs
+    for n in range(0, 8):
+        for d in all_diagrams(n):
+            assert flip(d) == _mirror_through_make_diagram(d), d
+    rng = random.Random("flip")
+    for n in range(8, 11):
+        for _ in range(300):
+            d = _random_diagram(n, rng)
+            assert flip(d) == _mirror_through_make_diagram(d), d
 
 
 def test_enumeration_counts():
