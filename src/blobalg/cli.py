@@ -19,7 +19,7 @@ import os
 import sys
 from functools import lru_cache
 from math import comb
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Tuple
 
 from .diagrams import all_diagrams, compose_scaled, diagram_from_dict, scaled_to_dict, ScaledDiagram
 from .modlin import DEFAULT_PRIME, check_prime, draw_points
@@ -74,9 +74,18 @@ def _ascii_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections raise ValueError, so ``main``
+    reports them in one ``error:`` line and exit 2 like its other usage
+    errors, instead of argparse's usage text and ``SystemExit``."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="blobalg", description=__doc__)
+    parser = _Parser(prog="blobalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("walks", help="enumerate Pascal-triangle walks")
@@ -266,8 +275,11 @@ def _stdout_to_devnull() -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     handlers = {
         "walks": cmd_walks,
         "word": cmd_word,

@@ -6,17 +6,24 @@ Because any product of basis diagrams is scalar * diagram, the image of a
 word is always a single :class:`ScaledDiagram`.
 
 A basis diagram times one generator is one diagram times 1, [2], g or de,
-so words are evaluated by walking a letter-transition table, the right
-action of the generators on the basis of b_n: per strand count, the
-diagrams met so far are interned as integer ids, the identity first, and
-the entry for (diagram id, letter) packs the product's id with the code of
-its step scalar.  A table holds at most C(2n, n) diagrams, so it is never
-emptied; ``reset_tables`` gives the tests a cold start.  ``compose`` runs
-only to fill an entry not yet in the table.  A walk counts its steps per
-code; its scalar is built once, as ``monomial`` of those counts.
-``evaluate_from`` continues a walk from the image of a word w: it looks up
-(or interns) the image's diagram and walks only the tail's letters, so
-w * tail needs neither w's letters again nor a cache entry of its own.
+and the generator touches only the diagram's bottom half, so words are
+evaluated by walking the right action of the generators over halves, as
+the paper indexes b_n by pairs of walks.  A walk is at a state (top half,
+bottom state): the top half is the caps, their blobs and the through
+points on the top edge; the bottom state is the same on the bottom edge
+plus the blob of the leftmost through line, and b_n has exactly 2^n of
+them, one per walk.  Per strand count, a right table maps (bottom state,
+letter) to (next bottom state, step code, join); a step that caps through
+lines j, j+1 also moves the top half, which a join table maps from (top
+half, j, blob).  The right table holds at most n * 2^n entries, so no
+table is ever emptied; ``reset_tables`` gives the tests a cold start.
+``compose`` runs only to fill a missing entry, on the diagram the walk is
+at.  A walk counts its steps per code; its scalar is built once, as
+``monomial`` of those counts, and its diagram is built from the halves
+where it ends.  ``evaluate_from`` continues a walk from the image of a
+word w: it looks up (or splits) the image's diagram and walks only the
+tail's letters, so w * tail needs neither w's letters again nor a cache
+entry of its own.
 
 A word is *reduced* when it is not a non-unit scalar times a shorter
 expression; since every length-reducing relation introduces a non-unit
@@ -26,14 +33,16 @@ image (the reduction proxy).
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 from .diagrams import (
+    Arc,
     BlobDiagram,
     ScaledDiagram,
+    _NO_BLOBS,
+    _arc_rows,
     compose,
     generator_diagram,
     identity_diagram,
@@ -53,67 +62,133 @@ from .words import (
 )
 
 
-# The scalar of each step code a table entry stores: 1, [2], g and de.
+# The scalar of each step code a right entry stores: 1, [2], g and de.
 _STEP_SCALARS = (monomial(0, 0, 0), monomial(1, 0, 0), monomial(0, 1, 0), monomial(0, 0, 1))
 _STEP_CODES = {scalar: code for code, scalar in enumerate(_STEP_SCALARS)}
 
-# Per strand count n, the diagrams seen by evaluate_word interned as ids
-# (id 0 is the identity), and the flat transition table: entry id * n +
-# letter is 4 * target id + step code, or -1 while that product has not
-# been composed.  Every diagram a walk reaches is a basis diagram of b_n,
-# so a table never holds more than C(2n, n) of them.
-_ids: Dict[int, Dict[BlobDiagram, int]] = {}
-_diagrams: Dict[int, List[BlobDiagram]] = {}
-_steps: Dict[int, array] = {}
+
+def _intern(ids: Dict[tuple, int], halves: List[tuple], half: tuple) -> int:
+    """The id of `half` in (ids, halves), adding it if it is new."""
+    found = ids.get(half)
+    if found is None:
+        found = ids[half] = len(halves)
+        halves.append(half)
+    return found
+
+
+class _Halves:
+    """The word-evaluation tables of one strand count n.
+
+    A walk is at a state (top id, bottom id).  ``tops`` lists the top
+    halves met so far, (caps, blobbed caps, through points) on points
+    1..n, and ``bottoms`` the bottom states, (caps, blobbed caps, through
+    points left to right, leftmost through line blobbed) on n+1..2n;
+    ``top_ids`` and ``bottom_ids`` invert them.  ``right[s * n + letter]``
+    is None until filled, then (next bottom id, step code, join): join is
+    0, or 2j + 1 + b when the step caps through lines j, j+1 (counted from
+    the left, the cap blobbed if b), and ``joins[t, join]`` is the top id
+    that then follows top t.  ``ends`` maps each state a walk ended at or
+    a fill started from to its diagram, and that diagram back to its state.
+    """
+
+    __slots__ = ("n", "top_ids", "tops", "bottom_ids", "bottoms", "right", "joins", "ends")
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.top_ids: Dict[tuple, int] = {}
+        self.tops: List[tuple] = []
+        self.bottom_ids: Dict[tuple, int] = {}
+        self.bottoms: List[tuple] = []
+        self.right: List[Optional[Tuple[int, int, int]]] = []
+        self.joins: Dict[Tuple[int, int], int] = {}
+        self.ends: dict = {}
+        self.state(identity_diagram(n))  # the root, state (0, 0)
+
+    def state(self, d: BlobDiagram) -> Tuple[int, int]:
+        """The state of diagram d, split into halves the first time it is seen."""
+        state = self.ends.get(d)
+        if state is None:
+            n, blobs = self.n, d.blobs
+            top: List[Arc] = []
+            bottom: List[Arc] = []
+            through: List[Arc] = []
+            for arc in d.pairs:
+                (top if arc[1] <= n else bottom if arc[0] > n else through).append(arc)
+            t = _intern(self.top_ids, self.tops, (
+                tuple(top), tuple(a for a in top if a in blobs), tuple(i for i, _ in through)))
+            s = _intern(self.bottom_ids, self.bottoms, (
+                tuple(bottom), tuple(a for a in bottom if a in blobs),
+                tuple(j for _, j in through), bool(through) and through[0] in blobs))
+            self.right.extend([None] * (n * len(self.bottoms) - len(self.right)))
+            state = self.ends[d] = (t, s)
+            self.ends.setdefault(state, d)
+        return state
+
+    def diagram(self, t: int, s: int) -> BlobDiagram:
+        """The diagram of state (t, s), rebuilt from its halves the first time."""
+        d = self.ends.get((t, s))
+        if d is None:
+            top, top_blobs, top_through = self.tops[t]
+            bottom, bottom_blobs, bottom_through, blobbed = self.bottoms[s]
+            arcs = _arc_rows(self.n)  # shared arcs, as compose's results use
+            through = tuple(arcs[i][j] for i, j in zip(top_through, bottom_through))
+            blobs = top_blobs + bottom_blobs + (through[:1] if blobbed else ())
+            d = BlobDiagram(self.n, tuple(sorted(top + bottom + through)),
+                            frozenset(blobs) if blobs else _NO_BLOBS)
+            self.ends[t, s] = d
+            self.ends[d] = (t, s)
+        return d
+
+    def fill(self, t: int, s: int, letter: int) -> Tuple[int, int, int]:
+        """Compose the diagram at state (t, s) with the generator of
+        `letter`; store the right entry of (s, letter) and, when the step
+        caps two through lines, the join entry of t.  Return the right entry."""
+        n = self.n
+        step = compose(self.diagram(t, s), generator_diagram(n, letter))
+        top, nxt = self.state(step.diagram)
+        join = 0
+        if top != t:  # U_letter capped the lines through bottom points 2n+1-letter, 2n-letter
+            _, _, through, blobbed = self.bottoms[s]
+            j = through.index(2 * n + 1 - letter)
+            join = 2 * j + 1 + (j == 0 and blobbed)
+            self.joins[t, join] = top
+        entry = self.right[s * n + letter] = (nxt, _STEP_CODES[step.coeff], join)
+        return entry
+
+
+# Per strand count, its tables; each is rooted at the identity and never
+# holds more than n * 2^n right entries, so it is never emptied.
+_tables: Dict[int, _Halves] = {}
 
 
 def reset_tables() -> None:
-    """Empty the transition tables of every strand count (a cold start)."""
-    _ids.clear()
-    _diagrams.clear()
-    _steps.clear()
+    """Empty the tables of every strand count (a cold start)."""
+    _tables.clear()
 
 
-def _table(n: int) -> None:
-    """Start the table of n, rooted at the identity, if there is none."""
-    if n not in _steps:
-        _ids[n], _diagrams[n], _steps[n] = {}, [], array("q")
-        _intern(n, identity_diagram(n))
+def _table(n: int) -> _Halves:
+    """The tables of n, started if there are none."""
+    tables = _tables.get(n)
+    if tables is None:
+        tables = _tables[n] = _Halves(n)
+    return tables
 
 
-def _intern(n: int, d: BlobDiagram) -> int:
-    """The id of diagram d in the table of n, adding it if it is new."""
-    ids = _ids[n]
-    target = ids.get(d)
-    if target is None:
-        diagrams = _diagrams[n]
-        target = ids[d] = len(diagrams)
-        diagrams.append(d)
-        _steps[n].extend(array("q", [-1]) * n)
-    return target
-
-
-def _fill(n: int, source: int, letter: int) -> int:
-    """Compose diagram `source` with the generator of `letter`, intern the
-    product and store its table entry."""
-    step = compose(_diagrams[n][source], generator_diagram(n, letter))
-    code = _STEP_CODES[step.coeff]  # a generator step's scalar is 1, [2], g or de
-    entry = _steps[n][source * n + letter] = 4 * _intern(n, step.diagram) + code
-    return entry
-
-
-def _walk(n: int, cur: int, letters: Tuple[int, ...]) -> ScaledDiagram:
-    """Walk `letters` through the table of n from diagram id `cur`: the
-    diagram reached, times the monomial of the steps taken, counted by code."""
-    steps = _steps[n]
+def _walk(tables: _Halves, t: int, s: int, letters: Tuple[int, ...]) -> ScaledDiagram:
+    """Walk `letters` through `tables` from state (t, s): the diagram
+    reached, times the monomial of the steps taken, counted by code."""
+    right, joins, n = tables.right, tables.joins, tables.n
     count = [0, 0, 0, 0]
     for letter in letters:
-        entry = steps[cur * n + letter]
-        if entry < 0:
-            entry = _fill(n, cur, letter)
-        cur = entry >> 2
-        count[entry & 3] += 1
-    return ScaledDiagram(monomial(count[1], count[2], count[3]), _diagrams[n][cur])
+        nxt, code, join = right[s * n + letter] or tables.fill(t, s, letter)
+        if join:
+            key = (t, join)
+            if key not in joins:
+                tables.fill(t, s, letter)
+            t = joins[key]
+        s = nxt
+        count[code] += 1
+    return ScaledDiagram(monomial(count[1], count[2], count[3]), tables.diagram(t, s))
 
 
 @lru_cache(maxsize=1 << 17)
@@ -121,35 +196,35 @@ def evaluate_word(w: Word) -> ScaledDiagram:
     """The diagram image of a word, with its exact scalar.
 
     The image is the left-to-right product of the generator diagrams.  A
-    basis diagram times one generator is one diagram times 1, [2], g or
-    de, so a word the cache misses is walked through a transition table
-    over interned diagrams: from the identity, each letter looks up
-    (target diagram, step code); the coefficient is the monomial of the
-    walk's [2], g and de step counts, and the empty word maps to the
-    identity.  A table miss costs one :func:`compose`, whose result is
-    validated, and fills the entry.  ``evaluate_word.cache_clear()``
-    empties the word cache only; :func:`reset_tables` empties the tables.
+    word the cache misses is walked from the identity's state through the
+    half tables of ``w.n``: each letter looks up the bottom state's right
+    entry (next bottom state, step code, join) and, on a join, the top
+    half's join entry.  The coefficient is the monomial of the walk's
+    [2], g and de step counts, and the empty word maps to the identity.
+    A missing entry costs one :func:`compose` of the diagram the walk is
+    at with the letter's generator, which fills it.
+    ``evaluate_word.cache_clear()`` empties the word cache only;
+    :func:`reset_tables` empties the tables.
     """
-    _table(w.n)
-    return _walk(w.n, 0, w.letters)
+    return _walk(_table(w.n), 0, 0, w.letters)
 
 
 def evaluate_from(image: ScaledDiagram, tail: Word) -> ScaledDiagram:
     """The image of w * tail, given ``image = evaluate_word(w)``.
 
-    Only the tail's letters are walked, from the id of the image's diagram
-    in the table of ``tail.n``; a diagram the table does not hold (one
-    from elsewhere, or met before :func:`reset_tables`) is interned first.
-    The tail's monomial multiplies the image's coefficient once, unless it
-    is 1; nothing enters the cache.
+    Only the tail's letters are walked, from the state of the image's
+    diagram in the tables of ``tail.n``; a diagram the tables have not
+    seen (one from elsewhere, or met before :func:`reset_tables`) is split
+    into its halves first.  The tail's monomial multiplies the image's
+    coefficient once, unless it is 1; nothing enters the cache.
     """
     n = tail.n
     if image.diagram.n != n:
         raise ValueError(f"strand counts differ: {image.diagram.n} vs {n}")
     if not tail.letters:
         return image
-    _table(n)
-    step = _walk(n, _intern(n, image.diagram), tail.letters)
+    tables = _table(n)
+    step = _walk(tables, *tables.state(image.diagram), tail.letters)
     return ScaledDiagram(image.coeff if step.coeff.is_one() else image.coeff * step.coeff,
                          step.diagram)
 

@@ -139,11 +139,9 @@ _ARABIC_PRIME = "".join(chr(0x0660 + int(c)) for c in "2147483647")
     (["verify", "--suite", "relations", "--n", "2", "--prime", _ARABIC_PRIME], "--prime", _ARABIC_PRIME),
 ])
 def test_non_ascii_integer_argument_exits_two(capsys, argv, flag, value):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    out, err = capsys.readouterr()
-    assert exc.value.code == 2 and out == ""
-    assert err.splitlines()[-1].endswith(f"error: argument {flag}: invalid int value: {value!r}")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: argument {flag}: invalid int value: {value!r}\n"
 
 
 @pytest.mark.parametrize("name, value", [("BLOBALG_SEED", "\u0663"), ("BLOBALG_PRIME", _ARABIC_PRIME)])
@@ -202,10 +200,31 @@ def test_unbuildable_standard_module_fails_its_check(capsys, monkeypatch):
     assert "passed=false" in out
 
 
-def test_usage_errors_exit_two(capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["phi", "--n", "x", "--word", "U1"], "argument --n: invalid int value: 'x'"),
+    (["phi", "--n", "3"], "the following arguments are required: --word"),
+    (["phi", "--n", "3", "--word", "U1", "--extra"], "unrecognized arguments: --extra"),
+    ([], "the following arguments are required: command"),
+])
+def test_argument_rejections_print_one_line_and_return_two(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["phi", "--help"]])
+def test_help_still_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "nonsense", "--n", "3"])
-    assert exc.value.code == 2
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and out.startswith("usage: blobalg") and err == ""
+
+
+def test_usage_errors_exit_two(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "nonsense", "--n", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: argument --suite: invalid choice: 'nonsense'")
+    assert len(err.splitlines()) == 1
     code, _, err = run(capsys, "phi", "--n", "3", "--word", "U7")
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "verify", "--suite", "relations", "--n", "3",

@@ -4,6 +4,7 @@ import pytest
 
 import blobalg.presentation as presentation
 from blobalg.diagrams import (
+    BlobDiagram,
     ScaledDiagram,
     all_diagrams,
     compose,
@@ -147,13 +148,13 @@ def test_report_shape():
     assert rep.to_json()
 
 
-# -- the letter-transition table behind evaluate_word -------------------------
+# -- the half tables behind evaluate_word -------------------------------------
 
 
 def _fold(w, start=None):
     """The image of w folded from the identity (or from the scaled diagram
     `start`) with the reference composer, independent of evaluate_word and
-    its transition table."""
+    its tables."""
     got = start or ScaledDiagram(RingElem.one(), identity_diagram(w.n))
     for letter in w.letters:
         gen = e_diagram(w.n) if letter == 0 else u_diagram(w.n, letter)
@@ -173,42 +174,66 @@ def cold_evaluate_word():
 
 
 def _filled(n):
-    """The number of table entries of strand count n composed so far."""
-    return sum(1 for entry in presentation._steps.get(n, ()) if entry >= 0)
-
-
-def _decoded(n):
-    """Every filled table entry of n as (diagram, letter, target, scalar)."""
-    diagrams = presentation._diagrams[n]
-    out = []
-    for slot, entry in enumerate(presentation._steps[n]):
-        if entry >= 0:
-            source, letter = divmod(slot, n)
-            target, code = divmod(entry, 4)
-            out.append((diagrams[source], letter, diagrams[target],
-                        presentation._STEP_SCALARS[code]))
-    return out
+    """(right entries, join entries) of strand count n filled so far."""
+    tables = presentation._tables.get(n)
+    if tables is None:
+        return 0, 0
+    return sum(entry is not None for entry in tables.right), len(tables.joins)
 
 
 def test_reset_tables_empties_the_transition_table(cold_evaluate_word):
     for n in (2, 5):
+        # U1 caps the identity's two leftmost through lines (a join), e
+        # blobs the new bottom cap, and U1 closes it into a loop (g)
         cold_evaluate_word(Word(n, (1, 0, 1)))
-        assert _filled(n) == 3
+        assert _filled(n) == (3, 1)
     assert cold_evaluate_word.cache_info().currsize == 2
     cold_evaluate_word.cache_clear()  # the word cache only
     assert cold_evaluate_word.cache_info().currsize == 0
-    assert [_filled(n) for n in (2, 5)] == [3, 3]
-    assert [len(presentation._diagrams[n]) for n in (2, 5)] == [3, 3]  # U1 e U1 = g U1
+    assert [_filled(n) for n in (2, 5)] == [(3, 1), (3, 1)]
+    # two tops (identity, U1) and three bottoms: U1 e U1 = g U1
+    tables = [presentation._tables[n] for n in (2, 5)]
+    assert [(len(t.tops), len(t.bottoms)) for t in tables] == [(2, 3), (2, 3)]
     presentation.reset_tables()
-    assert presentation._steps == presentation._ids == presentation._diagrams == {}
+    assert presentation._tables == {}
 
 
 def test_tables_hold_exactly_the_basis(cold_evaluate_word):
     for n in range(1, 7):
         for w in regular_basis(n):
             cold_evaluate_word(w)
-        assert set(presentation._diagrams[n]) == set(all_diagrams(n))
-        assert presentation._diagrams[n][0] == identity_diagram(n)
+        tables = presentation._tables[n]
+        ends = {d for d in tables.ends if isinstance(d, BlobDiagram)}
+        assert ends == set(all_diagrams(n))
+        assert len(tables.bottoms) == 2 ** n
+        assert tables.diagram(0, 0) == identity_diagram(n)
+
+
+def _split_rebuilt(n, diagrams):
+    """Each diagram split into halves in fresh tables of n, then rebuilt
+    from its halves alone."""
+    tables = presentation._Halves(n)
+    states = [tables.state(d) for d in diagrams]
+    tables.ends.clear()  # forget the diagrams, keep the halves
+    return tables, [tables.diagram(*state) for state in states]
+
+
+def test_split_and_rebuild_give_back_the_diagram():
+    rng = random.Random("halves")
+    cases = [(n, list(all_diagrams(n))) for n in range(0, 8)]
+    cases += [(n, [_random_diagram(n, rng) for _ in range(300)]) for n in range(8, 11)]
+    for n, diagrams in cases:
+        assert any(d.blobs for d in diagrams) or n == 0
+        _, rebuilt = _split_rebuilt(n, diagrams)
+        assert rebuilt == diagrams
+
+
+def test_bottom_states_are_one_per_walk():
+    # the bottom state of b_n's diagrams takes exactly 2^n values, |S_n|
+    for n in range(0, 9):
+        tables, _ = _split_rebuilt(n, all_diagrams(n))
+        assert len(tables.bottoms) == 2 ** n
+        assert len(tables.right) == n * 2 ** n
 
 
 def _prefix_sharing_words(rng, n, count):
@@ -259,17 +284,36 @@ def test_compose_runs_once_per_new_table_entry(cold_evaluate_word, monkeypatch):
     for n in range(1, 9):
         words = _prefix_sharing_words(rng, n, 40)
         for w in words:
-            filled = _filled(n)
+            # one letter at a time: a step composes once exactly when it
+            # fills an entry (a right entry, a join entry or both)
+            image = cold_evaluate_word(unit(n))
+            for letter in w.letters:
+                before = sum(_filled(n))
+                del calls[:]
+                image = evaluate_from(image, Word(n, (letter,)))
+                assert len(calls) == (1 if sum(_filled(n)) > before else 0)
+            assert image == _fold(w)
+            # the whole word takes the same states, so it composes nothing
             del calls[:]
             assert cold_evaluate_word(w) == _fold(w)
-            assert len(calls) == _filled(n) - filled
-            assert len(set(calls)) == len(calls)
+            assert calls == []
         # rewalking every word, now out of the cache, composes nothing
         cold_evaluate_word.cache_clear()
         del calls[:]
         for w in words:
             assert cold_evaluate_word(w) == _fold(w)
         assert calls == []
+        # on a cold start, a word composes at most once per entry it fills
+        # and never the same product twice
+        presentation.reset_tables()
+        cold_evaluate_word.cache_clear()
+        for w in words:
+            before = sum(_filled(n))
+            del calls[:]
+            assert cold_evaluate_word(w) == _fold(w)
+            assert len(calls) <= sum(_filled(n)) - before
+            assert (len(calls) > 0) == (sum(_filled(n)) > before)
+            assert len(set(calls)) == len(calls)
     # after a reset a one-letter word composes once (identity times the
     # letter) and, walked again out of the cache, nothing; the empty word
     # composes nothing at all
@@ -289,7 +333,7 @@ def test_compose_runs_once_per_new_table_entry(cold_evaluate_word, monkeypatch):
 
 
 def test_table_entries_equal_compose_on_every_diagram(cold_evaluate_word):
-    for n in range(1, 6):
+    for n in range(1, 7):
         # breadth-first over words from the empty one: each new diagram
         # gets one word, and every diagram reached is extended by every letter
         frontier = [unit(n)]
@@ -306,12 +350,32 @@ def test_table_entries_equal_compose_on_every_diagram(cold_evaluate_word):
             frontier = nxt
         # every diagram is the image of a word, the identity of the empty one
         assert seen == set(all_diagrams(n))
-        assert set(presentation._diagrams[n]) == seen
-        entries = _decoded(n)
-        assert len(entries) == n * len(seen)
-        for d, letter, target, scalar in entries:
-            assert compose(d, generator_diagram(n, letter)) == \
-                ScaledDiagram(scalar, target)
+        tables = presentation._tables[n]
+        assert None not in tables.right and len(tables.right) == n * 2 ** n
+        halves = (len(tables.tops), len(tables.bottoms))
+        # every right entry, and every join entry it leads to, against
+        # compose on the rebuilt diagram of every top it can meet
+        joins_met = set()
+        for t, top in enumerate(tables.tops):
+            for s, bottom in enumerate(tables.bottoms):
+                if len(top[2]) != len(bottom[2]):
+                    continue
+                d = tables.diagram(t, s)
+                assert d in seen
+                for letter in range(n):
+                    nxt, code, join = tables.right[s * n + letter]
+                    step = compose(d, generator_diagram(n, letter))
+                    assert step.coeff == presentation._STEP_SCALARS[code]
+                    t_step, s_step = tables.state(step.diagram)
+                    assert s_step == nxt
+                    if join:
+                        if (t, join) in tables.joins:
+                            joins_met.add((t, join))
+                            assert t_step == tables.joins[t, join]
+                    else:
+                        assert t_step == t
+        assert joins_met == set(tables.joins)
+        assert (len(tables.tops), len(tables.bottoms)) == halves
 
 
 def test_generator_steps_carry_one_of_four_scalars():
@@ -447,12 +511,15 @@ def test_evaluate_from_interns_a_diagram_the_table_lacks(cold_evaluate_word):
             d = diagram_from_dict(diagram_to_dict(_random_diagram(n, rng)))
             start = ScaledDiagram(rng.choice(scalars), d)
             tail = _random_word(rng, n, 8)
-            before = len(presentation._diagrams.get(n, ()))
+            ends = presentation._tables[n].ends if n in presentation._tables else {}
+            fresh = d not in ends
+            before = len(ends)
             assert evaluate_from(start, tail) == _fold(tail, start), (d, tail)
             assert cold_evaluate_word.cache_info().currsize == 0
             if tail.letters:
-                assert d in presentation._ids[n]
-                assert len(presentation._diagrams[n]) > before
+                tables = presentation._tables[n]
+                assert tables.diagram(*tables.ends[d]) == d
+                assert len(tables.ends) > before or not fresh
 
 
 def test_evaluate_from_rejects_another_strand_count():
