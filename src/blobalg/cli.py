@@ -30,7 +30,7 @@ from .presentation import (
     evaluate_word,
 )
 from .reports import Report
-from .ring import RingElem, parse_scalar
+from .ring import parse_scalar
 from .diamond import check_diamond_walks, check_envelope_words
 from .towers import (
     check_ideal_inclusions,
@@ -128,15 +128,19 @@ def _parse_side(text: str, n: int) -> ScaledDiagram:
     if not text.startswith("{"):
         return evaluate_word(parse_word(text, n))
     data = json.loads(text)
-    try:
-        if type(data.get("n")) is int and data["n"] != n:  # other types fail in make_diagram
-            raise ValueError("diagram strand count disagrees with --n")
-        coeff = parse_scalar(data["coeff"]) if "coeff" in data else RingElem.one()
-        return ScaledDiagram(coeff, diagram_from_dict({"n": n, **data}))
-    except KeyError as exc:
-        raise ValueError(f"diagram JSON has no field {exc}") from None
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed diagram JSON: {exc}") from None
+    if "pairs" not in data:
+        raise ValueError("diagram JSON has no field 'pairs'")
+    coeff = data.get("coeff", "1")
+    if type(coeff) is not str:
+        raise ValueError(f'diagram JSON field "coeff" must be a string, not {json.dumps(coeff)}')
+    for field in ("pairs", "blobs"):
+        arcs = data.get(field, [])
+        if type(arcs) is not list or any(type(arc) is not list for arc in arcs):
+            raise ValueError(f'diagram JSON field "{field}" must be a list of [i, j] lists, '
+                             f"not {json.dumps(arcs)}")
+    if type(data.get("n")) is int and data["n"] != n:  # other types fail in make_diagram
+        raise ValueError("diagram strand count disagrees with --n")
+    return ScaledDiagram(parse_scalar(coeff), diagram_from_dict({"n": n, **data}))
 
 
 def _latex_word(w: Word) -> str:

@@ -38,6 +38,7 @@ hand is unchecked.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -72,14 +73,7 @@ def make_diagram(n: int, pairs: Sequence[Sequence[int]], blobs: Sequence[Sequenc
     factor de, which a diagram does not carry."""
     if type(n) is not int:
         raise ValueError(f"strand count {n!r} is not an integer")
-    pairs, blobs = [tuple(arc) for arc in pairs], [tuple(arc) for arc in blobs]
-    for kind, arcs in (("arc", pairs), ("blob arc", blobs)):
-        for arc in arcs:
-            if len(arc) != 2:
-                raise ValueError(f"{kind} {list(arc)} is not a pair of points")
-            for p in arc:
-                if type(p) is not int:
-                    raise ValueError(f"diagram point {p!r} is not an integer")
+    pairs, blobs = _point_pairs("arc", pairs), _point_pairs("blob arc", blobs)
     norm = tuple(sorted((min(i, j), max(i, j)) for i, j in pairs))
     blob_arcs = [(min(i, j), max(i, j)) for i, j in blobs]
     blob_set = frozenset(blob_arcs)
@@ -89,6 +83,21 @@ def make_diagram(n: int, pairs: Sequence[Sequence[int]], blobs: Sequence[Sequenc
     d = BlobDiagram(n, norm, blob_set)
     validate(d)
     return d
+
+
+def _point_pairs(kind: str, arcs: Sequence[Sequence[int]]) -> List[Arc]:
+    """The arcs as tuples; each must be a sequence of two ``int`` points."""
+    out = []
+    for arc in arcs:
+        if not isinstance(arc, abc.Sequence):
+            raise ValueError(f"{kind} {arc!r} is not a pair of points")
+        if len(arc) != 2:
+            raise ValueError(f"{kind} {list(arc)} is not a pair of points")
+        for p in arc:
+            if type(p) is not int:
+                raise ValueError(f"diagram point {p!r} is not an integer")
+        out.append(tuple(arc))
+    return out
 
 
 _NOT_A_MATCHING = "pairs are not a perfect matching of 1..2n"

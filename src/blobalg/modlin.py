@@ -10,11 +10,12 @@ Span claims are decided without a point, as sets of diagram indices (see
 `blobalg.towers`).  This module serves the standard modules, which are
 built at each specialization point.  Every product of basis diagrams is
 one diagram times a monomial, so at a point every word image is a scaled
-unit vector.  The span and solver types rely on that and accept nothing
-else: `RowSpan` is a coordinate subspace kept as its set of pivot columns,
-and `CoordSolver` expresses vectors in a basis of scaled unit vectors on
-distinct columns.  Both raise `ValueError` on a row with two or more
-nonzero entries.
+unit vector, and that is the only vector this module writes: an int64
+``(column, value)`` row standing for value times the unit vector at
+column, with a batch of k vectors a k x 2 array.  A value that is 0 mod p
+is the zero vector.  `RowSpan` is a coordinate subspace kept as its set of
+pivot columns, and `CoordSolver` expresses such rows in a basis of them
+on distinct columns.
 """
 
 from __future__ import annotations
@@ -84,8 +85,9 @@ def draw_points(seed: int, count: int = 3, prime: int = DEFAULT_PRIME) -> List[S
 
 class RowSpan:
     """A coordinate subspace of F_p^dim: the span of the unit vectors at
-    its pivot columns, kept as the sorted pivot list alone.  Reduction
-    zeroes the pivot columns.
+    its pivot columns, kept as the sorted pivot list alone.  Vectors come
+    as ``(column, value)`` rows, one row or a k x 2 batch; reduction zeroes
+    the value of each row whose column is a pivot.
     """
 
     def __init__(self, dim: int, p: int):
@@ -104,18 +106,17 @@ class RowSpan:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, vecs: np.ndarray) -> np.ndarray:
-        """Residual of vectors after removing their span component."""
-        vecs = vecs % self.p
-        vecs[..., self.pivots] = 0
-        return vecs
+    def reduce(self, rows: np.ndarray) -> np.ndarray:
+        """Residual of rows after removing their span component."""
+        rows = np.array(rows, dtype=np.int64)
+        rows[..., 1] = np.where(np.isin(rows[..., 0], self.pivots), 0, rows[..., 1] % self.p)
+        return rows
 
-    def absorb(self, vecs: np.ndarray) -> np.ndarray:
-        """Add vectors with at most one nonzero entry each; return the
-        pivot columns this added, in the order the vectors reach them."""
-        rows, cols = np.nonzero(np.atleast_2d(vecs % self.p))
-        if (rows[1:] == rows[:-1]).any():
-            raise ValueError("a coordinate span absorbs only vectors with at most one nonzero entry")
+    def absorb(self, rows: np.ndarray) -> np.ndarray:
+        """Add rows; return the pivot columns this added, in the order the
+        rows reach them."""
+        rows = np.atleast_2d(rows)
+        cols = rows[rows[:, 1] % self.p != 0, 0]
         seen = set(self.pivots)
         new = [c for c in dict.fromkeys(cols.tolist()) if c not in seen]
         if new:
@@ -124,31 +125,32 @@ class RowSpan:
 
 
 class CoordSolver:
-    """Express vectors as combinations of a fixed list of scaled unit
-    vectors on distinct columns.
+    """Express ``(column, value)`` rows as combinations of a fixed list of
+    them on distinct columns.
 
-    Row i is s_i times the unit vector at column c_i, so a target t lies in
-    the span exactly when it vanishes off {c_i}, and its coefficients are
-    t[c_i] / s_i.  A zero row, a repeated column or a row with two or more
-    nonzero entries raises `ValueError`.
+    Basis row i is s_i times the unit vector at column c_i, so a target
+    (c, t) lies in the span exactly when t is 0 mod p or c is some c_i, and
+    its coefficient on row i is then t / s_i.  A zero row or a repeated
+    column raises `ValueError`.
     """
 
     def __init__(self, rows: np.ndarray, p: int):
-        rows = np.asarray(rows, dtype=np.int64) % p
-        counts = np.count_nonzero(rows, axis=1)
-        if (counts > 1).any():
-            raise ValueError("solver rows must have at most one nonzero entry")
+        cols, scalars = np.asarray(rows, dtype=np.int64).T.tolist()
         self.p = p
-        self.cols = rows.argmax(axis=1)
-        if (counts == 0).any() or len(set(self.cols.tolist())) < len(self.cols):
+        self.slot = {c: i for i, c in enumerate(cols)}
+        if any(s % p == 0 for s in scalars) or len(self.slot) < len(cols):
             raise ValueError("rows are not independent")
-        scalars = rows[np.arange(len(rows)), self.cols].tolist()
-        self.inverses = np.array([pow(s, -1, p) for s in scalars], dtype=np.int64)
+        self.inverses = [pow(s, -1, p) for s in scalars]
 
-    def express(self, target: np.ndarray) -> Optional[np.ndarray]:
-        vec = np.asarray(target, dtype=np.int64) % self.p
-        coeffs = vec[self.cols] * self.inverses % self.p
-        vec[self.cols] = 0
-        if vec.any():
-            return None
+    def express(self, targets: np.ndarray) -> Optional[np.ndarray]:
+        """The k x t coefficient matrix whose column j expresses row j of
+        the t x 2 batch `targets`, or None when some target lies outside
+        the span."""
+        coeffs = np.zeros((len(self.inverses), len(targets)), dtype=np.int64)
+        for j, (col, value) in enumerate(np.asarray(targets).tolist()):
+            if value % self.p:
+                if col not in self.slot:
+                    return None
+                i = self.slot[col]
+                coeffs[i, j] = value * self.inverses[i] % self.p
         return coeffs

@@ -20,10 +20,12 @@ Only the right action tables are composed.  ``flip`` is an
 anti-automorphism of b_n fixing every generator, so each left table is its
 right table conjugated by the flip permutation of the basis.
 
-Standard modules are built per specialization point in F_p: their action
-matrices are expressed in the walk-word basis modulo a quotient span, and
-the relation instances of ``presentation.defining_relations``, the same
-list the relations suite reports on, are checked on those matrices.
+Standard modules are built per specialization point in F_p, where each
+word image is one ``(column, value)`` row (see `blobalg.modlin`): their
+action matrices are expressed in the walk-word basis modulo a quotient
+span, and the relation instances of ``presentation.defining_relations``,
+the same list the relations suite reports on, are checked on those
+matrices.
 """
 
 from __future__ import annotations
@@ -80,15 +82,12 @@ class DiagramSpace:
             self.targets[("L", letter)] = [op[right[j]] for j in op]
             self.targets[("R", letter)] = right
 
-    def vector(self, scaled: ScaledDiagram, point: SpecPoint) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.int64)
-        vec[self.index[scaled.diagram]] = scaled.coeff.specialize(
-            point.q0, point.g0, point.d0, point.prime
-        )
-        return vec
-
-    def word_vector(self, w: Word, point: SpecPoint) -> np.ndarray:
-        return self.vector(evaluate_word(w), point)
+    def word_rows(self, words: Iterable[Word], point: SpecPoint) -> np.ndarray:
+        """The word images at the point as a k x 2 array of ``(column,
+        value)`` rows: each is a monomial times one diagram."""
+        at = (point.q0, point.g0, point.d0, point.prime)
+        rows = [(self.index[s.diagram], s.coeff.specialize(*at)) for s in map(evaluate_word, words)]
+        return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
     def word_span(self, words: Iterable[Word]) -> FrozenSet[int]:
         """Span of the word images: each is a nonzero monomial times one
@@ -98,12 +97,6 @@ class DiagramSpace:
     def left_images(self, span: Iterable[int]) -> FrozenSet[int]:
         """The diagrams g * d over every generator g and index d in span."""
         return frozenset(self.targets[("L", letter)][d] for letter in self.letters for d in span)
-
-    def word_matrix(self, words: Sequence[Word], point: SpecPoint) -> np.ndarray:
-        out = np.zeros((len(words), self.dim), dtype=np.int64)
-        for i, w in enumerate(words):
-            out[i] = self.word_vector(w, point)
-        return out
 
 
 @lru_cache(maxsize=10)
@@ -428,26 +421,19 @@ def standard_module(n: int, m: int, point: SpecPoint) -> StandardModule:
     words = tuple(walk_words(n, m))
     space = diagram_space(n)
     z_span = RowSpan.coordinate(space.dim, point.prime, _quotient_span(n, m))
-    basis_vecs = space.word_matrix(words, point)
-    residuals = z_span.reduce(basis_vecs)
-    solver = CoordSolver(residuals, point.prime)
+    solver = CoordSolver(z_span.reduce(space.word_rows(words, point)), point.prime)
+
+    def coordinates(what: str, images: Sequence[Word]) -> np.ndarray:
+        coeffs = solver.express(z_span.reduce(space.word_rows(images, point)))
+        if coeffs is None:
+            raise AssertionError(f"{what} left the module at m={m}")
+        return coeffs
 
     matrices: Dict[str, np.ndarray] = {}
     for letter in space.letters:
         name = "e" if letter == 0 else f"U{letter}"
-        mat = np.zeros((len(words), len(words)), dtype=np.int64)
-        gen = gen_e(n) if letter == 0 else gen_u(n, letter)
-        for j, w in enumerate(words):
-            vec = space.word_vector(gen * w, point)
-            coeffs = solver.express(z_span.reduce(vec))
-            if coeffs is None:
-                raise AssertionError(f"action of {name} left the module at m={m}, word {w}")
-            mat[:, j] = coeffs
-        matrices[name] = mat
-
-    cyc = solver.express(z_span.reduce(space.word_vector(tail_word(m, n), point)))
-    if cyc is None:
-        raise AssertionError(f"cyclic vector escaped the module at m={m}")
+        matrices[name] = coordinates(f"action of {name}", [Word(n, (letter,)) * w for w in words])
+    cyc = coordinates("cyclic vector", [tail_word(m, n)])[:, 0]
     return StandardModule(n, m, point, words, matrices, cyc)
 
 
@@ -488,7 +474,7 @@ def check_standard_modules(n: int, points: Optional[Sequence[SpecPoint]] = None,
                 why = f"{note}; not built: {exc}"
                 break
             with_basis = RowSpan.coordinate(space.dim, pt.prime, quotient)
-            with_basis.absorb(space.word_matrix(mod.words, pt))
+            with_basis.absorb(space.word_rows(mod.words, pt))
             ok_dim &= mod.dim == want and with_basis.rank == len(quotient) + want
             ok_rel &= matrices_satisfy_relations(mod)
         rep.add(f"dim m={m}", f"standard module at m={m}", f"dimension {want}", ok_dim, why)

@@ -1,11 +1,15 @@
 """Dense reference linear algebra for the coordinate span layer.
 
-`blobalg.modlin` keeps only coordinate subspaces and a monomial solver,
-because every word image at a specialization point is a scaled unit
-vector, and `blobalg.towers` decides span claims as sets of diagram
-indices with no point at all.  The general per-point forms live here so
-tests can check the fast ones against them on any input:
+`blobalg.modlin` keeps only coordinate subspaces and a monomial solver
+over ``(column, value)`` rows, because every word image at a
+specialization point is a scaled unit vector, and `blobalg.towers` decides
+span claims as sets of diagram indices with no point at all.  The general
+per-point forms live here so tests can check the fast ones against them on
+any input:
 
+* `dense`: the dense expansion of ``(column, value)`` rows, and
+  `image_vectors`/`word_vectors`: dense rows of scaled diagrams or word
+  images at a point, built without `DiagramSpace.word_rows`;
 * `ReferenceSpan`: a subspace of F_p^dim in reduced row echelon form, each
   row with a leading 1 in its pivot column and zeros in every other pivot
   column, absorbing arbitrary vectors;
@@ -21,7 +25,10 @@ tests can check the fast ones against them on any input:
   `towers` replaces by closures over the action tables;
 * `reference_left_images`: the diagrams of every generator times every
   given word, each product evaluated as its own word, which the
-  span-closure check replaces by one step of the left action tables.
+  span-closure check replaces by one step of the left action tables;
+* `reference_standard_module`: the action matrices and cyclic vector of a
+  standard module from dense word vectors, a `ReferenceSpan` for the
+  quotient span and a `ReferenceSolver` for coordinates.
 """
 
 from functools import lru_cache
@@ -32,8 +39,33 @@ import numpy as np
 from blobalg.diagrams import compose, compose_scaled, generator_diagram
 from blobalg.modlin import SpecPoint, mulmod
 from blobalg.presentation import evaluate_word
-from blobalg.towers import regular_basis
+from blobalg.towers import _quotient_span, diagram_space, regular_basis
+from blobalg.walks import tail_word, walk_words
 from blobalg.words import Word
+
+
+def dense(rows, dim: int) -> np.ndarray:
+    """The dense form of ``(column, value)`` rows: a k x 2 batch gives a
+    k x dim matrix, a single row a dim-vector."""
+    rows = np.asarray(rows, dtype=np.int64)
+    flat = rows.reshape(-1, 2)
+    out = np.zeros((len(flat), dim), dtype=np.int64)
+    out[np.arange(len(flat)), flat[:, 0]] = flat[:, 1]
+    return out if rows.ndim == 2 else out[0]
+
+
+def image_vectors(space, images, point: SpecPoint) -> np.ndarray:
+    """The scaled diagrams `images` at the point, as dense rows over the
+    diagram basis of `space`."""
+    out = np.zeros((len(images), space.dim), dtype=np.int64)
+    for i, s in enumerate(images):
+        out[i, space.index[s.diagram]] = s.coeff.specialize(
+            point.q0, point.g0, point.d0, point.prime)
+    return out
+
+
+def word_vectors(space, words, point: SpecPoint) -> np.ndarray:
+    return image_vectors(space, [evaluate_word(w) for w in words], point)
 
 
 class ReferenceSpan:
@@ -219,3 +251,29 @@ def reference_left_images(space, words) -> FrozenSet[int]:
     w, each product evaluated as a word."""
     n = space.n
     return space.word_span(Word(n, (letter,)) * w for letter in range(n) for w in words)
+
+
+@lru_cache(maxsize=None)
+def _reference_quotient(n: int, m: int, p: int) -> ReferenceSpan:
+    dim = diagram_space(n).dim
+    quotient = np.array(sorted(_quotient_span(n, m)), dtype=np.int64)
+    return span_of(dense(np.stack([quotient, np.ones_like(quotient)], axis=1), dim), dim, p)
+
+
+def reference_standard_module(n: int, m: int, point: SpecPoint):
+    """(matrices, cyclic) of the weight-m standard module at the point:
+    every image a dense vector reduced by the quotient span, and its
+    coordinates in the reduced walk-word images solved for in general."""
+    space = diagram_space(n)
+    words = walk_words(n, m)
+    quotient = _reference_quotient(n, m, point.prime)
+    solver = ReferenceSolver(quotient.reduce(word_vectors(space, words, point)), point.prime)
+
+    def coordinates(images):
+        coeffs = [solver.express(v) for v in quotient.reduce(word_vectors(space, images, point))]
+        assert all(c is not None for c in coeffs)
+        return np.array(coeffs, dtype=np.int64).T
+
+    matrices = {("e" if letter == 0 else f"U{letter}"):
+                coordinates([Word(n, (letter,)) * w for w in words]) for letter in space.letters}
+    return matrices, coordinates([tail_word(m, n)])[:, 0]

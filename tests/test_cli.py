@@ -319,6 +319,24 @@ def test_arc_that_is_not_a_pair_exits_two(capsys, side, message):
     assert err == message + "\n"
 
 
+@pytest.mark.parametrize("side, message", [
+    ({"pairs": [[1, 4], [2, 3]], "coeff": 5}, 'field "coeff" must be a string, not 5'),
+    ({"pairs": [[1, 4], [2, 3]], "coeff": None}, 'field "coeff" must be a string, not null'),
+    ({"pairs": [[1, 4], [2, 3]], "coeff": ["q"]}, 'field "coeff" must be a string, not ["q"]'),
+    ({"pairs": None}, 'field "pairs" must be a list of [i, j] lists, not null'),
+    ({"pairs": [5, [2, 3]]}, 'field "pairs" must be a list of [i, j] lists, not [5, [2, 3]]'),
+    ({"pairs": [[1, 4], [2, 3]], "blobs": [5]},
+     'field "blobs" must be a list of [i, j] lists, not [5]'),
+    ({"pairs": [[1, 4], [2, 3]], "blobs": None},
+     'field "blobs" must be a list of [i, j] lists, not null'),
+])
+def test_json_field_of_the_wrong_type_is_named(capsys, side, message):
+    # these used to surface Python's "'int' object has no attribute 'strip'"
+    code, out, err = run(capsys, "mul", "--n", "2", "--left", json.dumps(side), "--right", "U1")
+    assert code == 2 and out == ""
+    assert err == f"error: diagram JSON {message}\n"
+
+
 @pytest.mark.parametrize("value", ["true", "2.0", "1.5"])
 @pytest.mark.parametrize("where", ["point", "blob point", "n"])
 def test_non_integer_diagram_input_exits_two(capsys, value, where):

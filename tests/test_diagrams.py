@@ -84,6 +84,18 @@ def test_make_diagram_names_an_arc_that_is_not_a_pair(pairs, blobs, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("pairs, blobs, message", [
+    ([5, [2, 3]], [], "arc 5 is not a pair of points"),
+    ([[1, 4], [2, 3]], [None], "blob arc None is not a pair of points"),
+    ([[1, 4], [2, 3]], [{1, 4}], "blob arc {1, 4} is not a pair of points"),
+])
+def test_make_diagram_names_an_arc_that_is_not_a_sequence(pairs, blobs, message):
+    # tuple() on such an arc used to raise TypeError
+    with pytest.raises(ValueError) as info:
+        make_diagram(2, pairs, blobs)
+    assert str(info.value) == message
+
+
 def test_compose_relations():
     s = compose(u_diagram(4, 2), u_diagram(4, 2))
     assert s.coeff == RingElem.loop() and s.diagram == u_diagram(4, 2)

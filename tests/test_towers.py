@@ -38,12 +38,16 @@ from blobalg.words import (
 )
 
 from span_reference import (
+    dense,
+    image_vectors,
     point_actions,
     reference_closure,
     reference_conjugated_span,
     reference_left_images,
     reference_subalgebra_span,
+    reference_standard_module,
     span_of,
+    word_vectors,
 )
 
 POINTS = default_points(0)
@@ -59,14 +63,10 @@ def brute_ideal_rank(n, word, point, two_sided=True):
     space = diagram_space(n)
     mids = [compose_scaled(evaluate_word(a.with_n(n)), evaluate_word(word.with_n(n)))
             for a in regular_basis(n)]
-    vecs = []
-    for mid in mids:
-        if two_sided:
-            for b in regular_basis(n):
-                vecs.append(space.vector(compose_scaled(mid, evaluate_word(b.with_n(n))), point))
-        else:
-            vecs.append(space.vector(mid, point))
-    return span_of(np.array(vecs), space.dim, point.prime).rank
+    if two_sided:
+        mids = [compose_scaled(mid, evaluate_word(b.with_n(n)))
+                for mid in mids for b in regular_basis(n)]
+    return span_of(image_vectors(space, mids, point), space.dim, point.prime).rank
 
 
 def test_full_ideal_is_everything():
@@ -172,6 +172,21 @@ def test_standard_module_matrices_and_json():
     assert "U3" in data["matrices"] and "e" in data["matrices"]
 
 
+def test_standard_modules_match_dense_reference_build():
+    # the module path works on (column, value) rows; the reference expands
+    # every image into a dense vector and solves in general
+    for n in range(1, 7):
+        for m in range(-n, n + 1, 2):
+            for pt in (*POINTS, DEGENERATE_POINT):
+                mod = standard_module(n, m, pt)
+                matrices, cyclic = reference_standard_module(n, m, pt)
+                assert mod.matrices.keys() == matrices.keys(), (n, m, pt)
+                for name, mat in matrices.items():
+                    ours = mod.matrices[name]
+                    assert ours.shape == mat.shape and (ours == mat).all(), (n, m, pt, name)
+                assert mod.cyclic.shape == cyclic.shape and (mod.cyclic == cyclic).all(), (n, m, pt)
+
+
 def test_relations_fail_on_a_broken_matrix():
     p = POINTS[0].prime
     for n in (3, 4):
@@ -224,8 +239,7 @@ def test_generic_closure_matches_coordinate_closure():
     # seeds while staying action-stable
     n, pt = 3, POINTS[0]
     space = diagram_space(n)
-    v1 = space.word_vector(parse_word("U1", n), pt)
-    v2 = space.word_vector(parse_word("e", n), pt)
+    v1, v2 = word_vectors(space, [parse_word("U1", n), parse_word("e", n)], pt)
     mixed = reference_closure(space, (v1 + v2)[None, :], pt, "LR")
     units = _closure(space, [int(np.argmax(v1)), int(np.argmax(v2))], "LR")
     assert reference_closure(space, np.vstack([v1, v2]), pt, "LR").pivots == sorted(units)
@@ -268,10 +282,9 @@ def test_decompose_closure_matches_explicit_products():
         mids = [compose_scaled(u_top, evaluate_word(b)) for b in lower]
         got = _closure(space, space.word_span([unit(n), gen_u(n, n - 1)]), "LR", range(n - 1))
         for pt in (POINTS[0], ZERO_POINT):
-            vecs = [space.word_vector(a, pt) for a in lower]
-            vecs += [space.vector(compose_scaled(evaluate_word(a), mid), pt)
-                     for a in lower for mid in mids]
-            want = span_of(np.array(vecs), space.dim, pt.prime)
+            vecs = np.vstack([word_vectors(space, lower, pt), image_vectors(
+                space, [compose_scaled(evaluate_word(a), mid) for a in lower for mid in mids], pt)])
+            want = span_of(vecs, space.dim, pt.prime)
             assert set(want.pivots) <= got
             if pt is POINTS[0]:
                 assert want.pivots == sorted(got)
@@ -288,10 +301,10 @@ def test_conjugate_spans_match_per_point_products():
             ew = evaluate_word(w)
             got = _conjugated_span(space, w, w)
             for pt in (POINTS[0], POINTS[1], ZERO_POINT):
-                vecs = [space.vector(compose_scaled(compose_scaled(ew, evaluate_word(b.with_n(n))), ew),
-                                     pt)
-                        for b in regular_basis(n)]
-                want = span_of(np.array(vecs), space.dim, pt.prime)
+                products = [compose_scaled(compose_scaled(ew, evaluate_word(b.with_n(n))), ew)
+                            for b in regular_basis(n)]
+                vecs = image_vectors(space, products, pt)
+                want = span_of(vecs, space.dim, pt.prime)
                 assert set(want.pivots) <= got, (n, str(w), pt)
                 if pt is not ZERO_POINT:
                     assert want.pivots == sorted(got), (n, str(w), pt)
@@ -383,7 +396,8 @@ def test_word_span_matches_word_matrix():
         words += [parse_word("e e", n), parse_word("U1 e U1", n)]  # scalars de and g
         got = space.word_span(words)
         for pt in (POINTS[0], ZERO_POINT):
-            vecs = space.word_matrix(words, pt)
+            vecs = dense(space.word_rows(words, pt), space.dim)
+            assert (vecs == word_vectors(space, words, pt)).all()
             want = span_of(vecs, space.dim, pt.prime)
             assert set(want.pivots) <= got
             if pt is POINTS[0]:
@@ -394,25 +408,21 @@ def test_word_span_matches_word_matrix():
 def test_coordinate_rowspan_absorb_and_reduce():
     p = POINTS[0].prime
     span = RowSpan.coordinate(5, p, [3, 1, 3])
-    assert span.pivots == [1, 3] and span.rank == 2
+    ref = span_of(dense([[3, 1], [1, 1]], 5), 5, p)
+    assert span.pivots == ref.pivots == [1, 3] and span.rank == 2
     assert vars(span).keys() == {"dim", "p", "pivots"}  # no dense rows kept
-    added = span.absorb(np.array([[0, 0, 0, 7, 0], [2, 0, 0, 0, 0], [0, 0, 0, 0, 0]]))
+    rows = np.array([[3, 7], [0, 2], [2, 0], [4, p], [2, -2 * p]])  # the last three are zero
+    added = span.absorb(rows)
     assert span.pivots == [0, 1, 3]
     assert added.dtype == np.int64 and added.tolist() == [0]
-    assert (span.reduce(np.array([5, 1, 2, 7, 9])) == [0, 0, 2, 0, 9]).all()
-    assert span.absorb(np.array([0, 0, 0, 0, 9])).tolist() == [4]
+    assert ref.absorb(dense(rows, 5)).tolist() == [[1, 0, 0, 0, 0]]
+    queries = np.array([[0, 5], [1, 1], [2, 2], [3, 7], [4, 9], [4, p + 9], [2, -1]])
+    got = span.reduce(queries)
+    assert got.tolist() == [[0, 0], [1, 0], [2, 2], [3, 0], [4, 9], [4, 9], [2, p - 1]]
+    assert (dense(got, 5) == ref.reduce(dense(queries, 5))).all()
+    assert span.reduce(np.array([4, p + 9])).tolist() == [4, 9]
+    assert span.absorb(np.array([4, 9])).tolist() == [4]
     assert span.pivots == [0, 1, 3, 4] and span.rank == 4
-
-
-def test_rowspan_rejects_non_monomial_rows():
-    p = POINTS[0].prime
-    span = RowSpan.coordinate(4, p, [0, 2])
-    with pytest.raises(ValueError):
-        span.absorb(np.array([[0, 3, 0, 0], [5, 1, 0, 0]]))
-    with pytest.raises(ValueError):
-        span.absorb(np.array([0, 1, 0, 1]))
-    assert span.pivots == [0, 2]  # a rejected batch adds nothing
-    assert span.absorb(np.array([[0, 0, 0, p], [0, 0, p, 3]])).tolist() == [3]
 
 
 def test_bfs_closure_matches_reference_closure():
