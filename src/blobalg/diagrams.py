@@ -205,13 +205,23 @@ class ScaledDiagram:
         return f"({self.coeff}) {self.diagram}"
 
 
+class _ArcPool(dict):
+    """Arcs as shared tuples: ``pool[i, j]`` is the first ``(i, j)`` it was
+    asked for.  Composition results reuse them, so the many diagrams a
+    word-evaluation table keeps alive share their arcs; an arc enters on
+    first use, so the pool holds only the arcs some result has had."""
+
+    __slots__ = ()
+
+    def __missing__(self, arc: Arc) -> Arc:
+        self[arc] = arc
+        return arc
+
+
 @lru_cache(maxsize=64)
-def _arc_rows(n: int) -> Tuple[Tuple[Arc, ...], ...]:
-    """The arcs of n strands as shared tuples: ``_arc_rows(n)[i][j]`` is
-    ``(i, j)``.  Composition results reuse them, so the many diagrams a
-    word-evaluation table keeps alive share their arcs."""
-    span = range(2 * n + 1)
-    return tuple(tuple((i, j) for j in span) for i in span)
+def _arc_pool(n: int) -> _ArcPool:
+    """The shared arcs of n strands."""
+    return _ArcPool()
 
 
 _NO_BLOBS: FrozenSet[Arc] = frozenset()
@@ -253,12 +263,12 @@ def _generator_step(d: BlobDiagram, letter: int) -> Tuple[BlobDiagram, int, int,
         if arc_a in blobs:
             return BlobDiagram(n, pairs, blobs - {arc_a}), 0, 1, 0
         return d, 1, 0, 0
-    arcs = _arc_rows(n)
+    arcs = _arc_pool(n)
     x = arc_b[0] if arc_b[1] == b else arc_b[1]
     y = arc_a[0] if arc_a[1] == a else arc_a[1]
-    joined = arcs[x][y] if x < y else arcs[y][x]
+    joined = arcs[x, y] if x < y else arcs[y, x]
     kept = [arc for arc in pairs if arc != arc_a and arc != arc_b]
-    kept += (joined, arcs[b][a])
+    kept += (joined, arcs[b, a])
     kept.sort()
     count = (arc_a in blobs) + (arc_b in blobs)
     if count:
@@ -293,7 +303,7 @@ def compose(d1: BlobDiagram, d2: BlobDiagram) -> ScaledDiagram:
     glue = 2 * n + 1  # d1 point glue - j meets d2 point j
     mate1, blob1 = _point_arrays(d1)
     mate2, blob2 = _point_arrays(d2)
-    arcs = _arc_rows(n)
+    arcs = _arc_pool(n)
     done = [False] * glue  # result points already reached as an end
     crossed = [False] * (n + 1)  # interface positions some strand passed
     pairs: List[Arc] = []
@@ -324,7 +334,7 @@ def compose(d1: BlobDiagram, d2: BlobDiagram) -> ScaledDiagram:
                 pt = glue - end
                 upper = True
         done[end] = True
-        arc = arcs[start][end]
+        arc = arcs[start, end]
         pairs.append(arc)
         if count:
             blobs.append(arc)

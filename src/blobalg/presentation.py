@@ -42,7 +42,7 @@ from .diagrams import (
     BlobDiagram,
     ScaledDiagram,
     _NO_BLOBS,
-    _arc_rows,
+    _arc_pool,
     compose,
     generator_diagram,
     identity_diagram,
@@ -130,8 +130,8 @@ class _Halves:
         if d is None:
             top, top_blobs, top_through = self.tops[t]
             bottom, bottom_blobs, bottom_through, blobbed = self.bottoms[s]
-            arcs = _arc_rows(self.n)  # shared arcs, as compose's results use
-            through = tuple(arcs[i][j] for i, j in zip(top_through, bottom_through))
+            arcs = _arc_pool(self.n)  # shared arcs, as compose's results use
+            through = tuple(arcs[i, j] for i, j in zip(top_through, bottom_through))
             blobs = top_blobs + bottom_blobs + (through[:1] if blobbed else ())
             d = BlobDiagram(self.n, tuple(sorted(top + bottom + through)),
                             frozenset(blobs) if blobs else _NO_BLOBS)

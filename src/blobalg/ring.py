@@ -8,10 +8,19 @@ The three symbols are the scalars produced by diagram reduction:
     g          value of a blob-decorated closed loop
     de         value extracted when a second blob lands on one line
 
-Elements are immutable and hashable; all arithmetic returns new values, so
-they may be shared freely between threads.  The constructor is the only
-place that drops zero coefficients: arithmetic and :func:`parse_scalar`
-hand it raw sums.
+Elements are immutable in value and hashable; all arithmetic returns new
+values, so they may be shared freely between threads.  An element caches
+its canonical text the first time it is printed; the memo is internal,
+always the text of the element's terms, and never changes its value.  The
+constructor is the only place that drops zero coefficients: arithmetic and
+:func:`parse_scalar` hand it raw sums.
+
+Every word image's scalar is a monomial ``[2]^a g^b de^c``.  An element
+built by :func:`monomial` records its exponents (a, b, c), and the product
+of two such elements is ``monomial`` of the summed exponents, a cached
+lookup; any other product multiplies the terms.  Equality, hashing and the
+text form depend on the terms alone, so a recorded and an unrecorded
+element with the same terms are equal.
 
 Canonical string form: terms sorted by (q-exp, g-exp, de-exp), factors
 written as ``g``, ``de``, ``q`` with ``^`` exponents, e.g. ``"q^-1 + q"``,
@@ -34,7 +43,10 @@ Monomial = Tuple[int, int, int]  # (q-exponent, g-exponent, de-exponent)
 class RingElem:
     """A sparse Laurent polynomial in q with polynomial g, de parts."""
 
-    __slots__ = ("_terms",)  # (monomial, coeff) pairs sorted by monomial, none zero
+    # _terms: (monomial, coeff) pairs sorted by monomial, none zero;
+    # _exps: (a, b, c) when built by monomial(a, b, c), else None;
+    # _text: the canonical text once printed, else None
+    __slots__ = ("_terms", "_exps", "_text")
 
     def __init__(self, terms: Dict[Monomial, int] | None = None):
         clean: Dict[Monomial, int] = {}
@@ -48,6 +60,8 @@ class RingElem:
             if coeff:
                 clean[(a, b, c)] = coeff
         self._terms = tuple(sorted(clean.items()))
+        self._exps = None
+        self._text = None
 
     # -- constructors ------------------------------------------------------
 
@@ -119,6 +133,9 @@ class RingElem:
     def __mul__(self, other: "RingElem") -> "RingElem":
         if not isinstance(other, RingElem):
             return NotImplemented
+        if self._exps is not None and other._exps is not None:
+            (a1, b1, c1), (a2, b2, c2) = self._exps, other._exps
+            return monomial(a1 + a2, b1 + b2, c1 + c2)
         terms: Dict[Monomial, int] = {}
         for (a1, b1, c1), k1 in self._terms:
             for (a2, b2, c2), k2 in other._terms:
@@ -176,16 +193,16 @@ class RingElem:
         return "*".join(factors)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for i, (mono, coeff) in enumerate(self._terms):
-            body = self._factor_str(mono, coeff)
-            if i == 0:
-                parts.append(body if coeff > 0 else "-" + body)
-            else:
-                parts.append((" + " if coeff > 0 else " - ") + body)
-        return "".join(parts)
+        if self._text is None:
+            parts = []
+            for i, (mono, coeff) in enumerate(self._terms):
+                body = self._factor_str(mono, coeff)
+                if i == 0:
+                    parts.append(body if coeff > 0 else "-" + body)
+                else:
+                    parts.append((" + " if coeff > 0 else " - ") + body)
+            self._text = "".join(parts) or "0"
+        return self._text
 
     def __repr__(self) -> str:
         return f"RingElem({str(self)!r})"
@@ -193,8 +210,13 @@ class RingElem:
 
 @lru_cache(maxsize=1024)
 def monomial(a: int, b: int, c: int) -> RingElem:
-    """[2]^a g^b de^c, [2] = q + q^-1, from binomial coefficients alone."""
-    return RingElem({(a - 2 * k, b, c): comb(a, k) for k in range(a + 1)})
+    """[2]^a g^b de^c, [2] = q + q^-1, from binomial coefficients alone.
+    The result records (a, b, c), so products of monomials add exponents."""
+    if a < 0 or b < 0 or c < 0:
+        raise ValueError(f"monomial exponents {(a, b, c)} must be nonnegative")
+    elem = RingElem({(a - 2 * k, b, c): comb(a, k) for k in range(a + 1)})
+    elem._exps = (a, b, c)
+    return elem
 
 
 def parse_scalar(text: str) -> RingElem:

@@ -11,7 +11,8 @@ e.g. ``"e U1 e U2 U1"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from functools import lru_cache
+from typing import Dict, Tuple
 
 _INT = frozenset({int})  # the one type a strand count or letter may have, bool excluded
 
@@ -83,13 +84,28 @@ def opposite(w: Word) -> Word:
     return Word(w.n, tuple(reversed(w.letters)))
 
 
+@lru_cache(maxsize=64)
+def _canonical_letters(n: int) -> Dict[str, int]:
+    """The letter of each canonical token on n strands: ``e`` and ``U0`` to
+    ``U{n-1}``."""
+    letters = {f"U{i}": i for i in range(n)}
+    letters["e"] = 0
+    return letters
+
+
 def parse_word(text: str, n: int) -> Word:
+    """The word of whitespace-separated tokens ``e`` and ``U<digits>``; any
+    token but a canonical one is read by its digits, and Word checks range."""
     tokens = text.split()
     if tokens == ["1"] or not tokens:
         return Word(n)
+    canonical = _canonical_letters(n) if type(n) is int else {}  # Word names a bad n
     letters = []
     for tok in tokens:
-        if tok == "e":
+        letter = canonical.get(tok)
+        if letter is not None:
+            letters.append(letter)
+        elif tok == "e":
             letters.append(0)
         elif tok.startswith("U") and tok[1:].isascii() and tok[1:].isdigit():
             letters.append(int(tok[1:]))

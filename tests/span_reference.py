@@ -31,6 +31,7 @@ any input:
   quotient span and a `ReferenceSolver` for coordinates.
 """
 
+import bisect
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -75,11 +76,17 @@ class ReferenceSpan:
         self.dim = dim
         self.p = p
         self.pivots: List[int] = []
-        self.rows = np.zeros((0, dim), dtype=np.int64)
+        # rows[:rank] of a buffer that doubles when full, so inserting a row
+        # moves only the rows after its pivot position
+        self._buf = np.zeros((0, dim), dtype=np.int64)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._buf[:self.rank]
 
     def reduce(self, vecs: np.ndarray) -> np.ndarray:
         """Residual of vectors after removing their span component."""
@@ -93,14 +100,16 @@ class ReferenceSpan:
 
     def _insert_reduced(self, vec: np.ndarray) -> None:
         piv = int(np.nonzero(vec)[0][0])
-        col = self.rows[:, piv].copy()
+        rows, k = self.rows, self.rank
+        col = rows[:, piv].copy()
         if col.any():
-            self.rows = (self.rows - np.outer(col, vec)) % self.p
-        self.rows = np.vstack([self.rows, vec[None, :]])
-        self.pivots.append(piv)
-        order = np.argsort(self.pivots, kind="stable")
-        self.rows = self.rows[order]
-        self.pivots = [self.pivots[i] for i in order]
+            rows[:] = (rows - np.outer(col, vec)) % self.p
+        if k == len(self._buf):
+            self._buf = np.concatenate([rows, np.zeros((max(k, 16), self.dim), dtype=np.int64)])
+        at = bisect.bisect(self.pivots, piv)
+        self._buf[at + 1:k + 1] = self._buf[at:k]
+        self._buf[at] = vec
+        self.pivots.insert(at, piv)
 
     def absorb(self, vecs: np.ndarray) -> np.ndarray:
         """Add vectors to the span; return the new basis rows added."""

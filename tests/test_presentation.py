@@ -537,3 +537,21 @@ def test_reduction_stability_caches_no_tail_images(cold_evaluate_word):
     # at n = 7); evaluating every w * tail as its own word cached 18,588
     check_reduction_stability(7)
     assert cold_evaluate_word.cache_info().currsize < 4000
+
+
+def test_wide_words_allocate_linear_memory(cold_evaluate_word):
+    # the shared arcs used to be a (2n+1)^2 grid built up front: 16 million
+    # tuples at n = 2000, and an OOM kill at n = 100000
+    import tracemalloc
+
+    n = 2000
+    tracemalloc.start()
+    try:
+        image = cold_evaluate_word(Word(n, (1,)))
+        square = compose(image.diagram, image.diagram)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert image == ScaledDiagram(RingElem.one(), u_diagram(n, 1))
+    assert square == ScaledDiagram(RingElem.loop(), u_diagram(n, 1))
+    assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -184,3 +184,53 @@ def test_monomial_equals_the_product_of_its_factors():
             for c in range(6):
                 assert monomial(a, b, c) == LOOP ** a * G ** b * DE ** c, (a, b, c)
     assert monomial(0, 0, 0) is monomial(0, 0, 0)  # cached: one object per triple
+
+
+def _untagged(m):
+    """The same value as m, built from its terms, so products of it take
+    the general path."""
+    return RingElem(m.terms)
+
+
+def test_tagged_products_match_the_general_product():
+    triples = [(a, b, c) for a in range(6) for b in range(6) for c in range(6)]
+    pairs = [(monomial(*t), _untagged(monomial(*t))) for t in triples]
+    for x, (mx, gx) in zip(triples, pairs):
+        for y, (my, gy) in zip(triples, pairs):
+            fast, slow = mx * my, gx * gy
+            assert fast == slow and str(fast) == str(slow) and hash(fast) == hash(slow), (x, y)
+
+
+def test_tagged_times_untagged_is_the_general_product():
+    rng = random.Random("tagged-mixed")
+    for _ in range(300):
+        m = monomial(rng.randrange(5), rng.randrange(4), rng.randrange(4))
+        other = _random_elem(rng)
+        for prod, want in ((m * other, _untagged(m) * other), (other * m, other * _untagged(m))):
+            assert prod == want and str(prod) == str(want) and hash(prod) == hash(want)
+
+
+def test_tagged_values_round_trip_through_text():
+    for a in range(5):
+        for b in range(4):
+            for c in range(4):
+                m = monomial(a, b, c)
+                back = parse_scalar(str(m))
+                assert back == m and hash(back) == hash(m) and str(back) == str(m)
+
+
+def test_products_survive_clearing_the_monomial_cache():
+    rng = random.Random("tagged-clear")
+    held = [monomial(rng.randrange(4), rng.randrange(3), rng.randrange(3)) for _ in range(40)]
+    for i, (x, y) in enumerate(zip(held, held[1:])):
+        if i % 7 == 3:
+            monomial.cache_clear()
+        assert x * y == _untagged(x) * _untagged(y)
+        assert (x * y) * y == _untagged(x) * _untagged(y) * _untagged(y)
+
+
+def test_monomial_rejects_negative_exponents():
+    # a negative count would tag the zero element with exponents that add
+    for triple in ((-1, 0, 0), (0, -1, 0), (0, 0, -2)):
+        with pytest.raises(ValueError):
+            monomial(*triple)

@@ -165,3 +165,49 @@ def test_non_int_strand_counts_and_letters_are_rejected(n, letters, message):
     with pytest.raises(ValueError) as info:
         Word(n, letters)
     assert str(info.value) == message
+
+
+def _reference_parse_word(text, n):
+    """parse_word as it read every token, before canonical tokens were
+    looked up: the reference for words and error messages."""
+    tokens = text.split()
+    if tokens == ["1"] or not tokens:
+        return Word(n)
+    letters = []
+    for tok in tokens:
+        if tok == "e":
+            letters.append(0)
+        elif tok.startswith("U") and tok[1:].isascii() and tok[1:].isdigit():
+            letters.append(int(tok[1:]))
+        else:
+            raise ValueError(f"bad word token {tok!r}")
+    return Word(n, tuple(letters))
+
+
+def _outcome(parse, text, n):
+    try:
+        return parse(text, n)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_parse_word_matches_the_reference_on_random_texts():
+    rng = random.Random("parse-word")
+    for n in range(1, 13):
+        for _ in range(50):
+            text = " ".join("e" if x == 0 and rng.random() < 0.8 else f"U{x}"
+                            for x in (rng.randrange(n) for _ in range(24)))
+            assert parse_word(text, n) == _reference_parse_word(text, n), (n, text)
+
+
+@pytest.mark.parametrize("token", ["U0", "U01", "U10", "U²", "u1", "E", "U-1", "e", "U9"])
+def test_parse_word_tokens_match_the_reference(token):
+    for text in (token, f"U3 {token} e"):
+        want = _outcome(_reference_parse_word, text, 10)
+        assert _outcome(parse_word, text, 10) == want, text
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "3", -1, 0])
+def test_parse_word_strand_count_errors_match_the_reference(n):
+    for text in ("e", "U1", "1"):
+        assert _outcome(parse_word, text, n) == _outcome(_reference_parse_word, text, n), (n, text)
