@@ -9,6 +9,12 @@ on an internal error (an unexpected exception, reported as one
 default verification seed and prime can be set through the BLOBALG_SEED
 and BLOBALG_PRIME environment variables; identical seed and flags produce
 byte-identical output.
+
+verify streams: it writes each check's line once the check is decided,
+in blocks of a few hundred lines, and each report's summary line once the
+report returns, holding no more than the failed checks.  A run stopped
+by an internal error has written the lines of the checks decided before
+it, which are complete lines but no summary.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .presentation import (
     check_run_identities,
     evaluate_word,
 )
-from .reports import Report
+from .reports import Report, streaming
 from .ring import parse_scalar
 from .diamond import check_diamond_walks, check_envelope_words
 from .towers import (
@@ -47,22 +53,30 @@ from .words import Word, parse_word
 
 
 # Every suite, in the order "all" runs them: its smallest strand count and
-# the function of (n, points, seed) returning its reports.  "all" needs
-# n >= 1 and skips the suites that need more than it is given.
-_SUITES: Dict[str, Tuple[int, Callable[..., List[Report]]]] = {
-    "relations": (0, lambda n, points, seed: [check_defining_relations(n)]),
-    "identities": (0, lambda n, points, seed: [check_run_identities(n)]),
-    "redux": (3, lambda n, points, seed: [check_reduction_stability(n)]),
-    "diamond": (0, lambda n, points, seed: [check_diamond_moves(n)]),
-    "walks": (0, lambda n, points, seed: [check_walk_suite(n)]),
-    "ideals": (1, lambda n, points, seed: [check_ideal_inclusions(n, points, seed),
-                                           check_span_closure(n, points, seed)]),
-    "tower": (2, lambda n, points, seed: [check_tower(n, points, seed),
-                                          check_quotient_dims(n, points, seed)]),
-    "bases": (1, lambda n, points, seed: [check_word_basis(n, points, seed),
-                                          check_standard_modules(n, points, seed)]),
-    "appendix": (0, lambda n, points, seed: [check_diamond_walks(n), check_envelope_words(n)]),
+# one function of (n, points, seed) per report, called in order.  The
+# lambdas look the check functions up when called, so a wrapper installed
+# on this module's attribute is the one that runs.  "all" needs n >= 1 and
+# skips the suites that need more than it is given.
+_SUITES: Dict[str, Tuple[int, Tuple[Callable[..., Report], ...]]] = {
+    "relations": (0, (lambda n, points, seed: check_defining_relations(n),)),
+    "identities": (0, (lambda n, points, seed: check_run_identities(n),)),
+    "redux": (3, (lambda n, points, seed: check_reduction_stability(n),)),
+    "diamond": (0, (lambda n, points, seed: check_diamond_moves(n),)),
+    "walks": (0, (lambda n, points, seed: check_walk_suite(n),)),
+    "ideals": (1, (lambda n, points, seed: check_ideal_inclusions(n, points, seed),
+                   lambda n, points, seed: check_span_closure(n, points, seed))),
+    "tower": (2, (lambda n, points, seed: check_tower(n, points, seed),
+                  lambda n, points, seed: check_quotient_dims(n, points, seed))),
+    "bases": (1, (lambda n, points, seed: check_word_basis(n, points, seed),
+                  lambda n, points, seed: check_standard_modules(n, points, seed))),
+    "appendix": (0, (lambda n, points, seed: check_diamond_walks(n),
+                     lambda n, points, seed: check_envelope_words(n))),
 }
+
+# Lines per write to stdout: one write per few hundred lines costs less than
+# a write per line when a reader on the same core drains the pipe, and the
+# pending block stays a few tens of kB.
+_BLOCK = 256
 
 
 def _ascii_int(text: str) -> int:
@@ -79,12 +93,14 @@ class _Parser(argparse.ArgumentParser):
     reports them in one ``error:`` line and exit 2 like its other usage
     errors, instead of argparse's usage text and ``SystemExit``."""
 
+    commands: Dict[str, "_Parser"]  # the top-level parser's: each subcommand's parser
+
     def error(self, message: str) -> NoReturn:
         raise ValueError(message)
 
 
 @lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> _Parser:
     parser = _Parser(prog="blobalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -120,6 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_ascii_int, required=True)
     p.add_argument("--seed", type=_ascii_int, default=None)
     p.add_argument("--prime", type=_ascii_int, default=None)
+    parser.commands = sub.choices
     return parser
 
 
@@ -229,13 +246,42 @@ def cmd_dims(args) -> int:
 
 
 def run_suite(suite: str, n: int, seed: int, prime: int) -> List[Report]:
+    """The reports of `suite` ("all": of every suite it runs) at n.  A
+    report that streams gets its summary line written to its sink as soon
+    as it returns, after its check lines."""
     if suite != "all":
-        return _SUITES[suite][1](n, draw_points(seed, 3, prime), seed)
+        points = draw_points(seed, 3, prime)
+        reports = []
+        for check in _SUITES[suite][1]:
+            rep = check(n, points, seed)
+            if rep.sink is not None:
+                rep.sink(rep.summary())
+            reports.append(rep)
+        return reports
     out: List[Report] = []
     for name, (min_n, _) in _SUITES.items():
         if n >= min_n:
             out.extend(run_suite(name, n, seed, prime))
     return out
+
+
+class _Blocks:
+    """A sink that writes lines to stdout in blocks of `_BLOCK`.  It looks
+    ``sys.stdout`` up at each write, since callers may swap it."""
+
+    def __init__(self) -> None:
+        self.pending: List[str] = []
+
+    def __call__(self, line: str) -> None:
+        self.pending.append(line)
+        if len(self.pending) >= _BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.pending:
+            text = "\n".join(self.pending) + "\n"
+            self.pending.clear()
+            sys.stdout.write(text)
 
 
 def _env_int(name: str, default: int) -> int:
@@ -256,14 +302,16 @@ def cmd_verify(args) -> int:
     min_n = 1 if args.suite == "all" else _SUITES[args.suite][0]
     if args.n < min_n:
         raise ValueError(f"suite {args.suite} needs n >= {min_n}")
-    reports = run_suite(args.suite, args.n, seed, prime)
-    for rep in reports:
-        for line in rep.lines():
-            print(line)
-    failed = [rep.title for rep in reports if not rep.passed]
-    print(f"suite={args.suite} n={args.n} seed={seed} prime={prime} "
-          f"passed={'true' if not failed else 'false'}")
-    return 1 if failed else 0
+    out = _Blocks()
+    try:
+        with streaming(out):
+            reports = run_suite(args.suite, args.n, seed, prime)
+        passed = all(rep.passed for rep in reports)
+        out(f"suite={args.suite} n={args.n} seed={seed} prime={prime} "
+            f"passed={'true' if passed else 'false'}")
+    finally:  # on an error too, so the checks decided before it are shown
+        out.flush()
+    return 0 if passed else 1
 
 
 def _stdout_to_devnull() -> None:
@@ -279,8 +327,17 @@ def _stdout_to_devnull() -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
+    # A known command goes straight to its own parser: the same namespace
+    # and messages as the full parse, at about half its cost per request.
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = _build_parser().parse_args(argv)
+        if command is None:  # no command, -h or an unknown one
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:])
+            args.command = argv[0]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

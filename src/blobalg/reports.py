@@ -4,13 +4,37 @@ Every verifier in the package returns a :class:`Report`.  Checks carry the
 instance label plus printable left/right sides so a failing run shows what
 was compared; reports carry the metadata needed to reproduce them (seed,
 prime, specialization points) whenever randomness was involved.
+
+A report may stream instead: given a sink (a callable taking one line),
+``add`` passes each check's ``[PASS]``/``[FAIL]`` line to it as soon as the
+check is decided and keeps only the failed checks and a count of the passed
+ones, so its memory does not grow with the number of checks.  The check
+functions build their own reports, so a report created inside
+``with streaming(sink):`` takes that sink; ``blobalg verify`` runs the
+suites inside one.  Any other report keeps every check.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Callable, Dict, Iterator, List, Optional
+
+Sink = Callable[[str], None]
+
+_sink: Optional[Sink] = None  # the sink that new reports take, set by `streaming`
+
+
+@contextmanager
+def streaming(sink: Sink) -> Iterator[None]:
+    """Reports created inside the block stream their check lines to `sink`."""
+    global _sink
+    outer, _sink = _sink, sink
+    try:
+        yield
+    finally:
+        _sink = outer
 
 
 @dataclass
@@ -30,9 +54,15 @@ class Check:
 
 @dataclass
 class Report:
+    """A titled list of checks.  With a `sink`, `checks` holds only the
+    failed checks and `streamed` counts the passed ones, whose lines went
+    to the sink with the rest; `passed` and `summary` read both."""
+
     title: str
     checks: List[Check] = field(default_factory=list)
     meta: Dict[str, object] = field(default_factory=dict)
+    sink: Optional[Sink] = field(default_factory=lambda: _sink, init=False, repr=False, compare=False)
+    streamed: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -40,6 +70,11 @@ class Report:
 
     def add(self, instance: str, lhs: object, rhs: object, passed: bool, note: str = "") -> Check:
         check = Check(instance, str(lhs), str(rhs), bool(passed), note)
+        if self.sink is not None:
+            self.sink(self._line(check))
+            if check.passed:
+                self.streamed += 1
+                return check
         self.checks.append(check)
         return check
 
@@ -54,14 +89,16 @@ class Report:
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
+    def _line(self, c: Check) -> str:
+        line = f"[{'PASS' if c.passed else 'FAIL'}] {self.title}/{c.instance}: {c.lhs} == {c.rhs}"
+        return f"{line}  ({c.note})" if c.note else line
+
+    def summary(self) -> str:
+        """The closing ``== title: ok|FAILED (k/N checks)`` line."""
+        ok = sum(c.passed for c in self.checks) + self.streamed
+        return (f"== {self.title}: {'ok' if self.passed else 'FAILED'} "
+                f"({ok}/{len(self.checks) + self.streamed} checks)")
+
     def lines(self) -> List[str]:
-        out = []
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            line = f"[{status}] {self.title}/{c.instance}: {c.lhs} == {c.rhs}"
-            if c.note:
-                line += f"  ({c.note})"
-            out.append(line)
-        out.append(f"== {self.title}: {'ok' if self.passed else 'FAILED'} "
-                   f"({sum(c.passed for c in self.checks)}/{len(self.checks)} checks)")
-        return out
+        """The line of every kept check, then the summary."""
+        return [*map(self._line, self.checks), self.summary()]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from blobalg.cli import main
+from blobalg.cli import _SUITES, main, run_suite
 from blobalg.presentation import evaluate_word
 from blobalg.reports import Report
 from blobalg.words import parse_word
@@ -433,3 +433,161 @@ def test_reader_closing_the_pipe_early_exits_141():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert first.startswith(b"0,") and err == b""
+
+
+# -- streamed verify output ----------------------------------------------------
+
+
+def _buffered_output(suite, n, seed=0, prime=2147483647):
+    """What verify prints, built from the library's buffered reports."""
+    reports = run_suite(suite, n, seed, prime)
+    passed = all(rep.passed for rep in reports)
+    lines = [line for rep in reports for line in rep.lines()]
+    lines.append(f"suite={suite} n={n} seed={seed} prime={prime} "
+                 f"passed={'true' if passed else 'false'}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("suite, n", [
+    *(("all", n) for n in range(1, 8)),
+    *((suite, n) for suite, (min_n, _) in _SUITES.items() for n in range(max(min_n, 1), 6)),
+])
+def test_streamed_verify_equals_buffered_reports(capsys, suite, n):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n", str(n))
+    assert code == 0 and err == ""
+    assert out == _buffered_output(suite, n)
+
+
+def test_streamed_report_keeps_only_failed_checks():
+    from blobalg.reports import streaming
+
+    lines = []
+    with streaming(lines.append):
+        rep = Report("t")
+    assert Report("u").sink is None
+    for knob in ("sink", "streamed"):  # set only by `streaming` and `add`
+        with pytest.raises(TypeError):
+            Report("v", **{knob: None})
+    rep.add("a", 1, 1, True)
+    rep.add("b", 1, 0, False, "why")
+    rep.add("c", 2, 2, True)
+    assert lines == ["[PASS] t/a: 1 == 1", "[FAIL] t/b: 1 == 0  (why)", "[PASS] t/c: 2 == 2"]
+    assert [c.instance for c in rep.checks] == ["b"] and rep.streamed == 2
+    assert not rep.passed
+    assert rep.summary() == "== t: FAILED (2/3 checks)"
+    assert rep.lines() == ["[FAIL] t/b: 1 == 0  (why)", "== t: FAILED (2/3 checks)"]
+
+
+class _Mutated(Report):
+    """A report whose `at`-th check fails (or raises, when `error` is set)."""
+
+    at, error, calls = 300, False, 0
+
+    def add(self, instance, lhs, rhs, passed, note=""):
+        self.calls += 1
+        if self.calls == self.at:
+            if self.error:
+                raise RuntimeError("broken mid-report")
+            passed = False
+        return super().add(instance, lhs, rhs, passed, note)
+
+
+def test_check_failing_mid_report_prints_in_place_and_exits_one(capsys, monkeypatch):
+    import blobalg.presentation as presentation
+
+    monkeypatch.setattr(presentation, "Report", _Mutated)
+    code, out, err = run(capsys, "verify", "--suite", "redux", "--n", "5")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    total = len(lines) - 2
+    assert total > _Mutated.at + 256  # the failure sits inside a block
+    assert all(line.startswith("[PASS] redux(n=5)/") for i, line in enumerate(lines[:total])
+               if i != _Mutated.at - 1)
+    assert lines[_Mutated.at - 1].startswith("[FAIL] redux(n=5)/")
+    assert lines[-2:] == [f"== redux(n=5): FAILED ({total - 1}/{total} checks)",
+                          "suite=redux n=5 seed=0 prime=2147483647 passed=false"]
+    assert out == _buffered_output("redux", 5)
+
+
+def test_internal_error_mid_report_keeps_the_decided_lines(capsys, monkeypatch):
+    import blobalg.presentation as presentation
+
+    monkeypatch.setattr(_Mutated, "error", True)
+    monkeypatch.setattr(presentation, "Report", _Mutated)
+    code, out, err = run(capsys, "verify", "--suite", "all", "--n", "5")
+    assert code == 3
+    assert err == "error: internal: RuntimeError: broken mid-report\n"
+    lines = out.splitlines()
+    # relations and identities (both from presentation) finish; redux stops
+    relations, identities = (lines.index(line) for line in lines if line.startswith("== "))
+    assert lines[relations].startswith("== relations(n=5): ok")
+    assert lines[identities].startswith("== identities(n=5): ok")
+    redux = lines[identities + 1:]
+    assert len(redux) == _Mutated.at - 1 and all(line.startswith("[PASS] redux(n=5)/")
+                                                  for line in redux)
+
+
+def test_verify_writes_in_blocks(monkeypatch):
+    import io
+    import sys
+
+    class Counting(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Counting())
+    assert main(["verify", "--suite", "redux", "--n", "5"]) == 0
+    lines = sys.stdout.getvalue().count("\n")
+    assert lines > 600 and sys.stdout.writes <= -(-lines // 256) + 1
+
+
+def test_verify_reader_closing_the_pipe_early_exits_141():
+    import os
+    import subprocess
+    import sys
+
+    # redux at n = 7 prints far more than a pipe buffer holds
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.Popen([sys.executable, "-m", "blobalg.cli", "verify", "--suite", "redux",
+                             "--n", "7"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert first.startswith(b"[PASS] redux(n=7)/") and err == b""
+
+
+# -- direct dispatch to a command's parser --------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["mul", "--n", "3", "--left", "U1", "--right", "e"],
+    ["verify", "--suite", "all", "--n", "2"],
+    ["walks", "--n", "3", "--m", "1", "--format", "json"],
+    ["basis", "--n", "2", "--squared", "--m", "0"],
+    ["phi", "--n", "x", "--word", "U1"],
+    ["phi", "--n", "٣", "--word", "U1"],
+    ["phi", "--n", "3"],
+    ["phi", "--n", "3", "--word", "U1", "--extra"],
+    ["verify", "--suite", "nonsense", "--n", "3"],
+    ["verify", "--n", "3", "--suite"],
+])
+def test_command_parser_agrees_with_the_full_parse(argv):
+    import blobalg.cli as cli
+
+    def parse(parse_args, args):
+        try:
+            return vars(parse_args(args))
+        except ValueError as exc:
+            return str(exc)
+
+    parser = cli._build_parser()
+    direct = parse(parser.commands[argv[0]].parse_args, argv[1:])
+    if isinstance(direct, dict):
+        direct["command"] = argv[0]
+    assert direct == parse(parser.parse_args, argv)
