@@ -18,12 +18,17 @@ lines j, j+1 also moves the top half, which a join table maps from (top
 half, j, blob).  The right table holds at most n * 2^n entries, so no
 table is ever emptied; ``reset_tables`` gives the tests a cold start.
 ``compose`` runs only to fill a missing entry, on the diagram the walk is
-at.  A walk counts its steps per code; its scalar is built once, as
-``monomial`` of those counts, and its diagram is built from the halves
-where it ends.  ``evaluate_from`` continues a walk from the image of a
-word w: it looks up (or splits) the image's diagram and walks only the
-tail's letters, so w * tail needs neither w's letters again nor a cache
-entry of its own.
+at.  One loop, ``_advance``, walks letters from a state: it returns the
+state reached and counts the steps per code.  A *position* is (top id,
+bottom id, coeff); the tables intern halves, so equal positions are equal
+images.  ``evaluate_word`` walks from the root and builds its image once,
+``monomial`` of the counts times the diagram rebuilt from the halves where
+the walk ends.  ``evaluate_from`` continues a walk from the image of a
+word w: it looks up (or splits) the image's diagram, walks only the
+tail's letters and multiplies the coefficient by the tail's monomial, so
+w * tail needs neither w's letters again nor a cache entry of its own.
+The reduction-stability check walks positions on in the same way and
+never turns one back into a diagram.
 
 A word is *reduced* when it is not a non-unit scalar times a shorter
 expression; since every length-reducing relation introduces a non-unit
@@ -174,9 +179,10 @@ def _table(n: int) -> _Halves:
     return tables
 
 
-def _walk(tables: _Halves, t: int, s: int, letters: Tuple[int, ...]) -> ScaledDiagram:
-    """Walk `letters` through `tables` from state (t, s): the diagram
-    reached, times the monomial of the steps taken, counted by code."""
+def _advance(tables: _Halves, t: int, s: int,
+             letters: Tuple[int, ...]) -> Tuple[int, int, int, int, int]:
+    """Walk `letters` through `tables` from state (t, s): the top and
+    bottom ids reached, and the walk's [2], g and de step counts."""
     right, joins, n = tables.right, tables.joins, tables.n
     count = [0, 0, 0, 0]
     for letter in letters:
@@ -188,7 +194,20 @@ def _walk(tables: _Halves, t: int, s: int, letters: Tuple[int, ...]) -> ScaledDi
             t = joins[key]
         s = nxt
         count[code] += 1
-    return ScaledDiagram(monomial(count[1], count[2], count[3]), tables.diagram(t, s))
+    return t, s, count[1], count[2], count[3]
+
+
+# A walk position: (top id, bottom id, coefficient) in one strand count's tables.
+Position = Tuple[int, int, RingElem]
+
+
+def _walk_on(tables: _Halves, position: Position, letters: Tuple[int, ...]) -> Position:
+    """The position reached by walking `letters` on from `position`: its
+    coefficient times the monomial of the steps, multiplied once, and not
+    at all when the monomial is 1."""
+    t, s, coeff = position
+    t, s, a, b, c = _advance(tables, t, s, letters)
+    return t, s, (coeff * monomial(a, b, c) if a or b or c else coeff)
 
 
 @lru_cache(maxsize=1 << 17)
@@ -206,17 +225,21 @@ def evaluate_word(w: Word) -> ScaledDiagram:
     ``evaluate_word.cache_clear()`` empties the word cache only;
     :func:`reset_tables` empties the tables.
     """
-    return _walk(_table(w.n), 0, 0, w.letters)
+    tables = _table(w.n)
+    t, s, a, b, c = _advance(tables, 0, 0, w.letters)
+    return ScaledDiagram(monomial(a, b, c), tables.diagram(t, s))
 
 
 def evaluate_from(image: ScaledDiagram, tail: Word) -> ScaledDiagram:
     """The image of w * tail, given ``image = evaluate_word(w)``.
 
-    Only the tail's letters are walked, from the state of the image's
-    diagram in the tables of ``tail.n``; a diagram the tables have not
-    seen (one from elsewhere, or met before :func:`reset_tables`) is split
-    into its halves first.  The tail's monomial multiplies the image's
-    coefficient once, unless it is 1; nothing enters the cache.
+    The image is a position, the state of its diagram in the tables of
+    ``tail.n`` with its coefficient; a diagram the tables have not seen
+    (one from elsewhere, or met before :func:`reset_tables`) is split into
+    its halves first.  Only the tail's letters are walked on from there,
+    by the same loop as :func:`evaluate_word`.  The tail's monomial
+    multiplies the image's coefficient once, unless it is 1; nothing
+    enters the cache.
     """
     n = tail.n
     if image.diagram.n != n:
@@ -224,9 +247,8 @@ def evaluate_from(image: ScaledDiagram, tail: Word) -> ScaledDiagram:
     if not tail.letters:
         return image
     tables = _table(n)
-    step = _walk(tables, *tables.state(image.diagram), tail.letters)
-    return ScaledDiagram(image.coeff if step.coeff.is_one() else image.coeff * step.coeff,
-                         step.diagram)
+    t, s, coeff = _walk_on(tables, (*tables.state(image.diagram), image.coeff), tail.letters)
+    return ScaledDiagram(coeff, tables.diagram(t, s))
 
 
 def phi_equal(u: Word, v: Word, scalar: RingElem | None = None) -> bool:
@@ -360,18 +382,20 @@ def check_reduction_stability(n: int) -> Report:
     word, a deliberately non-reduced variant with its last letter doubled;
     this exercises both directions of each biconditional without walking
     the full exponential word space.
+
+    Every claim is decided on walk positions (top id, bottom id, coeff) in
+    the tables of n and n + 1, and no image becomes a diagram.  The tables
+    intern halves, so equal positions are equal images, and a word is
+    reduced when its coeff is 1.  Each basis word w is walked once from
+    the root of n, once from the root of n + 1 and once from the position
+    of U_n in n + 1; its variant is one letter more from each of those
+    stems, and every tail walks on from a stem.
     """
     if n < 3:
         raise ValueError("reduction stability needs n >= 3")
     from .towers import regular_basis  # deferred: towers builds on this module
 
     rep = Report(f"redux(n={n})", meta={"n": n})
-    samples: List[Word] = []
-    for w in regular_basis(n - 1):
-        samples.append(w)
-        if w.letters:
-            samples.append(Word(w.n, w.letters + (w.letters[-1],)))
-
     # the tails depend only on n, so they are built once
     u_far = gen_u(n + 1, n)
     run_down = descending_run(n - 1, 1, n)
@@ -384,10 +408,8 @@ def check_reduction_stability(n: int) -> Report:
     big_tail = (e_big * skip_run(n - 1, 2, n + 1) * big_skip * skip_run(n - 1, 2, n + 1)
                 * skip_run(n, 3, n + 1))
     e_u_far = e_big * u_far
-    far_image = evaluate_word(u_far)
-    # each w * tail is walked on from the image of w, so no longer word is
-    # built or cached; the labels are text joined from parts formatted
-    # once, as Word.__str__ would print them ("" stands for an empty part)
+    # the labels are text joined from parts formatted once, as Word.__str__
+    # would print them ("" stands for an empty part)
     far_t, collapse_t, skip_t, blob_t, big_skip_t, big_tail_t, e_u_far_t = (
         str(t) if t.letters else ""
         for t in (u_far, collapse_tail, skip_n, blob_tail, big_skip, big_tail, e_u_far))
@@ -395,35 +417,50 @@ def check_reduction_stability(n: int) -> Report:
     def text(*parts: str) -> str:
         return " ".join(filter(None, parts)) or "1"
 
-    for w in samples:
-        label = str(w)
-        body = label if w.letters else ""
-        w_big = w.with_n(n + 1)
-        big = evaluate_word(w_big)
-        big_far = evaluate_from(big, u_far)
+    small_tables, big_tables = _table(n), _table(n + 1)
+    root = (0, 0, monomial(0, 0, 0))
+
+    def small(position: Position, tail: Word) -> Position:
+        return _walk_on(small_tables, position, tail.letters)
+
+    def big(position: Position, tail: Word) -> Position:
+        return _walk_on(big_tables, position, tail.letters)
+
+    def decide(body: str, stem_n: Position, stem_big: Position, far_stem: Position) -> None:
+        """The checks of the sample printed `body` ("" when empty), from its
+        stems at the root of n, the root of n + 1 and U_n in n + 1."""
+        label = body or "1"
+        big_far = big(stem_big, u_far)
         rep.add(f"append-far [{label}]", f"reduced({label})", f"reduced({label} U{n})",
-                big.coeff.is_one() == big_far.coeff.is_one())
-
-        small = evaluate_word(w.with_n(n))
+                stem_big[2].is_one() == big_far[2].is_one())
         rep.add(f"append-run [{label}]", f"reduced({label})", f"reduced({label} U{n-1}..U1)",
-                small.coeff.is_one() == evaluate_from(small, run_down).coeff.is_one())
-
+                stem_n[2].is_one() == small(stem_n, run_down)[2].is_one())
         rep.add(f"run-collapse [{label}]", text(body, collapse_t), text(body, far_t),
-                evaluate_from(big, collapse_tail) == big_far)
+                big(stem_big, collapse_tail) == big_far)
 
         if n % 2 == 1:
             # the blobbed-growth form needs genuine skip runs, so odd n only
-            stem = evaluate_from(small, skip_n)
+            stem = small(stem_n, skip_n)
             stem_label = text(body, skip_t)
-            reduced = stem.coeff.is_one()
+            reduced = stem[2].is_one()
             rep.add(f"append-e [{label}]", f"reduced({stem_label})", f"reduced({stem_label} e)",
-                    reduced == evaluate_from(stem, e_n).coeff.is_one())
+                    reduced == small(stem, e_n)[2].is_one())
             rep.add(f"append-blob [{label}]", f"reduced({stem_label})",
                     f"reduced({text(body, skip_t, blob_t)})",
-                    reduced == evaluate_from(stem, blob_tail).coeff.is_one())
+                    reduced == small(stem, blob_tail)[2].is_one())
 
-        big_stem = evaluate_from(big, big_skip)
-        left = evaluate_from(evaluate_from(evaluate_from(far_image, w_big), big_skip), big_tail)
         rep.add(f"blob-collapse [{label}]", text(far_t, body, big_skip_t, big_tail_t),
-                text(body, big_skip_t, e_u_far_t), left == evaluate_from(big_stem, e_u_far))
+                text(body, big_skip_t, e_u_far_t),
+                big(big(far_stem, big_skip), big_tail) == big(big(stem_big, big_skip), e_u_far))
+
+    far = big(root, u_far)
+    for w in regular_basis(n - 1):
+        stems = (small(root, w), big(root, w), big(far, w))
+        body = str(w) if w.letters else ""
+        decide(body, *stems)
+        if w.letters:
+            last = w.letters[-1:]
+            decide(f"{body} {'e' if last[0] == 0 else f'U{last[0]}'}",
+                   _walk_on(small_tables, stems[0], last), _walk_on(big_tables, stems[1], last),
+                   _walk_on(big_tables, stems[2], last))
     return rep

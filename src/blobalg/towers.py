@@ -411,6 +411,12 @@ class StandardModule:
         }
 
 
+@lru_cache(maxsize=256)
+def _walk_words(n: int, m: int) -> Tuple[Word, ...]:
+    """The weight-m walk words, built once for the module and span-closure checks."""
+    return tuple(walk_words(n, m))
+
+
 def standard_module(n: int, m: int, point: SpecPoint) -> StandardModule:
     """Build the standard module with basis the weight-m walk words.
 
@@ -418,7 +424,7 @@ def standard_module(n: int, m: int, point: SpecPoint) -> StandardModule:
     quotient span; an inexpressible vector means the walk words do not
     span, which is a bug, so it raises.  A weight no walk reaches raises
     ValueError in walk_words."""
-    words = tuple(walk_words(n, m))
+    words = _walk_words(n, m)
     space = diagram_space(n)
     z_span = RowSpan.coordinate(space.dim, point.prime, _quotient_span(n, m))
     solver = CoordSolver(z_span.reduce(space.word_rows(words, point)), point.prime)
@@ -432,7 +438,8 @@ def standard_module(n: int, m: int, point: SpecPoint) -> StandardModule:
     matrices: Dict[str, np.ndarray] = {}
     for letter in space.letters:
         name = "e" if letter == 0 else f"U{letter}"
-        matrices[name] = coordinates(f"action of {name}", [Word(n, (letter,)) * w for w in words])
+        gen = Word(n, (letter,))
+        matrices[name] = coordinates(f"action of {name}", [gen * w for w in words])
     cyc = coordinates("cyclic vector", [tail_word(m, n)])[:, 0]
     return StandardModule(n, m, point, words, matrices, cyc)
 
@@ -488,7 +495,7 @@ def check_span_closure(n: int, points: Optional[Sequence[SpecPoint]] = None,
     inside itself plus its stated quotient span."""
     rep, _, space, note = _start_check("span-closure", n, points, seed)
     for m in range(-n, n + 1, 2):
-        words = walk_words(n, m)
+        words = _walk_words(n, m)
         span = space.word_span(words)
         ok = space.left_images(span) <= _quotient_span(n, m) | span
         rep.add(f"closure m={m}", f"generators * {len(words)} walk words",

@@ -1,11 +1,12 @@
 """Reference form of the reduction-stability check.
 
-`blobalg.presentation.check_reduction_stability` walks every tail on from
-the image of its stem with `evaluate_from`, so it builds no `w * tail` word
-and caches no image of one.  `reference_reduction_stability` is the direct
-form: it concatenates each `w * tail` as a `Word`, evaluates it with
-`evaluate_word` and prints every label with `str`.  Its report must equal
-the fast one line for line.
+`blobalg.presentation.check_reduction_stability` decides every claim on
+walk positions (top id, bottom id, coeff): each stem is walked once per
+basis word and every tail on from a stem, so it builds no `w * tail` word,
+no diagram of one, and caches no image.  `reference_reduction_stability`
+is the direct form: it concatenates each `w * tail` as a `Word`,
+evaluates it with `evaluate_word` and prints every label with `str`.  Its
+report must equal the fast one line for line.
 """
 
 from typing import List

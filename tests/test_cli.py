@@ -183,13 +183,14 @@ def test_verify_fail_exit_one(capsys, monkeypatch):
 def test_unbuildable_standard_module_fails_its_check(capsys, monkeypatch):
     import blobalg.towers as towers
 
-    real = towers.walk_words
+    real = towers._walk_words
 
-    def repeated(n, m, variant=False):
-        words = real(n, m, variant)
-        return [words[0]] * len(words)
+    def repeated(n, m):
+        words = real(n, m)
+        return (words[0],) * len(words)
 
-    monkeypatch.setattr(towers, "walk_words", repeated)
+    # the shared walk words, patched rather than cached, so no later test sees them
+    monkeypatch.setattr(towers, "_walk_words", repeated)
     code, out, err = run(capsys, "verify", "--suite", "bases", "--n", "3")
     assert code == 1 and err == ""
     lines = out.splitlines()

@@ -528,15 +528,45 @@ def test_evaluate_from_rejects_another_strand_count():
 
 
 def test_reduction_stability_matches_the_concatenated_reference():
-    for n in range(3, 8):
+    for n in range(3, 9):
         assert check_reduction_stability(n).lines() == reference_reduction_stability(n).lines()
 
 
+def _skipping_g_steps(real):
+    """A walker that drops one step code: a letter whose step is g is not walked."""
+    def walk(tables, t, s, letters):
+        a = c = 0
+        for letter in letters:
+            nt, ns, da, db, dc = real(tables, t, s, (letter,))
+            if not db:
+                t, s, a, c = nt, ns, a + da, c + dc
+        return t, s, a, 0, c
+    return walk
+
+
+def _forgetting_the_stem(tables, position, letters):
+    """A position walk that drops the coefficient it starts from."""
+    t, s, a, b, c = presentation._advance(tables, position[0], position[1], letters)
+    return t, s, monomial(a, b, c)
+
+
+@pytest.mark.parametrize("mutant", ["skips g steps", "forgets the stem"])
+def test_reduction_stability_tells_a_broken_walk_from_the_reference(monkeypatch, mutant):
+    # the reference and regular_basis are built first, with the real walk
+    want = {n: reference_reduction_stability(n).lines() for n in range(3, 7)}
+    if mutant == "skips g steps":
+        monkeypatch.setattr(presentation, "_advance", _skipping_g_steps(presentation._advance))
+    else:
+        monkeypatch.setattr(presentation, "_walk_on", _forgetting_the_stem)
+    assert any(check_reduction_stability(n).lines() != want[n] for n in range(3, 7))
+
+
 def test_reduction_stability_caches_no_tail_images(cold_evaluate_word):
-    # only the stems w and the one-letter U_n enter the cache (3,813 words
-    # at n = 7); evaluating every w * tail as its own word cached 18,588
+    # the claims are decided on walk positions, so neither the stems nor
+    # w * tail enter the cache; what is left comes from building
+    # regular_basis (118 words at n = 7)
     check_reduction_stability(7)
-    assert cold_evaluate_word.cache_info().currsize < 4000
+    assert cold_evaluate_word.cache_info().currsize < 200
 
 
 def test_wide_words_allocate_linear_memory(cold_evaluate_word):
