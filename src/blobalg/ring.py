@@ -18,9 +18,12 @@ constructor is the only place that drops zero coefficients: arithmetic and
 Every word image's scalar is a monomial ``[2]^a g^b de^c``.  An element
 built by :func:`monomial` records its exponents (a, b, c), and the product
 of two such elements is ``monomial`` of the summed exponents, a cached
-lookup; any other product multiplies the terms.  Equality, hashing and the
-text form depend on the terms alone, so a recorded and an unrecorded
-element with the same terms are equal.
+lookup; any other product multiplies the terms.  The named constants
+``one``, ``loop``, ``gamma`` and ``delta_e`` are such monomials, and
+:func:`parse_scalar` returns the recorded monomial for its canonical text
+(other texts come back unrecorded).  Equality, hashing and the text form
+depend on the terms alone, so a recorded and an unrecorded element with the
+same terms are equal.
 
 Canonical string form: terms sorted by (q-exp, g-exp, de-exp), factors
 written as ``g``, ``de``, ``q`` with ``^`` exponents, e.g. ``"q^-1 + q"``,
@@ -71,7 +74,7 @@ class RingElem:
 
     @classmethod
     def one(cls) -> "RingElem":
-        return cls({(0, 0, 0): 1})
+        return monomial(0, 0, 0)
 
     @classmethod
     def integer(cls, k: int) -> "RingElem":
@@ -83,16 +86,16 @@ class RingElem:
 
     @classmethod
     def gamma(cls) -> "RingElem":
-        return cls({(0, 1, 0): 1})
+        return monomial(0, 1, 0)
 
     @classmethod
     def delta_e(cls) -> "RingElem":
-        return cls({(0, 0, 1): 1})
+        return monomial(0, 0, 1)
 
     @classmethod
     def loop(cls) -> "RingElem":
         """The undecorated-loop scalar q + q^-1."""
-        return cls({(1, 0, 0): 1, (-1, 0, 0): 1})
+        return monomial(1, 0, 0)
 
     # -- structure ---------------------------------------------------------
 
@@ -219,6 +222,31 @@ def monomial(a: int, b: int, c: int) -> RingElem:
     return elem
 
 
+def _read_term(sign: str, piece: str, text: str) -> Tuple[Monomial, int]:
+    """One term of a scalar: its sign and its ``*``-joined factors, read
+    into (monomial, coefficient).  ``text`` is the whole scalar, named in
+    error messages."""
+    coeff = -1 if sign == "-" else 1
+    exps = {"q": 0, "g": 0, "de": 0}
+    for factor in piece.split("*"):
+        factor = factor.strip()
+        if not factor:
+            raise ValueError(f"malformed scalar {text!r}")
+        if factor.isdecimal():
+            coeff *= int(factor)
+            continue
+        sym, caret, exp_s = factor.partition("^")
+        if sym not in exps:
+            raise ValueError(f"unknown symbol {sym!r} in scalar {text!r}")
+        if caret and not re.fullmatch(r"[+-]?\d+", exp_s):
+            raise ValueError(f"{sym} exponent {exp_s!r} is not an integer in scalar {text!r}")
+        exp = int(exp_s) if caret else 1
+        if exp < 0 and sym != "q":
+            raise ValueError(f"{sym} exponent must be nonnegative")
+        exps[sym] += exp
+    return (exps["q"], exps["g"], exps["de"]), coeff
+
+
 def parse_scalar(text: str) -> RingElem:
     """Parse the canonical string form back into an element.
 
@@ -226,33 +254,27 @@ def parse_scalar(text: str) -> RingElem:
     optional integer and symbol factors q, g, de with optional ^exponent
     (negative allowed on q only).  Spaces around ``^`` are dropped and a
     sign after it belongs to the exponent: ``q ^ -1`` is ``q^-1``.
+
+    A text that is the canonical text of ``monomial(a, b, c)`` once
+    stripped and with ``^`` spacing dropped returns that recorded monomial.
+    Its first term has coefficient 1 and exponents (-a, b, c), and it has
+    exactly ``a + 1`` terms; the monomial is built only when the text holds
+    ``a`` separators `` + ``, so the work stays bounded by the text.  Every
+    other text is read term by term.
     """
     s = re.sub(r"\s*\^\s*", "^", text.strip())
     if not s:
         raise ValueError("empty scalar")
-    if s[0] not in "+-":
-        s = "+" + s
-    parts = re.split(r"(?<!\^)([+-])", s)[1:]
-    terms: Dict[Monomial, int] = {}
-    for sign, piece in zip(parts[::2], parts[1::2]):
-        coeff = -1 if sign == "-" else 1
-        exps = {"q": 0, "g": 0, "de": 0}
-        for factor in piece.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ValueError(f"malformed scalar {text!r}")
-            if factor.isdecimal():
-                coeff *= int(factor)
-                continue
-            sym, caret, exp_s = factor.partition("^")
-            if sym not in exps:
-                raise ValueError(f"unknown symbol {sym!r} in scalar {text!r}")
-            if caret and not re.fullmatch(r"[+-]?\d+", exp_s):
-                raise ValueError(f"{sym} exponent {exp_s!r} is not an integer in scalar {text!r}")
-            exp = int(exp_s) if caret else 1
-            if exp < 0 and sym != "q":
-                raise ValueError(f"{sym} exponent must be nonnegative")
-            exps[sym] += exp
-        mono = (exps["q"], exps["g"], exps["de"])
+    parts = re.split(r"(?<!\^)([+-])", s if s[0] in "+-" else "+" + s)[1:]
+    pieces = zip(parts[::2], parts[1::2])
+    mono, coeff = _read_term(*next(pieces), text)
+    a = -mono[0]
+    if coeff == 1 and a >= 0 and s.count(" + ") == a:
+        elem = monomial(a, mono[1], mono[2])
+        if str(elem) == s:
+            return elem
+    terms: Dict[Monomial, int] = {mono: coeff}
+    for sign, piece in pieces:
+        mono, coeff = _read_term(sign, piece, text)
         terms[mono] = terms.get(mono, 0) + coeff
     return RingElem(terms)

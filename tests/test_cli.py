@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,6 +7,10 @@ from blobalg.cli import _SUITES, main, run_suite
 from blobalg.presentation import evaluate_word
 from blobalg.reports import Report
 from blobalg.words import parse_word
+
+
+def _word_text(letters):
+    return " ".join("e" if x == 0 else f"U{x}" for x in letters)
 
 
 def run(capsys, *argv):
@@ -56,6 +61,32 @@ def test_mul_accepts_diagram_json(capsys):
     code, out, _ = run(capsys, "mul", "--n", "2", "--left", left.strip(), "--right", "e")
     assert code == 0
     assert json.loads(out)["coeff"] == "de"
+
+
+@pytest.mark.parametrize("coeff", ["q^-2 + 2 + q^2", "q^-2 + 3 + q^2", "q^-1000000"])
+def test_mul_keeps_a_json_coefficient(capsys, coeff):
+    # canonical monomial text, a near miss, and a short text of high degree
+    side = json.dumps({"pairs": [[1, 6], [2, 3], [4, 5]], "coeff": coeff})
+    code, out, _ = run(capsys, "mul", "--n", "3", "--left", side, "--right", "U1 e")
+    assert code == 0
+    assert out == ('{"n": 3, "pairs": [[1, 4], [2, 3], [5, 6]], "blobs": [[5, 6]], '
+                   '"coeff": "%s"}\n' % coeff)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_chained_products_match_phi_of_the_concatenated_word(capsys, n):
+    # each product's JSON is the next product's left operand
+    rng = random.Random(f"chained-{n}")
+    letters = [rng.randrange(n) for _ in range(8)]
+    code, left, _ = run(capsys, "phi", "--n", str(n), "--word", _word_text(letters))
+    for _ in range(6):
+        right = [rng.randrange(n) for _ in range(8)]
+        letters += right
+        code, out, _ = run(capsys, "mul", "--n", str(n), "--left", left.strip(),
+                           "--right", _word_text(right))
+        assert code == 0
+        assert out == run(capsys, "phi", "--n", str(n), "--word", _word_text(letters))[1]
+        left = out
 
 
 def test_mul_rejects_mismatched_strand_count(capsys):
@@ -301,6 +332,11 @@ def test_bad_word_or_walk_token_is_named(capsys, argv, message):
 @pytest.mark.parametrize("coeff, message", [
     ("q^", "error: q exponent '' is not an integer in scalar 'q^'"),
     ("q^1.5", "error: q exponent '1.5' is not an integer in scalar 'q^1.5'"),
+    # canonical monomial text up to the fault
+    ("q^-2 + 2 + q^", "error: q exponent '' is not an integer in scalar 'q^-2 + 2 + q^'"),
+    ("q^-1 + x", "error: unknown symbol 'x' in scalar 'q^-1 + x'"),
+    ("q^-1 + q + ", "error: malformed scalar 'q^-1 + q + '"),
+    ("g*q^-1 + g*q^-1x", "error: q exponent '-1x' is not an integer in scalar 'g*q^-1 + g*q^-1x'"),
 ])
 def test_malformed_exponent_is_named(capsys, coeff, message):
     side = json.dumps({"pairs": [[1, 6], [2, 3], [4, 5]], "coeff": coeff})

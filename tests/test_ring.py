@@ -140,6 +140,12 @@ def test_equal_elements_have_identical_term_maps():
     ("q ^1", "q"),
     ("q ^ -1", "q^-1"),
     ("de ^2", "de^2"),
+    # other spellings of monomial(1, 0, 0)
+    ("q + q^-1", "q^-1 + q"),
+    (" q^-1 + q ", "q^-1 + q"),
+    ("q ^ -1 + q", "q^-1 + q"),
+    ("q^-1+q", "q^-1 + q"),
+    ("q^-1 + 1*q", "q^-1 + q"),
 ])
 def test_parse_lenient_forms(text, want):
     assert str(parse_scalar(text)) == want
@@ -234,3 +240,80 @@ def test_monomial_rejects_negative_exponents():
     for triple in ((-1, 0, 0), (0, -1, 0), (0, 0, -2)):
         with pytest.raises(ValueError):
             monomial(*triple)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Counts of the products made while the test runs: "lookup" when both
+    sides record their exponents, "general" otherwise."""
+    seen = {"lookup": 0, "general": 0}
+    mul = RingElem.__mul__
+
+    def counted(self, other):
+        if isinstance(other, RingElem):
+            seen["lookup" if self._exps is not None and other._exps is not None else "general"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(RingElem, "__mul__", counted)
+    return seen
+
+
+def test_named_constants_are_recorded_monomials(products):
+    for elem, exps in ((ONE, (0, 0, 0)), (LOOP, (1, 0, 0)), (G, (0, 1, 0)), (DE, (0, 0, 1))):
+        assert elem._exps == exps and elem == _untagged(monomial(*exps))
+    assert LOOP ** 3 * G * DE ** 2 == monomial(3, 1, 2)
+    assert products["general"] == 0 and products["lookup"] > 0
+
+
+def test_canonical_monomial_text_parses_to_the_recorded_monomial(products):
+    triples = [(a, b, c) for a in range(6) for b in range(6) for c in range(6)]
+    for a, b, c in triples:
+        back = parse_scalar(str(monomial(a, b, c)))
+        assert back._exps == (a, b, c) and back == monomial(a, b, c)
+        for x, y, z in triples[::7]:
+            assert back * monomial(x, y, z) == monomial(a + x, b + y, c + z)
+    assert products["general"] == 0 and products["lookup"] == len(triples) * len(triples[::7])
+
+
+@pytest.mark.parametrize("text, want", [
+    ("q^-1 + 3*q", Q(-1) + RingElem.integer(3) * Q(1)),
+    ("q^-2 + 2 + q^2 + 1", Q(-2) + RingElem.integer(3) + Q(2)),
+    ("q^-1", Q(-1)),
+    ("-q^-1 - q", -LOOP),
+    ("-g", -G),
+    ("q^-2 + 3 + q^2", Q(-2) + RingElem.integer(3) + Q(2)),
+])
+def test_near_misses_take_the_general_path(text, want):
+    back = parse_scalar(text)
+    assert back._exps is None
+    assert back == want and str(back) == str(want)
+
+
+def test_monomial_is_never_built_beyond_the_text(monkeypatch):
+    from blobalg import ring
+
+    built = []
+
+    def counted(a, b, c):
+        built.append(a)
+        return monomial(a, b, c)
+
+    monkeypatch.setattr(ring, "monomial", counted)
+    big = 1_000_000
+    for text, want in (("q^-1000000", Q(-big)),
+                       ("q^-1000000 + q^1000000", Q(-big) + Q(big)),
+                       ("g*q^-1000000 + g*q^1000000", G * (Q(-big) + Q(big)))):
+        assert parse_scalar(text) == want
+        assert all(a <= text.count(" + ") + 1 for a in built), (text, built)
+
+
+def test_tower_and_defining_relations_make_no_general_product(products):
+    from blobalg.presentation import check_defining_relations, evaluate_word
+    from blobalg.towers import _conjugated_span, check_tower
+
+    evaluate_word.cache_clear()
+    _conjugated_span.cache_clear()
+    for n in range(1, 8):
+        assert check_defining_relations(n).passed
+        assert n < 2 or check_tower(n).passed
+    assert products["general"] == 0 and products["lookup"] > 0
