@@ -257,10 +257,12 @@ def parse_scalar(text: str) -> RingElem:
 
     A text that is the canonical text of ``monomial(a, b, c)`` once
     stripped and with ``^`` spacing dropped returns that recorded monomial.
-    Its first term has coefficient 1 and exponents (-a, b, c), and it has
-    exactly ``a + 1`` terms; the monomial is built only when the text holds
-    ``a`` separators `` + ``, so the work stays bounded by the text.  Every
-    other text is read term by term.
+    Its first term has coefficient 1 and exponents (-a, b, c), it has
+    exactly ``a + 1`` terms, and its binomial coefficients make it longer
+    than ``a * a / 8`` characters.  The monomial is built only when the text
+    holds ``a`` separators `` + `` and is that long, so the work stays
+    bounded by the text.  Every other text, and one whose monomial cannot
+    be printed, is read term by term.
     """
     s = re.sub(r"\s*\^\s*", "^", text.strip())
     if not s:
@@ -269,10 +271,13 @@ def parse_scalar(text: str) -> RingElem:
     pieces = zip(parts[::2], parts[1::2])
     mono, coeff = _read_term(*next(pieces), text)
     a = -mono[0]
-    if coeff == 1 and a >= 0 and s.count(" + ") == a:
-        elem = monomial(a, mono[1], mono[2])
-        if str(elem) == s:
-            return elem
+    if coeff == 1 and a >= 0 and a * a <= 8 * len(s) and s.count(" + ") == a:
+        try:
+            elem = monomial(a, mono[1], mono[2])
+            if str(elem) == s:
+                return elem
+        except ValueError:  # a coefficient past the int-to-str digit limit
+            pass
     terms: Dict[Monomial, int] = {mono: coeff}
     for sign, piece in pieces:
         mono, coeff = _read_term(sign, piece, text)

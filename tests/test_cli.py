@@ -63,14 +63,20 @@ def test_mul_accepts_diagram_json(capsys):
     assert json.loads(out)["coeff"] == "de"
 
 
-@pytest.mark.parametrize("coeff", ["q^-2 + 2 + q^2", "q^-2 + 3 + q^2", "q^-1000000"])
-def test_mul_keeps_a_json_coefficient(capsys, coeff):
-    # canonical monomial text, a near miss, and a short text of high degree
+@pytest.mark.parametrize("coeff, want", [
+    ("q^-2 + 2 + q^2", "q^-2 + 2 + q^2"),
+    ("q^-2 + 3 + q^2", "q^-2 + 3 + q^2"),
+    ("q^-1000000", "q^-1000000"),
+    ("q^-15000" + " + q" * 15000, "q^-15000 + 15000*q"),
+], ids=["canonical", "near-miss", "high-degree", "many-terms"])
+def test_mul_keeps_a_json_coefficient(capsys, coeff, want):
+    # canonical monomial text, a near miss, a short text of high degree, and
+    # as many terms as monomial(15000, 0, 0) without its text
     side = json.dumps({"pairs": [[1, 6], [2, 3], [4, 5]], "coeff": coeff})
     code, out, _ = run(capsys, "mul", "--n", "3", "--left", side, "--right", "U1 e")
     assert code == 0
     assert out == ('{"n": 3, "pairs": [[1, 4], [2, 3], [5, 6]], "blobs": [[5, 6]], '
-                   '"coeff": "%s"}\n' % coeff)
+                   '"coeff": "%s"}\n' % want)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -302,9 +303,27 @@ def test_monomial_is_never_built_beyond_the_text(monkeypatch):
     big = 1_000_000
     for text, want in (("q^-1000000", Q(-big)),
                        ("q^-1000000 + q^1000000", Q(-big) + Q(big)),
-                       ("g*q^-1000000 + g*q^1000000", G * (Q(-big) + Q(big)))):
+                       ("g*q^-1000000 + g*q^1000000", G * (Q(-big) + Q(big))),
+                       # a + 1 terms, but far shorter than monomial(a, 0, 0)'s text
+                       ("q^-15000" + " + q" * 15000, Q(-15000) + RingElem.integer(15000) * Q(1))):
         assert parse_scalar(text) == want
-        assert all(a <= text.count(" + ") + 1 for a in built), (text, built)
+        assert all(a <= text.count(" + ") + 1 and a * a <= 8 * len(text) for a in built), \
+            (text[:20], built)
+
+
+def test_an_unprintable_monomial_falls_through_to_the_general_parse():
+    # the text passes both size gates, so monomial(2200, 0, 0) is built, but
+    # its middle binomial has 661 digits, past the lowered int-to-str limit
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit on this interpreter")
+    text = "q^-2200" + " + q" * 2200 + "*1" * 302_500
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        back = parse_scalar(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert back._exps is None and back == Q(-2200) + RingElem.integer(2200) * Q(1)
 
 
 def test_tower_and_defining_relations_make_no_general_product(products):
