@@ -247,6 +247,14 @@ def _read_term(sign: str, piece: str, text: str) -> Tuple[Monomial, int]:
     return (exps["q"], exps["g"], exps["de"]), coeff
 
 
+def _strip_spaces(text: str) -> str:
+    r"""The text stripped and with the whitespace on either side of each
+    ``^`` removed, as ``re.sub(r"\s*\^\s*", "^", text.strip())`` gives it,
+    in time linear in the text: that regex retries a whitespace run from
+    each of its positions."""
+    return "^".join(piece.strip() for piece in text.strip().split("^"))
+
+
 def parse_scalar(text: str) -> RingElem:
     """Parse the canonical string form back into an element.
 
@@ -264,7 +272,7 @@ def parse_scalar(text: str) -> RingElem:
     bounded by the text.  Every other text, and one whose monomial cannot
     be printed, is read term by term.
     """
-    s = re.sub(r"\s*\^\s*", "^", text.strip())
+    s = _strip_spaces(text)
     if not s:
         raise ValueError("empty scalar")
     parts = re.split(r"(?<!\^)([+-])", s if s[0] in "+-" else "+" + s)[1:]

@@ -20,18 +20,22 @@ Only the right action tables are composed.  ``flip`` is an
 anti-automorphism of b_n fixing every generator, so each left table is its
 right table conjugated by the flip permutation of the basis.
 
-Standard modules are built per specialization point in F_p, where each
-word image is one ``(column, value)`` row (see `blobalg.modlin`): their
-action matrices are expressed in the walk-word basis modulo a quotient
-span, and the relation instances of ``presentation.defining_relations``,
-the same list the relations suite reports on, are checked on those
-matrices.
+Standard modules keep the images of their walk words, of each generator
+times each walk word and of the cyclic word, built once per weight without
+a point: each is a basis index and a recorded monomial.  At each
+specialization point in F_p the distinct monomials are evaluated once,
+every image becomes one ``(column, value)`` row (see `blobalg.modlin`),
+and one solve expresses all the action rows in the walk-word basis modulo
+a quotient span.  The relation instances of
+``presentation.defining_relations``, the same list the relations suite
+reports on, are checked on the resulting matrices as stacked products,
+each stack bounded by ``_STACK`` entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -417,50 +421,82 @@ def _walk_words(n: int, m: int) -> Tuple[Word, ...]:
     return tuple(walk_words(n, m))
 
 
+@lru_cache(maxsize=256)
+def _module_images(n: int, m: int, words: Tuple[Word, ...]) -> Tuple[Tuple[int, RingElem], ...]:
+    """The point-free images of a module's walk words, then of every
+    generator times every walk word (letter-major), then of the cyclic
+    word, each as a basis index and a monomial.  Keyed on the words
+    themselves, not only on the weight."""
+    space = diagram_space(n)
+    actions = [Word(n, (letter,)) * w for letter in space.letters for w in words]
+    return tuple((space.index[s.diagram], s.coeff)
+                 for s in map(evaluate_word, (*words, *actions, tail_word(m, n))))
+
+
 def standard_module(n: int, m: int, point: SpecPoint) -> StandardModule:
     """Build the standard module with basis the weight-m walk words.
 
     Generator action vectors are expressed in the basis modulo the
     quotient span; an inexpressible vector means the walk words do not
     span, which is a bug, so it raises.  A weight no walk reaches raises
-    ValueError in walk_words."""
+    ValueError in walk_words.  Each distinct monomial of the images is
+    specialized once, and one solve expresses every action and the
+    cyclic vector."""
     words = _walk_words(n, m)
-    space = diagram_space(n)
-    z_span = RowSpan.coordinate(space.dim, point.prime, _quotient_span(n, m))
-    solver = CoordSolver(z_span.reduce(space.word_rows(words, point)), point.prime)
+    images = _module_images(n, m, words)
+    at = (point.q0, point.g0, point.d0, point.prime)
+    values = {c: c.specialize(*at) for c in {coeff for _, coeff in images}}
+    rows = np.array([(col, values[c]) for col, c in images], dtype=np.int64)
+    z_span = RowSpan.coordinate(diagram_space(n).dim, point.prime, _quotient_span(n, m))
+    k = len(words)
+    solver = CoordSolver(z_span.reduce(rows[:k]), point.prime)
+    coeffs = solver.express(z_span.reduce(rows[k:]))
+    if coeffs is None:
+        raise AssertionError(f"a generator action or the cyclic vector left the module at m={m}")
+    matrices = {("e" if x == 0 else f"U{x}"): coeffs[:, x * k:(x + 1) * k] for x in range(n)}
+    return StandardModule(n, m, point, words, matrices, coeffs[:, -1])
 
-    def coordinates(what: str, images: Sequence[Word]) -> np.ndarray:
-        coeffs = solver.express(z_span.reduce(space.word_rows(images, point)))
-        if coeffs is None:
-            raise AssertionError(f"{what} left the module at m={m}")
-        return coeffs
 
-    matrices: Dict[str, np.ndarray] = {}
-    for letter in space.letters:
-        name = "e" if letter == 0 else f"U{letter}"
-        gen = Word(n, (letter,))
-        matrices[name] = coordinates(f"action of {name}", [gen * w for w in words])
-    cyc = coordinates("cyclic vector", [tail_word(m, n)])[:, 0]
-    return StandardModule(n, m, point, words, matrices, cyc)
+_STACK = 1 << 15  # entries in one stacked operand of a relation product
+
+
+@lru_cache(maxsize=64)
+def _relation_sides(n: int) -> Tuple[np.ndarray, np.ndarray, Tuple[RingElem, ...]]:
+    """The defining relations as letter rows, lhs then rhs of each, padded
+    to the longest side; the length of each side; and each scalar."""
+    rels = defining_relations(n)
+    sides = [w.letters for *_, lhs, rhs, _ in rels for w in (lhs, rhs)]
+    depth = max(map(len, sides), default=1)
+    letters = np.array([s + (0,) * (depth - len(s)) for s in sides], dtype=np.int64)
+    return (letters.reshape(-1, depth), np.array([len(s) for s in sides]),
+            tuple(r[-1] or RingElem.one() for r in rels))
 
 
 def matrices_satisfy_relations(mod: StandardModule) -> bool:
     """Check the defining relations of :func:`defining_relations` on the
     action matrices, exactly in F_p: a word acts as the product of its
-    letters' matrices in word order, a scalar as its value at the point."""
-    pt = mod.point
+    letters' matrices in word order, a scalar as its value at the point.
 
-    def image(w: Word) -> np.ndarray:
-        mats = (mod.matrices["e" if x == 0 else f"U{x}"] for x in w.letters)
-        return reduce(lambda a, b: mulmod(a, b, pt.prime), mats)
-
-    ok = True
-    for *_, lhs, rhs, scalar in defining_relations(mod.n):
-        want = image(rhs)
-        if scalar is not None:
-            want = scalar.specialize(pt.q0, pt.g0, pt.d0, pt.prime) * want % pt.prime
-        ok &= (image(lhs) == want).all()
-    return bool(ok)
+    The relations go in chunks whose stacked sides hold at most ``_STACK``
+    entries.  Each product depth of a chunk is one `mulmod` over the sides
+    that reach it, and each chunk is compared in one array operation."""
+    pt, k = mod.point, mod.dim
+    mats = np.array([mod.matrices["e" if x == 0 else f"U{x}"] for x in range(mod.n)],
+                    dtype=np.int64).reshape(-1, k, k)
+    letters, lengths, scalars = _relation_sides(mod.n)
+    values = {s: s.specialize(pt.q0, pt.g0, pt.d0, pt.prime) for s in set(scalars)}
+    scale = np.array([values[s] for s in scalars], dtype=np.int64)[:, None, None]
+    step = 2 * max(1, _STACK // (2 * k * k))  # sides per chunk, whole relations
+    for lo in range(0, len(letters), step):
+        lets, lens = letters[lo:lo + step], lengths[lo:lo + step]
+        prod = mats[lets[:, 0]]
+        for d in range(1, lets.shape[1]):
+            sel = np.flatnonzero(lens > d)
+            if len(sel):
+                prod[sel] = mulmod(prod[sel], mats[lets[sel, d]], pt.prime)
+        if not (prod[0::2] == prod[1::2] * scale[lo // 2:(lo + step) // 2] % pt.prime).all():
+            return False
+    return True
 
 
 def check_standard_modules(n: int, points: Optional[Sequence[SpecPoint]] = None,

@@ -28,18 +28,21 @@ any input:
   span-closure check replaces by one step of the left action tables;
 * `reference_standard_module`: the action matrices and cyclic vector of a
   standard module from dense word vectors, a `ReferenceSpan` for the
-  quotient span and a `ReferenceSolver` for coordinates.
+  quotient span and a `ReferenceSolver` for coordinates;
+* `reference_relations_hold`: the defining relations on a module's action
+  matrices one relation at a time, each side a chain of `mulmod`s, where
+  `towers` multiplies stacked sides one product depth at a time.
 """
 
 import bisect
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from blobalg.diagrams import compose, compose_scaled, generator_diagram
 from blobalg.modlin import SpecPoint, mulmod
-from blobalg.presentation import evaluate_word
+from blobalg.presentation import defining_relations, evaluate_word
 from blobalg.towers import _quotient_span, diagram_space, regular_basis
 from blobalg.walks import tail_word, walk_words
 from blobalg.words import Word
@@ -286,3 +289,23 @@ def reference_standard_module(n: int, m: int, point: SpecPoint):
     matrices = {("e" if letter == 0 else f"U{letter}"):
                 coordinates([Word(n, (letter,)) * w for w in words]) for letter in space.letters}
     return matrices, coordinates([tail_word(m, n)])[:, 0]
+
+
+def reference_relations_hold(mod) -> bool:
+    """Whether the module's action matrices satisfy every defining
+    relation: each side the product of its letters' matrices, one `mulmod`
+    per letter, and the right side scaled by the relation's scalar at the
+    module's point."""
+    pt = mod.point
+
+    def image(w):
+        mats = (mod.matrices["e" if x == 0 else f"U{x}"] for x in w.letters)
+        return reduce(lambda a, b: mulmod(a, b, pt.prime), mats)
+
+    ok = True
+    for *_, lhs, rhs, scalar in defining_relations(mod.n):
+        want = image(rhs)
+        if scalar is not None:
+            want = scalar.specialize(pt.q0, pt.g0, pt.d0, pt.prime) * want % pt.prime
+        ok &= (image(lhs) == want).all()
+    return bool(ok)

@@ -1,9 +1,13 @@
 import random
+import re
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blobalg.ring import RingElem, monomial, parse_scalar
+from blobalg.ring import RingElem, _strip_spaces, monomial, parse_scalar
 
 Q = RingElem.q_power
 ONE = RingElem.one()
@@ -336,3 +340,25 @@ def test_tower_and_defining_relations_make_no_general_product(products):
         assert check_defining_relations(n).passed
         assert n < 2 or check_tower(n).passed
     assert products["general"] == 0 and products["lookup"] > 0
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet=" \t\n\u00a0^qg+-12", max_size=40))
+def test_caret_spacing_matches_the_regex_it_replaces(text):
+    assert _strip_spaces(text) == re.sub(r"\s*\^\s*", "^", text.strip())
+
+
+def test_caret_spacing_drops_a_run_between_two_carets():
+    # an anchored regex, (?<!\s)\s*\^\s*, would leave "a^^ b"
+    assert _strip_spaces(" a^ ^ b ") == "a^^b"
+
+
+@pytest.mark.parametrize("text, want", [
+    ("q +" + " " * 200_000 + "q", RingElem.integer(2) * Q(1)),
+    ("q" + " " * 200_000 + "^" + " " * 200_000 + "-1", Q(-1)),
+])
+def test_a_long_whitespace_run_parses_in_linear_time(text, want):
+    start = time.perf_counter()
+    got = parse_scalar(text)
+    assert time.perf_counter() - start < 1
+    assert got == want

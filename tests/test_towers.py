@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from math import comb
 
@@ -44,6 +45,7 @@ from span_reference import (
     reference_closure,
     reference_conjugated_span,
     reference_left_images,
+    reference_relations_hold,
     reference_subalgebra_span,
     reference_standard_module,
     span_of,
@@ -198,6 +200,60 @@ def test_relations_fail_on_a_broken_matrix():
             assert not matrices_satisfy_relations(scaled), (n, m)
             swapped = replace(mod, matrices={**mod.matrices, "U1": u1[:, [1, 0, *range(2, mod.dim)]]})
             assert not matrices_satisfy_relations(swapped), (n, m)
+
+
+def _small_modules():
+    return [standard_module(n, m, pt) for n in range(1, 7) for m in range(-n, n + 1, 2)
+            for pt in (*POINTS, DEGENERATE_POINT)]
+
+
+def _mutations(count, seed=26):
+    """Modules of n <= 6 with one entry of one action matrix changed to
+    another value in [0, p)."""
+    rng = random.Random(seed)
+    mods = _small_modules()
+    for _ in range(count):
+        mod = rng.choice(mods)
+        name = rng.choice(sorted(mod.matrices))
+        mat = mod.matrices[name].copy()
+        i, j = rng.randrange(mod.dim), rng.randrange(mod.dim)
+        mat[i, j] = (mat[i, j] + rng.randrange(1, mod.point.prime)) % mod.point.prime
+        yield replace(mod, matrices={**mod.matrices, name: mat})
+
+
+def test_stacked_relations_match_the_per_relation_reference():
+    for mod in _small_modules():
+        assert matrices_satisfy_relations(mod) and reference_relations_hold(mod), (mod.n, mod.m)
+    verdicts = []
+    for mod in _mutations(200):
+        verdicts.append(matrices_satisfy_relations(mod))
+        assert verdicts[-1] == reference_relations_hold(mod), (mod.n, mod.m, mod.point)
+    assert not all(verdicts)
+
+
+@pytest.mark.parametrize("stack", [1, 64])
+def test_chunked_relations_give_the_same_verdicts(monkeypatch, stack):
+    # a bound of 1 puts each relation in its own chunk; 64 entries hold
+    # several relations of a small module and one of a larger one
+    import blobalg.towers as towers
+
+    monkeypatch.setattr(towers, "_STACK", stack)
+    for mod in _small_modules():
+        assert matrices_satisfy_relations(mod), (mod.n, mod.m)
+    for mod in _mutations(100):
+        assert matrices_satisfy_relations(mod) == reference_relations_hold(mod), (mod.n, mod.m)
+
+
+def test_standard_modules_make_one_product_per_depth(monkeypatch):
+    import blobalg.towers as towers
+
+    calls = []
+    real = towers.mulmod
+    monkeypatch.setattr(towers, "mulmod", lambda a, b, p: calls.append(a.shape) or real(a, b, p))
+    assert check_standard_modules(6).passed
+    # 7 weights at 3 points, and relation sides of length 2 and 3
+    assert len(calls) == 42
+    assert all(np.prod(shape) <= towers._STACK for shape in calls)
 
 
 def test_check_suites_small_n():
