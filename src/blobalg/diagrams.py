@@ -395,11 +395,12 @@ def all_diagrams(n: int) -> Tuple[BlobDiagram, ...]:
     central binomial C(2n, n).
     """
     out = []
+    shared: Dict[FrozenSet[Arc], FrozenSet[Arc]] = {}  # equal blob sets, one object
     for matching in _noncross_matchings(tuple(range(1, 2 * n + 1))):
         exposed = _exposed_arcs(n, matching)
         for mask in range(1 << len(exposed)):
             blobs = frozenset(exposed[b] for b in range(len(exposed)) if mask >> b & 1)
-            out.append(BlobDiagram(n, matching, blobs))
+            out.append(BlobDiagram(n, matching, shared.setdefault(blobs, blobs)))
     out.sort(key=BlobDiagram.sort_key)
     if len(out) != comb(2 * n, n):
         raise AssertionError(f"enumeration produced {len(out)} diagrams at n={n}")

@@ -108,9 +108,12 @@ class RowSpan:
 
     @classmethod
     def coordinate(cls, dim: int, p: int, indices: Iterable[int]) -> "RowSpan":
-        """The span of the unit vectors at the given coordinate indices."""
+        """The span of the unit vectors at the given coordinate indices:
+        Python ints, or an integer array.  The pivots are Python ints."""
         out = cls(dim, p)
-        out.pivots = sorted({int(i) for i in indices})
+        if isinstance(indices, np.ndarray):
+            indices = indices.tolist()
+        out.pivots = sorted(indices if isinstance(indices, (set, frozenset)) else set(indices))
         return out
 
     @property

@@ -30,6 +30,13 @@ w * tail needs neither w's letters again nor a cache entry of its own.
 The reduction-stability check walks positions on in the same way and
 never turns one back into a diagram.
 
+The same states index the basis of b_n in ``towers``: ``walk_basis``
+walks every letter from every state once, breadth first from the root,
+and so reaches each of the C(2n, n) states once and fills every entry.
+``_Halves.flips`` gives ``flip`` on states from the halves alone: the
+top half of flip(t, s) depends only on s, and its bottom state only on t
+and the blob of s's leftmost through line.
+
 A word is *reduced* when it is not a non-unit scalar times a shorter
 expression; since every length-reducing relation introduces a non-unit
 scalar, this is detected exactly by a unit scalar in the word's diagram
@@ -38,6 +45,7 @@ image (the reduction proxy).
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
@@ -109,8 +117,9 @@ class _Halves:
         self.ends: dict = {}
         self.state(identity_diagram(n))  # the root, state (0, 0)
 
-    def state(self, d: BlobDiagram) -> Tuple[int, int]:
-        """The state of diagram d, split into halves the first time it is seen."""
+    def state(self, d: BlobDiagram, keep: bool = True) -> Tuple[int, int]:
+        """The state of diagram d, split into halves the first time it is
+        seen; with `keep` false the split is not stored in ``ends``."""
         state = self.ends.get(d)
         if state is None:
             n, blobs = self.n, d.blobs
@@ -125,12 +134,38 @@ class _Halves:
                 tuple(bottom), tuple(a for a in bottom if a in blobs),
                 tuple(j for _, j in through), bool(through) and through[0] in blobs))
             self.right.extend([None] * (n * len(self.bottoms) - len(self.right)))
-            state = self.ends[d] = (t, s)
-            self.ends.setdefault(state, d)
+            state = (t, s)
+            if keep:
+                self.ends[d] = state
+                self.ends.setdefault(state, d)
         return state
 
-    def diagram(self, t: int, s: int) -> BlobDiagram:
-        """The diagram of state (t, s), rebuilt from its halves the first time."""
+    def flips(self) -> Tuple[List[int], Tuple[List[int], List[int]]]:
+        """``flip`` on halves: (top, bottom) with ``flip(t, s) == (top[s],
+        bottom[blobbed][t])``, blobbed the leftmost-through flag of s.
+
+        The mirror x -> 2n+1-x takes the bottom state s to a top half, its
+        flag dropped, and a top half with a flag to a bottom state, so each
+        map is read off the halves alone; ``bottom[True][t]`` is -1 when t
+        has no through line to carry the blob.  The tables must hold the
+        halves of every state of b_n, as they do after `walk_basis`.
+        """
+        m = 2 * self.n + 1
+
+        def mirror(half: tuple) -> Tuple[tuple, tuple, tuple]:
+            caps, blobbed, through = half[:3]
+            return (tuple(sorted((m - j, m - i) for i, j in caps)),
+                    tuple(sorted((m - j, m - i) for i, j in blobbed)),
+                    tuple(m - x for x in through))
+
+        top = [self.top_ids[mirror(half)] for half in self.bottoms]
+        mirrored = [mirror(half) for half in self.tops]
+        return top, ([self.bottom_ids[(*half, False)] for half in mirrored],
+                     [self.bottom_ids[(*half, True)] if half[2] else -1 for half in mirrored])
+
+    def diagram(self, t: int, s: int, keep: bool = True) -> BlobDiagram:
+        """The diagram of state (t, s), rebuilt from its halves the first
+        time; with `keep` false the rebuilt diagram is not stored in ``ends``."""
         d = self.ends.get((t, s))
         if d is None:
             top, top_blobs, top_through = self.tops[t]
@@ -140,8 +175,9 @@ class _Halves:
             blobs = top_blobs + bottom_blobs + (through[:1] if blobbed else ())
             d = BlobDiagram(self.n, tuple(sorted(top + bottom + through)),
                             frozenset(blobs) if blobs else _NO_BLOBS)
-            self.ends[t, s] = d
-            self.ends[d] = (t, s)
+            if keep:
+                self.ends[t, s] = d
+                self.ends[d] = (t, s)
         return d
 
     def fill(self, t: int, s: int, letter: int) -> Tuple[int, int, int]:
@@ -195,6 +231,41 @@ def _advance(tables: _Halves, t: int, s: int,
         s = nxt
         count[code] += 1
     return t, s, count[1], count[2], count[3]
+
+
+def walk_basis(tables: _Halves) -> Tuple[array, array, List[array]]:
+    """Every state one breadth-first walk from the identity's state (0, 0)
+    reaches, in walk order: their top ids and bottom ids as two arrays,
+    and per letter the walk index of each state times that letter.
+
+    Each step looks up its entries as `_advance` does, so a missing right
+    or join entry costs one fill; once the walk ends, every right entry and
+    every join entry of b_n is filled.
+    """
+    n, right, joins, fill = tables.n, tables.right, tables.joins, tables.fill
+    tops, bottoms = array("i", [0]), array("i", [0])
+    seen = {0: 0}  # (t << n) | s -> walk index, as a bottom id is below 2^n
+    steps = [array("i") for _ in range(n)]
+    i = 0
+    while i < len(tops):
+        t, s = tops[i], bottoms[i]
+        for letter, row in enumerate(steps):
+            nxt, _, join = right[s * n + letter] or fill(t, s, letter)
+            top = t
+            if join:
+                key = (t, join)
+                if key not in joins:
+                    fill(t, s, letter)
+                top = joins[key]
+            code = top << n | nxt
+            j = seen.get(code)
+            if j is None:
+                j = seen[code] = len(tops)
+                tops.append(top)
+                bottoms.append(nxt)
+            row.append(j)
+        i += 1
+    return tops, bottoms, steps
 
 
 # A walk position: (top id, bottom id, coefficient) in one strand count's tables.

@@ -9,16 +9,22 @@ indices.  Those spans are `frozenset`s of basis indices, and each claim is
 decided once, exactly, by set operations.  The specialization points and
 the Schwartz-Zippel note are still recorded on every report.
 
+The basis has one index: the states (top half, bottom state) of the word
+tables of ``presentation``, which pair two walks on the Pascal triangle as
+the paper does.  One breadth-first walk from the identity's state over
+those tables numbers the states and gives the right action tables; no
+basis diagram is composed or kept.  ``flip`` is an anti-automorphism of
+b_n fixing every generator, and it maps halves to halves, so the left
+action is the right one read through a flip computed on halves.
+
 Every ideal, tower and quotient span is a closure: start from some
 diagrams and multiply by generators on the required side(s), which is
-reachability over the generator action tables.  Every basis diagram is a
-unit-scalar product of generators, so x b_k is the right closure of x's
-diagram under the letters of b_k, and left * b_n * right multiplies each
-diagram of left * b_n once by right.
-
-Only the right action tables are composed.  ``flip`` is an
-anti-automorphism of b_n fixing every generator, so each left table is its
-right table conjugated by the flip permutation of the basis.
+reachability over the action.  Every basis diagram is a unit-scalar
+product of generators, so x b_k is the right closure of x's diagram under
+the letters of b_k, and left * b_n * right multiplies each diagram of
+left * b_n once by right.  A closure is found as rectangles, a set of top
+halves times a set of bottom states per layer (see
+`DiagramSpace.rectangles`), and then listed as basis indices.
 
 Standard modules keep the images of their walk words, of each generator
 times each walk word and of the cyclic word, built once per weight without
@@ -34,6 +40,7 @@ each stack bounded by ``_STACK`` entries.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -42,9 +49,11 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .diagrams import ScaledDiagram, all_diagrams, compose, compose_scaled, flip, generator_diagram
+# compose stays bound here for the benchmark's tracer (bench/tracing.py
+# requires the binding in this module); the tables compose in presentation
+from .diagrams import BlobDiagram, ScaledDiagram, all_diagrams, compose, compose_scaled  # noqa: F401
 from .modlin import CoordSolver, RowSpan, SpecPoint, draw_points, mulmod
-from .presentation import defining_relations, evaluate_word, phi_equal
+from .presentation import _table, defining_relations, evaluate_word, phi_equal, walk_basis
 from .reports import Report
 from .ring import RingElem
 from .walks import factor_walk_words, tail_word, walk_words
@@ -64,43 +73,217 @@ from .words import (
 
 
 class DiagramSpace:
-    """The diagram basis of b_n with its generator action tables.
+    """The diagram basis of b_n, indexed by the states of the word tables.
 
-    Each generator acts on a basis diagram as a nonzero monomial times one
-    diagram, so an action table is the list of target indices, one per
-    basis diagram, keyed by (side, letter).
+    Basis element i is the state (``tops[i]``, ``bottoms[i]``) of
+    ``presentation``'s tables of n, numbered in the order one breadth-first
+    walk from the identity's state (0, 0) reaches them; the walk gives the
+    right action tables.  ``flip`` maps the state (t, s) to (top[s],
+    bottom[blobbed(s)][t]) (see ``_Halves.flips``), so the flip permutation
+    of the basis comes from halves, and each left table is its right table
+    conjugated by it.  No diagram is kept per basis element: `diagram`
+    rebuilds one from its halves and `index_of` splits one.
+
+    A state's layer is n minus its through lines, plus one when the
+    leftmost through line is blobbed; no step climbs to a smaller layer.
+    Every top half with k through lines meets every bottom state with k,
+    so a layer is the product of its top halves and its bottom states, and
+    state (t, s) has the slot ``base[s] + rank[t] * width[s]`` among all
+    C(2n, n) states; ``where`` maps a slot to its basis index.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.basis = all_diagrams(n)
-        self.dim = len(self.basis)
-        self.index = {d: i for i, d in enumerate(self.basis)}
         self.letters = list(range(0, n))  # 0 is e, i >= 1 is U_i
-        self.targets: Dict[Tuple[str, int], List[int]] = {}
-        # gen * d = flip(flip(d) * gen); op is the flip permutation of the basis
-        op = [self.index[flip(d)] for d in self.basis]
+        halves = self.halves = _table(n)
+        self.tops, self.bottoms, right = walk_basis(halves)
+        self.dim = len(self.tops)
+        self.layer = [n - len(b[2]) + b[3] for b in halves.bottoms]
+        rank, per_k = [], [0] * (n + 1)
+        for top in halves.tops:
+            rank.append(per_k[len(top[2])])
+            per_k[len(top[2])] += 1
+        order, per_layer = [], [0] * (n + 1)
+        for lay in self.layer:
+            order.append(per_layer[lay])
+            per_layer[lay] += 1
+        start = np.cumsum([0] + [per_k[n - lay + lay % 2] * per_layer[lay] for lay in range(n + 1)])
+        self._rank = np.array(rank, dtype=np.int64)
+        self._base = start[self.layer] + np.array(order, dtype=np.int64)
+        self._width = np.array(per_layer, dtype=np.int64)[self.layer]
+        self._where = np.full(start[-1], -1, dtype=np.int64)
+        tops, bottoms = (np.frombuffer(a, dtype=np.intc) for a in (self.tops, self.bottoms))
+        self._where[self._slot(tops, bottoms)] = np.arange(self.dim)
+        self._ints = list(range(self.dim))
+
+        self.flip_top, self.flip_bottom = halves.flips()
+        flags = np.array([b[3] for b in halves.bottoms], dtype=np.int64)
+        op = self._where[self._slot(np.array(self.flip_top)[bottoms],
+                                    np.array(self.flip_bottom)[flags[bottoms], tops])]
+        self.flip = array("i", op.tolist())
+        self.targets: Dict[Tuple[str, int], array] = {}
         for letter in self.letters:
-            gen = generator_diagram(n, letter)
-            right = [self.index[compose(d, gen).diagram] for d in self.basis]
-            self.targets[("L", letter)] = [op[right[j]] for j in op]
-            self.targets[("R", letter)] = right
+            self.targets[("R", letter)] = right[letter]
+            self.targets[("L", letter)] = array("i", op[np.frombuffer(right[letter], np.intc)[op]].tolist())
+        # a left step that stays in its layer moves the top half alone when
+        # flipping a bottom state twice gives it back
+        self.mirrored = all(self.flip_bottom[f][self.flip_top[s]] == s
+                            for s, f in enumerate(flags.tolist()))
+        self._moves: Dict[Tuple[int, ...], _Moves] = {}
+
+    def _slot(self, tops, bottoms):
+        return self._base[bottoms] + self._rank[tops] * self._width[bottoms]
+
+    def diagram(self, i: int) -> BlobDiagram:
+        """The basis diagram of index i, rebuilt from its halves."""
+        return self.halves.diagram(self.tops[i], self.bottoms[i], keep=False)
+
+    def index_of(self, d: BlobDiagram) -> int:
+        """The basis index of diagram d."""
+        t, s = self.halves.state(d, keep=False)
+        return self._where.item(self._base.item(s) + self._rank.item(t) * self._width.item(s))
 
     def word_rows(self, words: Iterable[Word], point: SpecPoint) -> np.ndarray:
         """The word images at the point as a k x 2 array of ``(column,
         value)`` rows: each is a monomial times one diagram."""
         at = (point.q0, point.g0, point.d0, point.prime)
-        rows = [(self.index[s.diagram], s.coeff.specialize(*at)) for s in map(evaluate_word, words)]
+        rows = [(self.index_of(s.diagram), s.coeff.specialize(*at)) for s in map(evaluate_word, words)]
         return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
     def word_span(self, words: Iterable[Word]) -> FrozenSet[int]:
         """Span of the word images: each is a nonzero monomial times one
         diagram, so this is the set of their diagram indices."""
-        return frozenset(self.index[evaluate_word(w).diagram] for w in words)
+        return frozenset(self.index_of(evaluate_word(w).diagram) for w in words)
 
     def left_images(self, span: Iterable[int]) -> FrozenSet[int]:
         """The diagrams g * d over every generator g and index d in span."""
         return frozenset(self.targets[("L", letter)][d] for letter in self.letters for d in span)
+
+    def rectangles(self, seeds: Iterable[int], sides: str,
+                   letters: Sequence[int]) -> List[Tuple[FrozenSet[int], List[int]]]:
+        """The closure of the seed indices under the generators of
+        `letters` on `sides`, as (top ids, bottom ids) rectangles whose
+        states together are the closure.
+
+        Layers are closed from the top down.  In a layer a right step moves
+        the bottom state alone and a left step the top half alone, so a
+        rectangle closes to (top orbit) x (bottom orbit).  A step out of the
+        layer maps a whole side at once: a right join maps every top half,
+        a left join every bottom state, into one rectangle of a lower layer.
+        A state already covered in its layer is not stepped from again.
+        """
+        key = tuple(letters)
+        moves = self._moves.get(key)
+        if moves is None:
+            moves = self._moves[key] = _Moves(self, key)
+        left_side, right_side = "L" in sides, "R" in sides
+        layer, joins = self.layer, self.halves.joins
+        flip_top, flip_bottom = self.flip_top, self.flip_bottom
+        pending: Dict[int, Dict[FrozenSet[int], set]] = {}
+
+        def push(lay: int, tops: Iterable[int], bottoms: Iterable[int]) -> None:
+            if left_side:
+                tops = moves.close(tops, lay % 2)
+            pending.setdefault(lay, {}).setdefault(frozenset(tops), set()).update(bottoms)
+
+        for i in seeds:
+            push(layer[self.bottoms[i]], (self.tops[i],), (self.bottoms[i],))
+        covered: Dict[int, Dict[int, FrozenSet[int]]] = {}
+        out = []
+        while pending:
+            lay = min(pending)
+            flag, cover = lay % 2, covered.setdefault(lay, {})
+            for tops, bottoms in pending.pop(lay).items():
+                if right_side:
+                    bottoms = moves.close(bottoms, 2)
+                new = [s for s in bottoms if s not in cover or not tops <= cover[s]]
+                if not new:
+                    continue
+                for s in new:
+                    cover[s] = cover[s] | tops if s in cover else tops
+                out.append((tops, new))
+                groups: Dict[Tuple[int, int], list] = {}
+                for s in new if right_side else ():
+                    for join, to, nxt in moves.exits[2][s]:
+                        groups.setdefault((join, to), []).append(nxt)
+                for (join, to), moved in groups.items():
+                    push(to, [joins[t, join] for t in tops] if join else tops, moved)
+                groups = {}
+                for t in tops if left_side else ():
+                    for join, to_flag, nxt in moves.exits[flag][t]:
+                        groups.setdefault((join, to_flag), []).append(nxt)
+                for (join, to_flag), moved in groups.items():
+                    under = flip_bottom[to_flag]
+                    mapped = [under[joins[flip_top[s], join]] if join else under[flip_top[s]]
+                              for s in new]
+                    push(lay - flag + to_flag + (2 if join else 0), moved, mapped)
+        return out
+
+    def indices(self, rectangles: Iterable[Tuple[Iterable[int], Sequence[int]]]) -> FrozenSet[int]:
+        """The basis indices of every state of the rectangles."""
+        parts = [self._where[self._slot(np.fromiter(tops, np.int64)[:, None], np.array(bottoms))]
+                 for tops, bottoms in rectangles]
+        if not parts:
+            return frozenset()
+        # the members are the space's own ints, so the spans share them
+        return frozenset(map(self._ints.__getitem__, np.concatenate(parts, axis=None).tolist()))
+
+
+class _Moves:
+    """The steps of some letters on halves, split into those that stay in
+    their layer and those that leave it, and the in-layer orbits met so far.
+
+    Index 0 and 1 hold the left steps of the top halves under a clear and a
+    blobbed leftmost line, index 2 the right steps of the bottom states.
+    An in-layer step is a next half; a leaving step is (join, where to,
+    next half), where to being the next flag of a left step and the next
+    layer of a right step.  When flipping a bottom state twice does not
+    give it back, no left step counts as in-layer.
+    """
+
+    def __init__(self, space: DiagramSpace, letters: Tuple[int, ...]):
+        n, right, layer, flip_top = space.n, space.halves.right, space.layer, space.flip_top
+        self.inner: Tuple[list, list, list] = ([], [], [])
+        self.exits: Tuple[list, list, list] = ([], [], [])
+        self.orbits: Tuple[dict, dict, dict] = ({}, {}, {})
+        for s, lay in enumerate(layer):
+            steps = [right[s * n + letter] for letter in letters]
+            self.inner[2].append([nxt for nxt, _, join in steps if not join and layer[nxt] == lay])
+            self.exits[2].append([(join, layer[nxt], nxt) for nxt, _, join in steps
+                                  if join or layer[nxt] != lay])
+        for flag in (0, 1):
+            for b in space.flip_bottom[flag]:
+                steps = [] if b < 0 else [right[b * n + letter] for letter in letters]
+                steps = [(join, layer[nxt] % 2, flip_top[nxt]) for nxt, _, join in steps]
+                stay = [(join, to, nxt) for join, to, nxt in steps
+                        if not join and to == flag and space.mirrored]
+                self.inner[flag].append([nxt for _, _, nxt in stay])
+                self.exits[flag].append([step for step in steps if step not in stay])
+
+    def close(self, halves: Iterable[int], side: int) -> set:
+        """The halves reachable from `halves` by in-layer steps of `side`
+        (0 or 1: left steps under that flag; 2: right steps).  The orbit
+        of each start is kept, and a later search stops where it meets one."""
+        inner, known = self.inner[side], self.orbits[side]
+        out: set = set()
+        for x in halves:
+            if x in out:
+                continue
+            orbit = known.get(x)
+            if orbit is None:
+                seen, stack = {x}, [x]
+                while stack:
+                    for y in inner[stack.pop()]:
+                        if y not in seen:
+                            done = known.get(y)
+                            if done is None:
+                                seen.add(y)
+                                stack.append(y)
+                            else:
+                                seen |= done
+                orbit = known[x] = frozenset(seen)
+            out |= orbit
+        return out
 
 
 @lru_cache(maxsize=10)
@@ -112,19 +295,11 @@ def _closure(space: DiagramSpace, seeds: Iterable[int], sides: str,
              letters: Optional[Sequence[int]] = None) -> FrozenSet[int]:
     """Span of the seed diagrams (basis indices) closed under
     multiplication on `sides` by the generators in `letters` (default: all
-    of b_n): the diagrams reachable from the seeds in the action tables."""
+    of b_n): the states reachable from the seeds, found as rectangles of
+    top halves and bottom states (`DiagramSpace.rectangles`)."""
     if letters is None:
         letters = space.letters
-    used = [space.targets[(s, letter)] for s in sides for letter in letters]
-    seen = set(seeds)
-    queue = list(seen)
-    while queue:
-        d = queue.pop()
-        for tgt in used:
-            if tgt[d] not in seen:
-                seen.add(tgt[d])
-                queue.append(tgt[d])
-    return frozenset(seen)
+    return space.indices(space.rectangles(seeds, sides, letters))
 
 
 def ideal_span(n: int, g: Word, two_sided: bool) -> FrozenSet[int]:
@@ -202,9 +377,8 @@ def squared_basis(n: int, m: int) -> SquaredBasis:
     pairs = factor_walk_words(n, m)
     prefixes = tuple(prefix for prefix, _ in pairs)
     middle = tail_word(m, n)
-    words = tuple(
-        a * middle * opposite(b) for b in prefixes for a in prefixes
-    )
+    tails = [middle * opposite(b) for b in prefixes]  # one per row
+    words = tuple(a * tail for tail in tails for a in prefixes)
     return SquaredBasis(n, m, prefixes, middle, words)
 
 
@@ -227,11 +401,11 @@ def check_word_basis(n: int, points: Optional[Sequence[SpecPoint]] = None,
     images = [evaluate_word(w) for w in words]
     rep.add("unit-scalars", f"{len(words)} word images", "all scalar 1",
             all(s.coeff.is_one() for s in images))
-    diags = [s.diagram for s in images]
-    rep.add("distinct", len(set(diags)), len(words), len(set(diags)) == len(words))
+    distinct = {s.diagram for s in images}
+    rep.add("distinct", len(distinct), len(words), len(distinct) == len(words))
     target = set(all_diagrams(n))
-    rep.add("onto", f"{len(set(diags))} distinct images", f"all {len(target)} diagrams",
-            set(diags) == target)
+    rep.add("onto", f"{len(distinct)} distinct images", f"all {len(target)} diagrams",
+            distinct == target)
     rep.add("count", len(words), comb(2 * n, n), len(words) == comb(2 * n, n))
 
     for m in range(-n, n + 1, 2):
@@ -303,11 +477,14 @@ def check_ideal_inclusions(n: int, points: Optional[Sequence[SpecPoint]] = None,
 def _conjugated_span(space: DiagramSpace, left: Word, right: Word) -> FrozenSet[int]:
     """The span of left * b_n * right: left * b_n is the right closure of
     left's diagram under every letter, and each of its diagrams is
-    multiplied once by right's image."""
+    multiplied once by right's image, unless right is the unit."""
+    closure = _closure(space, space.word_span([left.with_n(space.n)]), "R")
+    if not right.letters:
+        return closure
     one, rv = RingElem.one(), evaluate_word(right.with_n(space.n))
     return frozenset(
-        space.index[compose_scaled(ScaledDiagram(one, space.basis[d]), rv).diagram]
-        for d in _closure(space, space.word_span([left.with_n(space.n)]), "R")
+        space.index_of(compose_scaled(ScaledDiagram(one, space.diagram(d)), rv).diagram)
+        for d in closure
     )
 
 
@@ -429,7 +606,7 @@ def _module_images(n: int, m: int, words: Tuple[Word, ...]) -> Tuple[Tuple[int, 
     themselves, not only on the weight."""
     space = diagram_space(n)
     actions = [Word(n, (letter,)) * w for letter in space.letters for w in words]
-    return tuple((space.index[s.diagram], s.coeff)
+    return tuple((space.index_of(s.diagram), s.coeff)
                  for s in map(evaluate_word, (*words, *actions, tail_word(m, n))))
 
 

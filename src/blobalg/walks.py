@@ -21,6 +21,7 @@ raises ``ValueError``, as does a negative length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import List, Optional, Tuple
 
@@ -95,6 +96,7 @@ def all_walks(n: int, m: Optional[int] = None) -> List[Walk]:
     return out
 
 
+@lru_cache(maxsize=1 << 12)
 def edge_word(edge: Tuple[Tuple[int, int], Tuple[int, int]], variant: bool = False,
               n: Optional[int] = None) -> Word:
     """The word attached to one Pascal-triangle edge.
@@ -119,7 +121,14 @@ def edge_word(edge: Tuple[Tuple[int, int], Tuple[int, int]], variant: bool = Fal
 
 
 def path_word(p: Walk, variant: bool = False) -> Word:
-    """The left-to-right product of the edge words of p, in ambient n."""
+    """The left-to-right product of the edge words of p, in ambient n.
+    Built once per walk and variant: the walk, diamond, word-basis and
+    module suites all ask for the same words."""
+    return _path_word(p, bool(variant))
+
+
+@lru_cache(maxsize=1 << 13)
+def _path_word(p: Walk, variant: bool) -> Word:
     n = p.length
     w = unit(n)
     for i in range(n):

@@ -19,6 +19,8 @@ any input:
   afresh and specialized;
 * `reference_closure`: the rank-stabilizing closure of arbitrary seed
   vectors under those tables;
+* `bfs_closure`: the closure of basis indices one index at a time over
+  the action tables of a `DiagramSpace`, the oracle for its rectangles;
 * `reference_conjugated_span` and `reference_subalgebra_span`: the tower
   spans left * b_n * right and x * b_k as the diagram sets of explicit
   products with every regular-basis word, the definition that
@@ -63,7 +65,7 @@ def image_vectors(space, images, point: SpecPoint) -> np.ndarray:
     diagram basis of `space`."""
     out = np.zeros((len(images), space.dim), dtype=np.int64)
     for i, s in enumerate(images):
-        out[i, space.index[s.diagram]] = s.coeff.specialize(
+        out[i, space.index_of(s.diagram)] = s.coeff.specialize(
             point.q0, point.g0, point.d0, point.prime)
     return out
 
@@ -213,11 +215,12 @@ def point_actions(space, point: SpecPoint) -> Dict[Tuple[str, int], Tuple[np.nda
     """Per (side, letter): the target index and the F_p scalar of the
     generator times each basis diagram of `space` at the point."""
     out = {}
+    basis = [space.diagram(i) for i in range(space.dim)]
     for letter in space.letters:
         gen = generator_diagram(space.n, letter)
         for side in ("L", "R"):
-            prods = [compose(gen, d) if side == "L" else compose(d, gen) for d in space.basis]
-            tgt = np.array([space.index[p.diagram] for p in prods], dtype=np.int64)
+            prods = [compose(gen, d) if side == "L" else compose(d, gen) for d in basis]
+            tgt = np.array([space.index_of(p.diagram) for p in prods], dtype=np.int64)
             scal = np.array([p.coeff.specialize(point.q0, point.g0, point.d0, point.prime)
                              for p in prods], dtype=np.int64)
             out[(side, letter)] = (tgt, scal)
@@ -241,13 +244,31 @@ def reference_closure(space, seeds: np.ndarray, point: SpecPoint, sides: str,
     return span
 
 
+def bfs_closure(space, seeds, sides: str, letters: Optional[Sequence[int]] = None) -> FrozenSet[int]:
+    """The seed indices closed under the generators of `letters` (default:
+    all of b_n) on `sides`, one basis index at a time over the action
+    tables of `space`: the search `towers` replaces by rectangles."""
+    if letters is None:
+        letters = space.letters
+    used = [space.targets[(side, letter)] for side in sides for letter in letters]
+    seen = set(seeds)
+    queue = list(seen)
+    while queue:
+        d = queue.pop()
+        for tgt in used:
+            if tgt[d] not in seen:
+                seen.add(tgt[d])
+                queue.append(tgt[d])
+    return frozenset(seen)
+
+
 def reference_conjugated_span(space, left, right) -> FrozenSet[int]:
     """The diagrams of left * w * right over the regular basis words w of
     b_n, each formed as two explicit products."""
     n = space.n
     lv, rv = evaluate_word(left.with_n(n)), evaluate_word(right.with_n(n))
     return frozenset(
-        space.index[compose_scaled(compose_scaled(lv, evaluate_word(w.with_n(n))), rv).diagram]
+        space.index_of(compose_scaled(compose_scaled(lv, evaluate_word(w.with_n(n))), rv).diagram)
         for w in regular_basis(n)
     )
 

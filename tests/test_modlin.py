@@ -80,3 +80,19 @@ def test_mulmod_is_exact_where_every_entry_is_largest():
     p, k = DEFAULT_PRIME, 1000
     full = np.full((2, k, k), p - 1, dtype=np.int64)
     assert (mulmod(full, full, p) == k).all()
+
+
+def test_coordinate_pivots_are_sorted_python_ints_from_sets_and_arrays():
+    from blobalg.modlin import RowSpan
+
+    indices = frozenset({9, 2, 31_751, 4, 700})
+    spans = [RowSpan.coordinate(31_752, DEFAULT_PRIME, source)
+             for source in (indices, set(indices), sorted(indices) * 2,
+                            np.array(sorted(indices, reverse=True) * 2, dtype=np.int64),
+                            np.array(sorted(indices), dtype=np.int32))]
+    for span in spans:
+        assert span.pivots == [2, 4, 9, 700, 31_751]
+        assert all(type(i) is int for i in span.pivots)
+    # absorb compares the pivots with tolist() values of its rows
+    added = spans[3].absorb(np.array([[700, 1], [5, 3]], dtype=np.int64))
+    assert added.tolist() == [5] and spans[3].pivots == [2, 4, 5, 9, 700, 31_751]

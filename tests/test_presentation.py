@@ -386,13 +386,14 @@ def test_generator_steps_carry_one_of_four_scalars():
         gens = [generator_diagram(n, letter) for letter in range(n)]
         space = diagram_space(n)
         seen = set()
-        for i, d in enumerate(all_diagrams(n)):
+        for d in all_diagrams(n):
+            i = space.index_of(d)
             for letter, g in enumerate(gens):
                 right, left = compose(d, g), compose(g, d)
                 seen.add(right.coeff)
                 seen.add(left.coeff)
-                assert space.targets[("R", letter)][i] == space.index[right.diagram]
-                assert space.targets[("L", letter)][i] == space.index[left.diagram]
+                assert space.targets[("R", letter)][i] == space.index_of(right.diagram)
+                assert space.targets[("L", letter)][i] == space.index_of(left.diagram)
         assert seen <= allowed, seen - allowed
         assert seen == allowed or n == 1
 

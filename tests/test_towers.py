@@ -277,13 +277,14 @@ def test_ideal_supports_match_through_line_filtration():
 
     for n in (2, 3, 4, 5):
         space = diagram_space(n)
+        basis = [space.diagram(i) for i in range(space.dim)]
         for m in range(n % 2, n + 1, 2):
-            support = {space.basis[i] for i in through_ideal(n, m)}
-            assert support == {d for d in space.basis if through_count(d) <= m}
+            support = {basis[i] for i in through_ideal(n, m)}
+            assert support == {d for d in basis if through_count(d) <= m}
             if m > 0:
-                support = {space.basis[i] for i in blob_ideal(n, m)}
+                support = {basis[i] for i in blob_ideal(n, m)}
                 assert support == {
-                    d for d in space.basis
+                    d for d in basis
                     if through_count(d) < m
                     or (through_count(d) == m and leftmost_through_blobbed(d))
                 }
@@ -415,9 +416,11 @@ def test_tower_and_quotients_evaluate_no_basis_word(monkeypatch):
     ideal_gens = [cap_word(m, n) for m in ms]  # through_ideal seeds
     assert set(evaluated) <= {unit(n), gen_u(n, n - 1), *ers, *(gen_e(n) * er for er in ers),
                               *ideal_gens}
-    # one product per diagram of each distinct left * b_n closure
+    # one product per diagram of each distinct left * b_n closure, and
+    # none where the right factor is the unit (Er_n is the empty word)
     assert len(products) == sum(len(_closure(space, space.word_span([w]), "R"))
-                                for w in set(_conjugators(n)))
+                                for w in set(_conjugators(n)) if w.letters)
+    assert cap_word_right(n, n) == unit(n)
 
 
 def test_left_images_match_evaluated_generator_products():
@@ -517,3 +520,146 @@ def test_span_checks_pass_where_scalars_vanish():
                        check_span_closure, check_standard_modules, check_word_basis):
                 rep = fn(n, [pt])
                 assert rep.passed, (pt, rep.title, [c.instance for c in rep.checks if not c.passed])
+
+
+# -- the basis as half-table states --------------------------------------------
+
+
+def test_walk_reaches_every_diagram_once():
+    from blobalg.diagrams import all_diagrams, flip
+
+    for n in range(0, 9):
+        space = diagram_space(n)
+        basis = [space.diagram(i) for i in range(space.dim)]
+        assert space.dim == len(space.tops) == len(space.bottoms) == comb(2 * n, n)
+        assert len(set(zip(space.tops, space.bottoms))) == space.dim
+        assert set(basis) == set(all_diagrams(n))
+        assert all(space.index_of(d) == i for i, d in enumerate(basis))
+        # the flip permutation, computed on halves, is flip on every element
+        assert all(basis[space.flip[i]] == flip(d) for i, d in enumerate(basis))
+        assert space.mirrored
+
+
+def _closures_made(monkeypatch, n, checks):
+    """(seeds, sides, letters, result) of every `_closure` call the checks
+    make at n, with the span caches emptied first."""
+    import blobalg.towers as towers
+
+    calls, real = [], towers._closure
+
+    def recording(space, seeds, sides, letters=None):
+        seeds = list(seeds)
+        got = real(space, seeds, sides, letters)
+        calls.append((seeds, sides, letters, got))
+        return got
+
+    monkeypatch.setattr(towers, "_closure", recording)
+    towers._cached_ideal.cache_clear()
+    _conjugated_span.cache_clear()
+    for check in checks:
+        assert check(n).passed
+    monkeypatch.undo()
+    towers._cached_ideal.cache_clear()
+    _conjugated_span.cache_clear()
+    return calls
+
+
+def test_rectangle_closures_match_the_diagram_bfs(monkeypatch):
+    # every ideal, tower and quotient span the checks close, against the
+    # search over the action tables one basis index at a time
+    from span_reference import bfs_closure
+
+    made = 0
+    for n in range(1, 9):
+        space = diagram_space(n)
+        checks = [check_ideal_inclusions, check_span_closure, check_word_basis]
+        if n >= 2:
+            checks += [check_tower, check_quotient_dims]
+        calls = _closures_made(monkeypatch, n, checks)
+        assert {sides for _, sides, _, _ in calls} == ({"LR", "L", "R"} if n >= 2 else {"LR", "L"})
+        for seeds, sides, letters, got in calls:
+            assert got == bfs_closure(space, seeds, sides, letters), (n, seeds, sides, letters)
+        made += len(calls)
+    assert made > 200
+
+
+def test_rectangles_lie_in_one_layer_each():
+    # each rectangle's bottom states share a layer, its top halves have that
+    # layer's through lines, and the states of all of them are the closure
+    space = diagram_space(6)
+    seeds = space.word_span([parse_word("U1 U3 U5", 6)])
+    rects = space.rectangles(seeds, "LR", space.letters)
+    for tops, bottoms in rects:
+        assert len({space.layer[s] for s in bottoms}) == 1
+        layer = space.layer[bottoms[0]]
+        through = 6 - layer + layer % 2
+        assert all(len(space.halves.tops[t][2]) == through for t in tops)
+    assert space.indices(rects) == through_ideal(6, 0)
+
+
+@pytest.fixture
+def cold_spaces():
+    """Empty word tables and every cache built from them, before and after."""
+    import blobalg.presentation as presentation
+    import blobalg.towers as towers
+
+    def clear():
+        presentation.reset_tables()
+        for cached in (evaluate_word, diagram_space, towers._cached_ideal, _conjugated_span,
+                       towers._module_images):
+            cached.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def _verify(*argv):
+    import contextlib
+    import io
+
+    from blobalg.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["verify", *argv])
+    return rc, out.getvalue()
+
+
+def test_a_wrong_join_entry_fails_a_report(cold_spaces):
+    import blobalg.presentation as presentation
+
+    want = _verify("--suite", "ideals", "--n", "6")
+    assert want[0] == 0
+    presentation.reset_tables()
+    diagram_space.cache_clear()
+    tables = presentation._table(6)
+    presentation.walk_basis(tables)  # fills every join entry
+    right = tables.joins[0, 1]  # U1 caps the identity's two leftmost lines
+    through = len(tables.tops[right][2])
+    tables.joins[0, 1] = next(t for t, top in enumerate(tables.tops)
+                              if t != right and len(top[2]) == through)
+    rc, out = _verify("--suite", "ideals", "--n", "6")
+    assert rc == 1 and out != want[1]
+    assert "[FAIL] " in out and out.endswith("passed=false\n")
+
+
+def test_a_swapped_flip_pair_fails_a_report(cold_spaces, monkeypatch):
+    import blobalg.presentation as presentation
+
+    want = _verify("--suite", "ideals", "--n", "6")
+    assert want[0] == 0
+    real = presentation._Halves.flips
+
+    def swapped(self):
+        top, bottom = real(self)
+        a, b = [s for s, half in enumerate(self.bottoms) if len(half[2]) == 2 and not half[3]][:2]
+        top[a], top[b] = top[b], top[a]
+        return top, bottom
+
+    monkeypatch.setattr(presentation._Halves, "flips", swapped)
+    diagram_space.cache_clear()
+    assert not diagram_space(6).mirrored
+    rc, out = _verify("--suite", "ideals", "--n", "6")
+    assert rc == 1 and out != want[1]
+    assert "[FAIL] " in out and out.endswith("passed=false\n")

@@ -214,3 +214,22 @@ def test_checks_enumerate_once_and_build_each_walk_once(monkeypatch, n):
     assert enumerated == [(n,)]
     assert len(images) == 2 ** n
     assert grids == [(n,)]
+
+
+def _fresh_path_word(p, variant):
+    """The walk word of p built afresh, from uncached edge words."""
+    n = p.length
+    w = unit(n)
+    for i in range(n):
+        edge = ((i, p.sigma[i]), (i + 1, p.sigma[i + 1]))
+        w = w * edge_word.__wrapped__(edge, variant=variant, n=n)
+    return w
+
+
+def test_cached_walk_words_equal_fresh_ones():
+    for n in range(0, 9):
+        for p in all_walks(n):
+            for variant in (False, True):
+                fresh = _fresh_path_word(p, variant)
+                assert path_word(p, variant) == path_word(p, variant=variant) == fresh, (p, variant)
+            assert path_word(p) is path_word(p, variant=False)  # one cache entry per variant
