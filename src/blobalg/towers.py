@@ -12,8 +12,9 @@ the Schwartz-Zippel note are still recorded on every report.
 The basis has one index: the states (top half, bottom state) of the word
 tables of ``presentation``, which pair two walks on the Pascal triangle as
 the paper does.  One breadth-first walk from the identity's state over
-those tables numbers the states and gives the right action tables; no
-basis diagram is composed or kept.  ``flip`` is an anti-automorphism of
+those tables numbers the states and gives the right action tables;
+``compose`` runs only to fill a missing table entry, and no basis diagram
+is kept.  ``flip`` is an anti-automorphism of
 b_n fixing every generator, and it maps halves to halves, so the left
 action is the right one read through a flip computed on halves.
 
@@ -89,7 +90,7 @@ class DiagramSpace:
     Every top half with k through lines meets every bottom state with k,
     so a layer is the product of its top halves and its bottom states, and
     state (t, s) has the slot ``base[s] + rank[t] * width[s]`` among all
-    C(2n, n) states; ``where`` maps a slot to its basis index.
+    C(2n, n) states; ``_where`` maps a slot to its basis index.
     """
 
     def __init__(self, n: int):
