@@ -8,6 +8,8 @@ that set, with no specialization.  Standard module matrices are written
 over a large prime field at a random specialization of (q, g, de).
 """
 
+import numpy as np
+
 from blobalg import (
     all_diagrams,
     default_points,
@@ -39,9 +41,9 @@ for n in range(1, 7):
 print()
 print("Through-line ideal ranks for n = 4 (0 <= m <= 4):")
 for m in (0, 2, 4):
-    print(f"  rank of ideal at m={m}: {len(through_ideal(4, m))}")
+    print(f"  rank of ideal at m={m}: {np.count_nonzero(through_ideal(4, m))}")
 print("  the unit generates everything:",
-      len(ideal_span(4, unit(4), True)))
+      np.count_nonzero(ideal_span(4, unit(4), True)))
 
 print()
 print("A standard module: n=4, m=0, with its U_1 action matrix:")

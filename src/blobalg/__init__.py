@@ -27,7 +27,6 @@ from .words import (
 )
 from .diagrams import (
     BlobDiagram,
-    LinComb,
     ScaledDiagram,
     all_diagrams,
     compose,

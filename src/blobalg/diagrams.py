@@ -407,68 +407,6 @@ def all_diagrams(n: int) -> Tuple[BlobDiagram, ...]:
     return tuple(out)
 
 
-# -- formal linear combinations ---------------------------------------------
-
-
-class LinComb:
-    """A formal sum of blob diagrams with RingElem coefficients."""
-
-    __slots__ = ("n", "_terms")
-
-    def __init__(self, n: int, terms: Dict[BlobDiagram, RingElem] | None = None):
-        self.n = n
-        clean = {}
-        if terms:
-            for diag, coeff in terms.items():
-                if diag.n != n:
-                    raise ValueError("mixed strand counts in linear combination")
-                if coeff:
-                    clean[diag] = coeff
-        self._terms = clean
-
-    @classmethod
-    def of(cls, scaled: ScaledDiagram) -> "LinComb":
-        return cls(scaled.diagram.n, {scaled.diagram: scaled.coeff})
-
-    def items(self) -> List[Tuple[BlobDiagram, RingElem]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinComb):
-            return NotImplemented
-        return self.n == other.n and self._terms == other._terms
-
-    def __add__(self, other: "LinComb") -> "LinComb":
-        if self.n != other.n:
-            raise ValueError("mixed strand counts")
-        terms = dict(self._terms)
-        for diag, coeff in other._terms.items():
-            terms[diag] = terms[diag] + coeff if diag in terms else coeff
-        return LinComb(self.n, terms)
-
-    def scale(self, factor: RingElem) -> "LinComb":
-        return LinComb(self.n, {d: factor * c for d, c in self._terms.items()})
-
-    def __mul__(self, other: "LinComb") -> "LinComb":
-        if self.n != other.n:
-            raise ValueError("mixed strand counts")
-        terms: Dict[BlobDiagram, RingElem] = {}
-        for d1, c1 in self._terms.items():
-            for d2, c2 in other._terms.items():
-                prod = compose(d1, d2)
-                coeff = c1 * c2 * prod.coeff
-                terms[prod.diagram] = terms[prod.diagram] + coeff if prod.diagram in terms else coeff
-        return LinComb(self.n, terms)
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(f"({c}) {d}" for d, c in self.items())
-
-
 # -- JSON forms --------------------------------------------------------------
 
 

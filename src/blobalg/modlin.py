@@ -156,12 +156,12 @@ class CoordSolver:
             raise ValueError("rows are not independent")
         self.inverses = [pow(s, -1, p) for s in scalars]
 
-    def express(self, targets: np.ndarray) -> Optional[np.ndarray]:
+    def express(self, rows: np.ndarray) -> Optional[np.ndarray]:
         """The k x t coefficient matrix whose column j expresses row j of
-        the t x 2 batch `targets`, or None when some target lies outside
-        the span."""
-        coeffs = np.zeros((len(self.inverses), len(targets)), dtype=np.int64)
-        for j, (col, value) in enumerate(np.asarray(targets).tolist()):
+        the t x 2 batch `rows`, or None when some row lies outside the
+        span."""
+        coeffs = np.zeros((len(self.inverses), len(rows)), dtype=np.int64)
+        for j, (col, value) in enumerate(np.asarray(rows).tolist()):
             if value % self.p:
                 if col not in self.slot:
                     return None

@@ -159,9 +159,9 @@ class _Halves:
                     tuple(m - x for x in through))
 
         top = [self.top_ids[mirror(half)] for half in self.bottoms]
-        mirrored = [mirror(half) for half in self.tops]
-        return top, ([self.bottom_ids[(*half, False)] for half in mirrored],
-                     [self.bottom_ids[(*half, True)] if half[2] else -1 for half in mirrored])
+        flipped = [mirror(half) for half in self.tops]
+        return top, ([self.bottom_ids[(*half, False)] for half in flipped],
+                     [self.bottom_ids[(*half, True)] if half[2] else -1 for half in flipped])
 
     def diagram(self, t: int, s: int, keep: bool = True) -> BlobDiagram:
         """The diagram of state (t, s), rebuilt from its halves the first

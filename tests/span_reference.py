@@ -20,7 +20,7 @@ any input:
 * `reference_closure`: the rank-stabilizing closure of arbitrary seed
   vectors under those tables;
 * `bfs_closure`: the closure of basis indices one index at a time over
-  the action tables of a `DiagramSpace`, the oracle for its rectangles;
+  the action tables of a `DiagramSpace`, the oracle for its frontier sweep;
 * `reference_conjugated_span` and `reference_subalgebra_span`: the tower
   spans left * b_n * right and x * b_k as the diagram sets of explicit
   products with every regular-basis word, the definition that
@@ -38,7 +38,7 @@ any input:
 
 import bisect
 from functools import lru_cache, reduce
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -244,14 +244,14 @@ def reference_closure(space, seeds: np.ndarray, point: SpecPoint, sides: str,
     return span
 
 
-def bfs_closure(space, seeds, sides: str, letters: Optional[Sequence[int]] = None) -> FrozenSet[int]:
-    """The seed indices closed under the generators of `letters` (default:
-    all of b_n) on `sides`, one basis index at a time over the action
-    tables of `space`: the search `towers` replaces by rectangles."""
-    if letters is None:
-        letters = space.letters
-    used = [space.targets[(side, letter)] for side in sides for letter in letters]
-    seen = set(seeds)
+def bfs_closure(space, seeds, sides: str, k: Optional[int] = None) -> np.ndarray:
+    """The seed mask closed under the generators of b_k, the first k
+    letters (default: all of b_n), on `sides`, one basis index at a time
+    over the action tables of `space`: the search `towers` replaces by a
+    sweep over whole frontiers."""
+    letters = space.letters if k is None else range(k)
+    used = [space.steps["LR".index(side), letter].tolist() for side in sides for letter in letters]
+    seen = set(np.flatnonzero(seeds).tolist())
     queue = list(seen)
     while queue:
         d = queue.pop()
@@ -259,27 +259,27 @@ def bfs_closure(space, seeds, sides: str, letters: Optional[Sequence[int]] = Non
             if tgt[d] not in seen:
                 seen.add(tgt[d])
                 queue.append(tgt[d])
-    return frozenset(seen)
+    return space.mask(seen)
 
 
-def reference_conjugated_span(space, left, right) -> FrozenSet[int]:
+def reference_conjugated_span(space, left, right) -> np.ndarray:
     """The diagrams of left * w * right over the regular basis words w of
     b_n, each formed as two explicit products."""
     n = space.n
     lv, rv = evaluate_word(left.with_n(n)), evaluate_word(right.with_n(n))
-    return frozenset(
+    return space.mask(
         space.index_of(compose_scaled(compose_scaled(lv, evaluate_word(w.with_n(n))), rv).diagram)
         for w in regular_basis(n)
     )
 
 
-def reference_subalgebra_span(space, x, k: int) -> FrozenSet[int]:
+def reference_subalgebra_span(space, x, k: int) -> np.ndarray:
     """The diagrams of x * w over the regular basis words w of b_k, read
     as words on the n strands of `space`."""
     return space.word_span(x * w.with_n(space.n) for w in regular_basis(k))
 
 
-def reference_left_images(space, words) -> FrozenSet[int]:
+def reference_left_images(space, words) -> np.ndarray:
     """The diagrams of g * w over every generator g of b_n and every word
     w, each product evaluated as a word."""
     n = space.n
@@ -289,7 +289,7 @@ def reference_left_images(space, words) -> FrozenSet[int]:
 @lru_cache(maxsize=None)
 def _reference_quotient(n: int, m: int, p: int) -> ReferenceSpan:
     dim = diagram_space(n).dim
-    quotient = np.array(sorted(_quotient_span(n, m)), dtype=np.int64)
+    quotient = np.flatnonzero(_quotient_span(n, m))
     return span_of(dense(np.stack([quotient, np.ones_like(quotient)], axis=1), dim), dim, p)
 
 

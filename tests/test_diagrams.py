@@ -6,7 +6,6 @@ import pytest
 
 from blobalg.diagrams import (
     BlobDiagram,
-    LinComb,
     ScaledDiagram,
     all_diagrams,
     compose,
@@ -233,26 +232,3 @@ def test_json_forms():
     assert diagram_from_dict(json.loads(json.dumps(data))) == d
     s = ScaledDiagram(RingElem.gamma(), d)
     assert scaled_to_dict(s)["coeff"] == "g"
-
-
-def test_lincomb_algebra():
-    n = 2
-    u = LinComb.of(ScaledDiagram(RingElem.one(), u_diagram(n, 1)))
-    e = LinComb.of(ScaledDiagram(RingElem.one(), e_diagram(n)))
-    summed = u + e
-    assert len(summed) == 2
-    assert summed + summed == summed.scale(RingElem.integer(2))
-    # (u + e)(u + e) = uu + ue + eu + ee, collected
-    prod = summed * summed
-    by_hand = LinComb(n)
-    for d1 in (u_diagram(n, 1), e_diagram(n)):
-        for d2 in (u_diagram(n, 1), e_diagram(n)):
-            s = compose(d1, d2)
-            by_hand = by_hand + LinComb(n, {s.diagram: s.coeff})
-    assert prod == by_hand
-    assert (u + u.scale(RingElem.integer(-1))) == LinComb(n)
-    # two term pairs land on U1: (U1 + 1)(U1 + 1) = 1 + (2 + [2]) U1
-    one = LinComb.of(ScaledDiagram(RingElem.one(), identity_diagram(n)))
-    assert (u + one) * (u + one) == one + u.scale(RingElem.integer(2) + RingElem.loop())
-    # terms cancel inside one product: U1 ([2] 1 - U1) = 0
-    assert u * (one.scale(RingElem.loop()) + u.scale(RingElem.integer(-1))) == LinComb(n)

@@ -392,8 +392,8 @@ def test_generator_steps_carry_one_of_four_scalars():
                 right, left = compose(d, g), compose(g, d)
                 seen.add(right.coeff)
                 seen.add(left.coeff)
-                assert space.targets[("R", letter)][i] == space.index_of(right.diagram)
-                assert space.targets[("L", letter)][i] == space.index_of(left.diagram)
+                assert space.steps[1, letter, i] == space.index_of(right.diagram)
+                assert space.steps[0, letter, i] == space.index_of(left.diagram)
         assert seen <= allowed, seen - allowed
         assert seen == allowed or n == 1
 
