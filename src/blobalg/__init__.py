@@ -9,6 +9,8 @@ is machine-checked by the `check_*` functions, exactly where possible and
 otherwise over random prime-field specializations.
 """
 
+from importlib import import_module as _import_module
+
 from .ring import RingElem, parse_scalar
 from .words import (
     Word,
@@ -51,6 +53,7 @@ from .presentation import (
     phi_equal,
 )
 from .walks import (
+    SquaredBasis,
     Walk,
     all_walks,
     check_diamond_moves,
@@ -59,23 +62,10 @@ from .walks import (
     factor_walk_words,
     parse_walk,
     path_word,
-    tail_word,
-    walk_words,
-)
-from .towers import (
-    SquaredBasis,
-    StandardModule,
-    check_ideal_inclusions,
-    check_quotient_dims,
-    check_span_closure,
-    check_standard_modules,
-    check_tower,
-    check_word_basis,
-    default_points,
-    ideal_span,
     regular_basis,
     squared_basis,
-    standard_module,
+    tail_word,
+    walk_words,
 )
 from .diamond import (
     DiamondWalk,
@@ -90,7 +80,40 @@ from .diamond import (
     to_diamond,
     weight_of_diamond,
 )
-from .modlin import DEFAULT_PRIME, SpecPoint, draw_points
 from .reports import Check, Report
+
+# The span layer, `towers` and `modlin`, is the only part that needs numpy.
+# It loads when one of its names is first read here (PEP 562).  A resolved
+# name is not kept in this namespace, so each read returns the defining
+# module's current binding, also while a tracer has replaced it.
+_LAZY = {
+    "towers": (
+        "StandardModule",
+        "check_ideal_inclusions",
+        "check_quotient_dims",
+        "check_span_closure",
+        "check_standard_modules",
+        "check_tower",
+        "check_word_basis",
+        "default_points",
+        "ideal_span",
+        "standard_module",
+    ),
+    "modlin": ("DEFAULT_PRIME", "SpecPoint", "draw_points"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+# every public name above and the lazy ones, the submodules included, as a
+# star import bound them all before the span layer loaded lazily
+__all__ = sorted([name for name in globals() if not name.startswith("_")] + [*_LAZY, *_HOME])
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _LAZY:
+        return _import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -464,7 +464,7 @@ def check_reduction_stability(n: int) -> Report:
     """
     if n < 3:
         raise ValueError("reduction stability needs n >= 3")
-    from .towers import regular_basis  # deferred: towers builds on this module
+    from .walks import regular_basis  # deferred: walks builds on this module
 
     rep = Report(f"redux(n={n})", meta={"n": n})
     # the tails depend only on n, so they are built once

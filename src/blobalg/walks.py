@@ -16,6 +16,10 @@ is not raises; ``check_walk_suite`` fails a check naming its walk instead).
 
 A weight no walk of length n reaches (|m| > n, or m of the wrong parity)
 raises ``ValueError``, as does a negative length.
+
+The word bases are built from the factorizations: ``squared_basis(n, m)``
+is every a * tail * opposite(b) over the prefixes a, b of weight m, and
+``regular_basis(n)`` is their union over m, C(2n, n) words spanning b_n.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ from .words import (
     descending_run,
     gen_e,
     gen_u,
+    opposite,
+    quote,
     skip_run,
     unit,
 )
@@ -76,7 +82,8 @@ def parse_walk(text: str) -> Walk:
         try:
             weights.append(int(tok.encode("ascii")))
         except ValueError:  # UnicodeEncodeError included
-            raise ValueError(f"weight {tok!r} is not an integer in walk {text!r}") from None
+            raise ValueError(f"weight {quote(tok)} is not an integer "
+                             f"in walk {quote(text)}") from None
     return Walk(tuple(weights))
 
 
@@ -201,6 +208,43 @@ def _recursive_prefix(p: Walk) -> Word:
         elif a != 0 and abs(b) < abs(a):
             prefix = prefix * descending_run(i, i + 1 - abs(b), n)
     return prefix
+
+
+# -- squared basis and the regular basis --------------------------------------
+
+
+@dataclass(frozen=True)
+class SquaredBasis:
+    """Words a * middle * opposite(b) over the walk-word prefixes to (n, m)."""
+
+    n: int
+    m: int
+    prefixes: Tuple[Word, ...]
+    middle: Word
+    words: Tuple[Word, ...]  # row-major: row = b, column = a
+
+    def grid(self) -> List[List[Word]]:
+        k = len(self.prefixes)
+        return [list(self.words[r * k: (r + 1) * k]) for r in range(k)]
+
+
+@lru_cache(maxsize=256)
+def squared_basis(n: int, m: int) -> SquaredBasis:
+    pairs = factor_walk_words(n, m)
+    prefixes = tuple(prefix for prefix, _ in pairs)
+    middle = tail_word(m, n)
+    tails = [middle * opposite(b) for b in prefixes]  # one per row
+    words = tuple(a * tail for tail in tails for a in prefixes)
+    return SquaredBasis(n, m, prefixes, middle, words)
+
+
+@lru_cache(maxsize=64)
+def regular_basis(n: int) -> Tuple[Word, ...]:
+    """The union of all squared bases: C(2n, n) words spanning b_n."""
+    out: List[Word] = []
+    for m in range(-n, n + 1, 2):
+        out.extend(squared_basis(n, m).words)
+    return tuple(out)
 
 
 # -- verification ------------------------------------------------------------

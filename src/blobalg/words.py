@@ -15,6 +15,16 @@ from functools import lru_cache
 from typing import Dict, Tuple
 
 _INT = frozenset({int})  # the one type a strand count or letter may have, bool excluded
+_QUOTED = 24  # characters of a token an error message quotes
+
+
+def quote(token: str) -> str:
+    """The token as ``repr`` writes it, or its first ``_QUOTED`` characters
+    and its length when it is longer, so an error line naming a token stays
+    short whatever the input."""
+    if len(token) <= _QUOTED:
+        return repr(token)
+    return f"{token[:_QUOTED]!r}... ({len(token)} characters)"
 
 
 @dataclass(frozen=True)
@@ -95,7 +105,8 @@ def _canonical_letters(n: int) -> Dict[str, int]:
 
 def parse_word(text: str, n: int) -> Word:
     """The word of whitespace-separated tokens ``e`` and ``U<digits>``; any
-    token but a canonical one is read by its digits, and Word checks range."""
+    token but a canonical one is read by its digits, and Word checks range.
+    An error names its token by at most a short prefix (`quote`)."""
     tokens = text.split()
     if tokens == ["1"] or not tokens:
         return Word(n)
@@ -108,9 +119,14 @@ def parse_word(text: str, n: int) -> Word:
         elif tok == "e":
             letters.append(0)
         elif tok.startswith("U") and tok[1:].isascii() and tok[1:].isdigit():
-            letters.append(int(tok[1:]))
+            digits = tok[1:].lstrip("0") or "0"
+            # a long index past n is named by its start (Word would print all
+            # of it), and int() refuses a few thousand digits
+            if len(tok) > _QUOTED and type(n) is int and len(digits) > len(str(n)):
+                raise ValueError(f"letter {quote(tok)} out of range for n={n}")
+            letters.append(int(digits))
         else:
-            raise ValueError(f"bad word token {tok!r}")
+            raise ValueError(f"bad word token {quote(tok)}")
     return Word(n, tuple(letters))
 
 

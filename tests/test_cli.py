@@ -328,11 +328,43 @@ def test_malformed_scalar_exits_two(capsys, coeff):
     (["mul", "--n", "4", "--left", "U1", "--right", "e U\u00b2"], "error: bad word token 'U\u00b2'"),
     (["word", "--path", "0,,1"], "error: weight '' is not an integer in walk '0,,1'"),
     (["word", "--path", "0,\u0661"], "error: weight '\u0661' is not an integer in walk '0,\u0661'"),
+    (["phi", "--n", "3", "--word", "U10"], "error: U10 out of range for n=3"),
+    (["phi", "--n", "3", "--word", "U" + "1" * 30],
+     "error: letter 'U11111111111111111111111'... (31 characters) out of range for n=3"),
 ])
 def test_bad_word_or_walk_token_is_named(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == message + "\n"
+
+
+_MB = 1 << 20
+
+
+# About 1 MB per input, past what one command-line argument may hold, so
+# main runs in-process: a long bad token, a long whitespace run and 250k
+# tokens for each parser.  Each gives its value (the output of the short
+# argv given) or exit 2 with one short line naming the token's start.
+@pytest.mark.parametrize("argv, want", [
+    (["phi", "--n", "3", "--word", "U1 " + "V" * _MB], "error: bad word token 'VVVVV"),
+    (["phi", "--n", "3", "--word", "U" + "1" * _MB], "error: letter 'U1111"),
+    (["phi", "--n", "3", "--word", "U" + "1" * 5000], "error: letter 'U1111"),
+    (["phi", "--n", "3", "--word", "U" + "0" * _MB + "2"], ["phi", "--n", "3", "--word", "U2"]),
+    (["phi", "--n", "3", "--word", "U1" + " " * _MB + "U2"], ["phi", "--n", "3", "--word", "U1 U2"]),
+    (["phi", "--n", "3", "--word", "U1 U2 " * (1 << 17)], ["phi", "--n", "3", "--word", "U1 U2"]),
+    (["word", "--path", "0," + "x" * _MB], "error: weight 'xxxxx"),
+    (["word", "--path", "0," + "1" * _MB], "error: weight '11111"),
+    (["word", "--path", "0," + " " * _MB + "1"], ["word", "--path", "0,1"]),
+    (["word", "--path", ",".join(str(-i) for i in range(1 << 18))], ["word", "--path", "0,-1"]),
+], ids=["word-token", "word-digits", "word-5000-digits", "word-zeros", "word-spaces", "word-many",
+        "walk-token", "walk-digits", "walk-spaces", "walk-many"])
+def test_a_megabyte_input_gives_its_value_or_one_short_line(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    if isinstance(want, str):
+        assert code == 2 and out == ""
+        assert err.startswith(want) and err.count("\n") == 1 and len(err) < 200, err[:300]
+    else:
+        assert (code, out, err) == run(capsys, *want)
 
 
 @pytest.mark.parametrize("coeff, message", [

@@ -27,7 +27,7 @@ from blobalg.presentation import (
     phi_equal,
 )
 from blobalg.ring import RingElem, monomial
-from blobalg.towers import diagram_space, regular_basis
+from blobalg.towers import DiagramSpace, diagram_space, regular_basis
 from blobalg.words import Word, gen_e, gen_u, opposite, parse_word, unit
 
 from redux_reference import reference_reduction_stability
@@ -396,6 +396,21 @@ def test_generator_steps_carry_one_of_four_scalars():
                 assert space.steps[0, letter, i] == space.index_of(left.diagram)
         assert seen <= allowed, seen - allowed
         assert seen == allowed or n == 1
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_action_tables_agree_with_compose_on_a_sample(n):
+    # every diagram is checked up to n = 6; past that, seeded (side, letter,
+    # index) triples of a space built here and not kept in the cache
+    space = DiagramSpace(n)
+    rng = random.Random(n)
+    allowed = set(presentation._STEP_SCALARS)
+    for _ in range(500):
+        side, letter, i = rng.randrange(2), rng.randrange(n), rng.randrange(space.dim)
+        d, g = space.diagram(i), generator_diagram(n, letter)
+        step = compose(g, d) if side == 0 else compose(d, g)
+        assert space.steps[side, letter, i] == space.index_of(step.diagram), (side, letter, i)
+        assert step.coeff._exps is not None and step.coeff in allowed, (side, letter, i)
 
 
 # -- the walk counts its steps; the scalar is one monomial --------------------

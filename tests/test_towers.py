@@ -600,18 +600,19 @@ def test_no_letters_close_to_the_seeds():
 
 @pytest.fixture
 def cold_spaces():
-    """Empty word tables and every cache built from them, before and after."""
+    """Empty word tables and every cache built from them, before and after;
+    the fixture's value empties them again."""
     import blobalg.presentation as presentation
     import blobalg.towers as towers
 
     def clear():
         presentation.reset_tables()
         for cached in (evaluate_word, diagram_space, towers._cached_ideal, _conjugated_span,
-                       towers._module_images):
+                       towers._module_images, regular_basis, squared_basis):
             cached.cache_clear()
 
     clear()
-    yield
+    yield clear
     clear()
 
 
@@ -629,14 +630,14 @@ def _verify(*argv):
 
 def test_a_wrong_join_entry_fails_a_report(cold_spaces):
     # the walk then reaches fewer than C(2n, n) states, which the tower's
-    # decomposition must not take for all of b_n
+    # decomposition must not take for all of b_n; a walk word that no longer
+    # factors fails the word basis check, naming its walk
     import blobalg.presentation as presentation
 
-    suites = ("ideals", "tower")
+    suites = ("ideals", "tower", "bases", "all")
     want = {suite: _verify("--suite", suite, "--n", "6") for suite in suites}
     assert all(rc == 0 for rc, _ in want.values())
-    presentation.reset_tables()
-    diagram_space.cache_clear()
+    cold_spaces()
     tables = presentation._table(6)
     presentation.walk_basis(tables)  # fills every join entry
     right = tables.joins[0, 1]  # U1 caps the identity's two leftmost lines
@@ -648,6 +649,9 @@ def test_a_wrong_join_entry_fails_a_report(cold_spaces):
         rc, out = _verify("--suite", suite, "--n", "6")
         assert rc == 1 and out != want[suite][1], suite
         assert "[FAIL] " in out and out.endswith("passed=false\n"), suite
+        if suite in ("bases", "all"):
+            assert "/factor: walk words as prefix * tail" in out, suite
+            assert "(factorization failed for walk 0,-1,0,-1,-2,-3,-2)" in out, suite
 
 
 def test_a_swapped_flip_pair_fails_a_report(cold_spaces, monkeypatch):
