@@ -85,35 +85,45 @@ from .reports import Check, Report
 # The span layer, `towers` and `modlin`, is the only part that needs numpy.
 # It loads when one of its names is first read here (PEP 562).  A resolved
 # name is not kept in this namespace, so each read returns the defining
-# module's current binding, also while a tracer has replaced it.
-_LAZY = {
-    "towers": (
-        "StandardModule",
-        "check_ideal_inclusions",
-        "check_quotient_dims",
-        "check_span_closure",
-        "check_standard_modules",
-        "check_tower",
-        "check_word_basis",
-        "default_points",
-        "ideal_span",
-        "standard_module",
+# module's current binding, also while a tracer has replaced it.  A script
+# that stays with words, diagrams and walks (demos 01, 02 and 04) never
+# loads it; every `blobalg` command does, through `blobalg.cli`.
+_SPAN_LAYER = {
+    **dict.fromkeys(
+        (
+            "StandardModule",
+            "check_ideal_inclusions",
+            "check_quotient_dims",
+            "check_span_closure",
+            "check_standard_modules",
+            "check_tower",
+            "check_word_basis",
+            "default_points",
+            "ideal_span",
+            "standard_module",
+        ),
+        "towers",
     ),
-    "modlin": ("DEFAULT_PRIME", "SpecPoint", "draw_points"),
+    **dict.fromkeys(("DEFAULT_PRIME", "SpecPoint", "draw_points"), "modlin"),
 }
-_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
-# every public name above and the lazy ones, the submodules included, as a
-# star import bound them all before the span layer loaded lazily
-__all__ = sorted([name for name in globals() if not name.startswith("_")] + [*_LAZY, *_HOME])
+# every name a star import bound before the span layer loaded lazily:
+# the public names above, the span layer's and its two submodules
+__all__ = sorted(
+    [name for name in globals() if not name.startswith("_")] + ["modlin", "towers", *_SPAN_LAYER]
+)
 
 
 def __getattr__(name: str):
-    if name in _HOME:
-        return getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
-    if name in _LAZY:
+    if name in ("modlin", "towers"):
         return _import_module(f"{__name__}.{name}")
+    if name in _SPAN_LAYER:
+        return getattr(_import_module(f"{__name__}.{_SPAN_LAYER[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
 
 
 __version__ = "0.1.0"
