@@ -23,16 +23,17 @@ state reached and counts the steps per code.  A *position* is (top id,
 bottom id, coeff); the tables intern halves, so equal positions are equal
 images.  ``evaluate_word`` walks from the root and builds its image once,
 ``monomial`` of the counts times the diagram rebuilt from the halves where
-the walk ends.  ``evaluate_from`` continues a walk from the image of a
-word w: it looks up (or splits) the image's diagram, walks only the
-tail's letters and multiplies the coefficient by the tail's monomial, so
-w * tail needs neither w's letters again nor a cache entry of its own.
-The reduction-stability check walks positions on in the same way and
-never turns one back into a diagram.
+the walk ends.  ``_walk_on`` continues a walk from a position: it walks
+only the tail's letters and multiplies the coefficient by the tail's
+monomial, so w * tail needs neither w's letters again nor a cache entry
+of its own.  The reduction-stability check walks positions on in this way
+and never turns one back into a diagram.
 
 The same states index the basis of b_n in ``towers``: ``walk_basis``
 walks every letter from every state once, breadth first from the root,
 and so reaches each of the C(2n, n) states once and fills every entry.
+Its table of walk indices, one row of 2^n bottom states per top half, is
+the one map from a state to its basis index.
 ``_Halves.flips`` gives ``flip`` on states from the halves alone: the
 top half of flip(t, s) depends only on s, and its bottom state only on t
 and the blob of s's leftmost through line.
@@ -233,18 +234,23 @@ def _advance(tables: _Halves, t: int, s: int,
     return t, s, count[1], count[2], count[3]
 
 
-def walk_basis(tables: _Halves) -> Tuple[array, array, List[array]]:
+def walk_basis(tables: _Halves) -> Tuple[array, array, array, List[array]]:
     """Every state one breadth-first walk from the identity's state (0, 0)
-    reaches, in walk order: their top ids and bottom ids as two arrays,
-    and per letter the walk index of each state times that letter.
+    reaches, in walk order: the walk index of each state as a table of
+    2^n entries per top id, ``where[(t << n) | s]``, -1 where no state is;
+    their top ids and bottom ids as two arrays; and per letter the walk
+    index of each state times that letter.
 
     Each step looks up its entries as `_advance` does, so a missing right
     or join entry costs one fill; once the walk ends, every right entry and
-    every join entry of b_n is filled.
+    every join entry of b_n is filled.  A bottom id is below 2^n, and only
+    a join step can reach a new top half, so the table gains a row there.
     """
     n, right, joins, fill = tables.n, tables.right, tables.joins, tables.fill
+    no_row = array("i", [-1]) * (1 << n)
+    where = no_row * len(tables.tops)
+    where[0] = 0
     tops, bottoms = array("i", [0]), array("i", [0])
-    seen = {0: 0}  # (t << n) | s -> walk index, as a bottom id is below 2^n
     steps = [array("i") for _ in range(n)]
     i = 0
     while i < len(tops):
@@ -257,15 +263,17 @@ def walk_basis(tables: _Halves) -> Tuple[array, array, List[array]]:
                 if key not in joins:
                     fill(t, s, letter)
                 top = joins[key]
+                if top << n >= len(where):  # the fill interned this top half
+                    where.extend(no_row)
             code = top << n | nxt
-            j = seen.get(code)
-            if j is None:
-                j = seen[code] = len(tops)
+            j = where[code]
+            if j < 0:
+                j = where[code] = len(tops)
                 tops.append(top)
                 bottoms.append(nxt)
             row.append(j)
         i += 1
-    return tops, bottoms, steps
+    return where, tops, bottoms, steps
 
 
 # A walk position: (top id, bottom id, coefficient) in one strand count's tables.
@@ -299,27 +307,6 @@ def evaluate_word(w: Word) -> ScaledDiagram:
     tables = _table(w.n)
     t, s, a, b, c = _advance(tables, 0, 0, w.letters)
     return ScaledDiagram(monomial(a, b, c), tables.diagram(t, s))
-
-
-def evaluate_from(image: ScaledDiagram, tail: Word) -> ScaledDiagram:
-    """The image of w * tail, given ``image = evaluate_word(w)``.
-
-    The image is a position, the state of its diagram in the tables of
-    ``tail.n`` with its coefficient; a diagram the tables have not seen
-    (one from elsewhere, or met before :func:`reset_tables`) is split into
-    its halves first.  Only the tail's letters are walked on from there,
-    by the same loop as :func:`evaluate_word`.  The tail's monomial
-    multiplies the image's coefficient once, unless it is 1; nothing
-    enters the cache.
-    """
-    n = tail.n
-    if image.diagram.n != n:
-        raise ValueError(f"strand counts differ: {image.diagram.n} vs {n}")
-    if not tail.letters:
-        return image
-    tables = _table(n)
-    t, s, coeff = _walk_on(tables, (*tables.state(image.diagram), image.coeff), tail.letters)
-    return ScaledDiagram(coeff, tables.diagram(t, s))
 
 
 def phi_equal(u: Word, v: Word, scalar: RingElem | None = None) -> bool:

@@ -40,6 +40,8 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, Tuple
 
+from .words import quote  # words imports nothing of the package
+
 Monomial = Tuple[int, int, int]  # (q-exponent, g-exponent, de-exponent)
 
 
@@ -231,15 +233,15 @@ def _read_term(sign: str, piece: str, text: str) -> Tuple[Monomial, int]:
     for factor in piece.split("*"):
         factor = factor.strip()
         if not factor:
-            raise ValueError(f"malformed scalar {text!r}")
+            raise ValueError(f"malformed scalar {quote(text)}")
         if factor.isdecimal():
             coeff *= int(factor)
             continue
         sym, caret, exp_s = factor.partition("^")
         if sym not in exps:
-            raise ValueError(f"unknown symbol {sym!r} in scalar {text!r}")
+            raise ValueError(f"unknown symbol {quote(sym)} in scalar {quote(text)}")
         if caret and not re.fullmatch(r"[+-]?\d+", exp_s):
-            raise ValueError(f"{sym} exponent {exp_s!r} is not an integer in scalar {text!r}")
+            raise ValueError(f"{sym} exponent {quote(exp_s)} is not an integer in scalar {quote(text)}")
         exp = int(exp_s) if caret else 1
         if exp < 0 and sym != "q":
             raise ValueError(f"{sym} exponent must be nonnegative")

@@ -44,7 +44,6 @@ each stack bounded by ``_STACK`` entries.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -82,56 +81,33 @@ class DiagramSpace:
     Basis element i is the state (``tops[i]``, ``bottoms[i]``) of
     ``presentation``'s tables of n, numbered in the order one breadth-first
     walk from the identity's state (0, 0) reaches them; the walk gives the
-    right action tables.  ``flip`` maps the state (t, s) to (top[s],
+    right action tables.  The walk's own table, ``_where[t, s]``, is the
+    index of state (t, s), -1 where there is none, and the one map from a
+    state to its index.  ``flip`` maps the state (t, s) to (top[s],
     bottom[blobbed(s)][t]) (see ``_Halves.flips``), so the flip permutation
-    of the basis comes from halves, and each left table is its right table
-    conjugated by it.  ``steps[side, letter]`` is the table of one
-    generator, side 0 acting on the left and side 1 on the right.  No
+    of the basis is one gather from ``_where``, and each left table is its
+    right table conjugated by it.  ``steps[side, letter]`` is the table of
+    one generator, side 0 acting on the left and side 1 on the right.  No
     diagram is kept per basis element: `diagram` rebuilds one from its
     halves and `index_of` splits one.
-
-    A state's layer is n minus its through lines, plus one when the
-    leftmost through line is blobbed.  Every top half with k through lines
-    meets every bottom state with k, so a layer is the product of its top
-    halves and its bottom states, and state (t, s) has the slot
-    ``base[s] + rank[t] * width[s]`` among all C(2n, n) states; ``_where``
-    maps a slot to its basis index.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.letters = list(range(0, n))  # 0 is e, i >= 1 is U_i
         halves = self.halves = _table(n)
-        self.tops, self.bottoms, right = walk_basis(halves)
+        where, self.tops, self.bottoms, right = walk_basis(halves)
         self.dim = len(self.tops)
-        layer = [n - len(b[2]) + b[3] for b in halves.bottoms]
-        rank, per_k = [], [0] * (n + 1)
-        for top in halves.tops:
-            rank.append(per_k[len(top[2])])
-            per_k[len(top[2])] += 1
-        order, per_layer = [], [0] * (n + 1)
-        for lay in layer:
-            order.append(per_layer[lay])
-            per_layer[lay] += 1
-        start = np.cumsum([0] + [per_k[n - lay + lay % 2] * per_layer[lay] for lay in range(n + 1)])
-        self._rank = np.array(rank, dtype=np.int64)
-        self._base = start[layer] + np.array(order, dtype=np.int64)
-        self._width = np.array(per_layer, dtype=np.int64)[layer]
-        self._where = np.full(start[-1], -1, dtype=np.int64)
-        tops, bottoms = (np.frombuffer(a, dtype=np.intc) for a in (self.tops, self.bottoms))
-        self._where[self._slot(tops, bottoms)] = np.arange(self.dim)
-
+        self._where = np.frombuffer(where, dtype=np.int32).reshape(-1, 1 << n)
+        tops, bottoms = (np.frombuffer(a, dtype=np.int32) for a in (self.tops, self.bottoms))
         flip_top, flip_bottom = halves.flips()
         flags = np.array([b[3] for b in halves.bottoms], dtype=np.int64)
-        op = self._where[self._slot(np.array(flip_top)[bottoms],
-                                    np.array(flip_bottom)[flags[bottoms], tops])]
-        self.flip = array("i", op.tolist())
-        on_right = np.array([np.frombuffer(row, np.intc) for row in right],
-                            dtype=np.int32).reshape(n, self.dim)
-        self.steps = np.stack([op[on_right[:, op]].astype(np.int32), on_right])
-
-    def _slot(self, tops, bottoms):
-        return self._base[bottoms] + self._rank[tops] * self._width[bottoms]
+        self.flip = op = self._where[np.array(flip_top)[bottoms],
+                                     np.array(flip_bottom)[flags[bottoms], tops]]
+        steps = self.steps = np.empty((2, n, self.dim), dtype=np.int32)
+        for letter in range(n):
+            steps[1, letter] = np.frombuffer(right.pop(0), dtype=np.int32)  # freed once copied
+            steps[0, letter] = op[steps[1, letter, op]]
 
     def diagram(self, i: int) -> BlobDiagram:
         """The basis diagram of index i, rebuilt from its halves."""
@@ -139,8 +115,7 @@ class DiagramSpace:
 
     def index_of(self, d: BlobDiagram) -> int:
         """The basis index of diagram d."""
-        t, s = self.halves.state(d, keep=False)
-        return self._where.item(self._base.item(s) + self._rank.item(t) * self._width.item(s))
+        return self._where.item(self.halves.state(d, keep=False))
 
     def word_rows(self, words: Iterable[Word], point: SpecPoint) -> np.ndarray:
         """The word images at the point as a k x 2 array of ``(column,

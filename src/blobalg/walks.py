@@ -137,10 +137,10 @@ def path_word(p: Walk, variant: bool = False) -> Word:
 @lru_cache(maxsize=1 << 13)
 def _path_word(p: Walk, variant: bool) -> Word:
     n = p.length
-    w = unit(n)
-    for i in range(n):
-        w = w * edge_word(((i, p.sigma[i]), (i + 1, p.sigma[i + 1])), variant=variant, n=n)
-    return w
+    letters: List[int] = []  # the edge words' letters, joined once
+    for i, (a, b) in enumerate(zip(p.sigma, p.sigma[1:])):
+        letters += edge_word(((i, a), (i + 1, b)), variant=variant, n=n).letters
+    return Word(n, tuple(letters))
 
 
 def walk_words(n: int, m: int, variant: bool = False) -> List[Word]:

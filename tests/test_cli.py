@@ -367,6 +367,31 @@ def test_a_megabyte_input_gives_its_value_or_one_short_line(capsys, argv, want):
         assert (code, out, err) == run(capsys, *want)
 
 
+def _mul_with_coeff(capsys, coeff):
+    side = json.dumps({"pairs": [[1, 6], [2, 3], [4, 5]], "coeff": coeff})
+    return run(capsys, "mul", "--n", "3", "--left", side, "--right", "U1 e")
+
+
+# About 1 MB of scalar text, in-process as above: a long unknown symbol, a
+# long bad exponent, 262k terms with a fault at the end, a coefficient and an
+# exponent past int's digit limit, and 262k good terms.
+@pytest.mark.parametrize("coeff, want", [
+    ("x" * _MB, "error: unknown symbol 'xxxxx"),
+    ("q^" + "1" * _MB + "x", "error: q exponent '11111"),
+    ("q + " * (1 << 18) + "+", "error: malformed scalar 'q + q + "),
+    ("2" * _MB, "error: "),
+    ("q^" + "1" * _MB, "error: "),
+    ("q + " * (1 << 18) + "q", f"{(1 << 18) + 1}*q"),
+], ids=["symbol", "exponent", "malformed", "coeff-digits", "exponent-digits", "many-terms"])
+def test_a_megabyte_scalar_gives_its_value_or_one_short_line(capsys, coeff, want):
+    code, out, err = _mul_with_coeff(capsys, coeff)
+    if want.startswith("error: "):
+        assert code == 2 and out == ""
+        assert err.startswith(want) and err.count("\n") == 1 and len(err) < 200, err[:300]
+    else:
+        assert (code, out, err) == _mul_with_coeff(capsys, want)
+
+
 @pytest.mark.parametrize("coeff, message", [
     ("q^", "error: q exponent '' is not an integer in scalar 'q^'"),
     ("q^1.5", "error: q exponent '1.5' is not an integer in scalar 'q^1.5'"),
@@ -377,8 +402,7 @@ def test_a_megabyte_input_gives_its_value_or_one_short_line(capsys, argv, want):
     ("g*q^-1 + g*q^-1x", "error: q exponent '-1x' is not an integer in scalar 'g*q^-1 + g*q^-1x'"),
 ])
 def test_malformed_exponent_is_named(capsys, coeff, message):
-    side = json.dumps({"pairs": [[1, 6], [2, 3], [4, 5]], "coeff": coeff})
-    code, out, err = run(capsys, "mul", "--n", "3", "--left", side, "--right", "U1 e")
+    code, out, err = _mul_with_coeff(capsys, coeff)
     assert code == 2 and out == ""
     assert err == message + "\n"
 

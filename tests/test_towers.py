@@ -533,6 +533,9 @@ def test_walk_reaches_every_diagram_once():
         basis = [space.diagram(i) for i in range(space.dim)]
         assert space.dim == len(space.tops) == len(space.bottoms) == comb(2 * n, n)
         assert len(set(zip(space.tops, space.bottoms))) == space.dim
+        # the walk's table is the one map from a state to its index
+        assert np.count_nonzero(space._where >= 0) == space.dim
+        assert (space._where[space.tops, space.bottoms] == np.arange(space.dim)).all()
         assert set(basis) == set(all_diagrams(n))
         assert all(space.index_of(d) == i for i, d in enumerate(basis))
         # the flip permutation, computed on halves, is flip on every element

@@ -20,7 +20,7 @@ from blobalg.walks import (
     tail_word,
     walk_words,
 )
-from blobalg.words import blob_cap_word, cap_word, parse_word, unit
+from blobalg.words import Word, blob_cap_word, cap_word, parse_word, unit
 
 
 def test_walk_validation():
@@ -118,6 +118,32 @@ def test_path_words_examples():
     for n in (3, 5):
         sigma = tuple((0, -1)[i % 2] for i in range(n)) + (1,)
         assert phi_equal(path_word(Walk(sigma)), blob_cap_word(1, n))
+
+
+def test_a_long_walk_word_copies_each_letter_a_bounded_number_of_times(monkeypatch):
+    # the 0,1,0,1,... walk of length 1,000 has a word of 500k letters;
+    # joining each edge word onto the prefix copies 167M of them
+    copied = []
+    real = Word.__mul__
+
+    def counting(u, v):
+        copied.append(len(u) + len(v))
+        return real(u, v)
+
+    walks._path_word.cache_clear()
+    monkeypatch.setattr(Word, "__mul__", counting)
+    walk = Walk(tuple(i % 2 for i in range(1001)))
+    w = path_word(walk)
+    assert len(w) == 500_000
+    assert sum(copied) < 2 * len(w)
+    monkeypatch.undo()
+    walks._path_word.cache_clear()
+    # the same letters as the product of the edge words, one at a time
+    short = Walk(tuple(i % 2 for i in range(41)))
+    want = unit(40)
+    for i, (a, b) in enumerate(zip(short.sigma, short.sigma[1:])):
+        want = want * edge_word(((i, a), (i + 1, b)), n=40)
+    assert path_word(short) == want
 
 
 def test_word_set_examples():
