@@ -61,7 +61,7 @@ from .walks import (
     squared_basis,
     walk_words,
 )
-from .words import Word, parse_word
+from .words import Word, parse_word, quote
 
 
 # Every suite, in the order "all" runs them: its smallest strand count and
@@ -161,12 +161,13 @@ def _parse_side(text: str, n: int) -> ScaledDiagram:
         raise ValueError("diagram JSON has no field 'pairs'")
     coeff = data.get("coeff", "1")
     if type(coeff) is not str:
-        raise ValueError(f'diagram JSON field "coeff" must be a string, not {json.dumps(coeff)}')
+        raise ValueError(f'diagram JSON field "coeff" must be a string, '
+                         f"not {quote(json.dumps(coeff), str)}")
     for field in ("pairs", "blobs"):
         arcs = data.get(field, [])
         if type(arcs) is not list or any(type(arc) is not list for arc in arcs):
             raise ValueError(f'diagram JSON field "{field}" must be a list of [i, j] lists, '
-                             f"not {json.dumps(arcs)}")
+                             f"not {quote(json.dumps(arcs), str)}")
     if type(data.get("n")) is int and data["n"] != n:  # other types fail in make_diagram
         raise ValueError("diagram strand count disagrees with --n")
     return ScaledDiagram(parse_scalar(coeff), diagram_from_dict({"n": n, **data}))
@@ -304,7 +305,7 @@ def _env_int(name: str, default: int) -> int:
     try:
         return _ascii_int(raw)
     except argparse.ArgumentTypeError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{name} must be an integer, got {quote(raw)}") from None
 
 
 def cmd_verify(args) -> int:

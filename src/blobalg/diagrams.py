@@ -45,6 +45,7 @@ from math import comb
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from .ring import RingElem, monomial
+from .words import quote
 
 Arc = Tuple[int, int]
 
@@ -72,30 +73,31 @@ def make_diagram(n: int, pairs: Sequence[Sequence[int]], blobs: Sequence[Sequenc
     A blob arc listed twice is rejected: two blobs on one strand would be a
     factor de, which a diagram does not carry."""
     if type(n) is not int:
-        raise ValueError(f"strand count {n!r} is not an integer")
+        raise ValueError(f"strand count {quote(repr(n), str)} is not an integer")
     pairs, blobs = _point_pairs("arc", pairs), _point_pairs("blob arc", blobs)
     norm = tuple(sorted((min(i, j), max(i, j)) for i, j in pairs))
     blob_arcs = [(min(i, j), max(i, j)) for i, j in blobs]
     blob_set = frozenset(blob_arcs)
     if len(blob_set) < len(blob_arcs):
         repeated = next(a for k, a in enumerate(blob_arcs) if a in blob_arcs[:k])
-        raise ValueError(f"blob arc {repeated} is listed more than once")
+        raise ValueError(f"blob arc {quote(str(repeated), str)} is listed more than once")
     d = BlobDiagram(n, norm, blob_set)
     validate(d)
     return d
 
 
 def _point_pairs(kind: str, arcs: Sequence[Sequence[int]]) -> List[Arc]:
-    """The arcs as tuples; each must be a sequence of two ``int`` points."""
+    """The arcs as tuples; each must be a sequence of two ``int`` points.
+    An error shows the bad value clipped by `quote`."""
     out = []
     for arc in arcs:
         if not isinstance(arc, abc.Sequence):
-            raise ValueError(f"{kind} {arc!r} is not a pair of points")
+            raise ValueError(f"{kind} {quote(repr(arc), str)} is not a pair of points")
         if len(arc) != 2:
-            raise ValueError(f"{kind} {list(arc)} is not a pair of points")
+            raise ValueError(f"{kind} {quote(str(list(arc)), str)} is not a pair of points")
         for p in arc:
             if type(p) is not int:
-                raise ValueError(f"diagram point {p!r} is not an integer")
+                raise ValueError(f"diagram point {quote(repr(p), str)} is not an integer")
         out.append(tuple(arc))
     return out
 
@@ -140,7 +142,8 @@ def validate(d: BlobDiagram) -> None:
     exposed = _exposed_arcs(d.n, d.pairs)
     for arc in d.blobs:
         if arc not in exposed:
-            raise ValueError(f"blob on {'nested' if arc in d.pairs else 'missing'} arc {arc}")
+            where = "nested" if arc in d.pairs else "missing"
+            raise ValueError(f"blob on {where} arc {quote(str(arc), str)}")
 
 
 def west_exposed(d: BlobDiagram, arc: Arc) -> bool:
@@ -205,25 +208,6 @@ class ScaledDiagram:
         return f"({self.coeff}) {self.diagram}"
 
 
-class _ArcPool(dict):
-    """Arcs as shared tuples: ``pool[i, j]`` is the first ``(i, j)`` it was
-    asked for.  Composition results reuse them, so the many diagrams a
-    word-evaluation table keeps alive share their arcs; an arc enters on
-    first use, so the pool holds only the arcs some result has had."""
-
-    __slots__ = ()
-
-    def __missing__(self, arc: Arc) -> Arc:
-        self[arc] = arc
-        return arc
-
-
-@lru_cache(maxsize=64)
-def _arc_pool(n: int) -> _ArcPool:
-    """The shared arcs of n strands."""
-    return _ArcPool()
-
-
 _NO_BLOBS: FrozenSet[Arc] = frozenset()
 
 
@@ -263,12 +247,11 @@ def _generator_step(d: BlobDiagram, letter: int) -> Tuple[BlobDiagram, int, int,
         if arc_a in blobs:
             return BlobDiagram(n, pairs, blobs - {arc_a}), 0, 1, 0
         return d, 1, 0, 0
-    arcs = _arc_pool(n)
     x = arc_b[0] if arc_b[1] == b else arc_b[1]
     y = arc_a[0] if arc_a[1] == a else arc_a[1]
-    joined = arcs[x, y] if x < y else arcs[y, x]
+    joined = (x, y) if x < y else (y, x)
     kept = [arc for arc in pairs if arc != arc_a and arc != arc_b]
-    kept += (joined, arcs[b, a])
+    kept += (joined, (b, a))
     kept.sort()
     count = (arc_a in blobs) + (arc_b in blobs)
     if count:
@@ -303,7 +286,6 @@ def compose(d1: BlobDiagram, d2: BlobDiagram) -> ScaledDiagram:
     glue = 2 * n + 1  # d1 point glue - j meets d2 point j
     mate1, blob1 = _point_arrays(d1)
     mate2, blob2 = _point_arrays(d2)
-    arcs = _arc_pool(n)
     done = [False] * glue  # result points already reached as an end
     crossed = [False] * (n + 1)  # interface positions some strand passed
     pairs: List[Arc] = []
@@ -334,7 +316,7 @@ def compose(d1: BlobDiagram, d2: BlobDiagram) -> ScaledDiagram:
                 pt = glue - end
                 upper = True
         done[end] = True
-        arc = arcs[start, end]
+        arc = (start, end)
         pairs.append(arc)
         if count:
             blobs.append(arc)

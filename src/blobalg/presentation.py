@@ -56,7 +56,6 @@ from .diagrams import (
     BlobDiagram,
     ScaledDiagram,
     _NO_BLOBS,
-    _arc_pool,
     compose,
     generator_diagram,
     identity_diagram,
@@ -171,8 +170,7 @@ class _Halves:
         if d is None:
             top, top_blobs, top_through = self.tops[t]
             bottom, bottom_blobs, bottom_through, blobbed = self.bottoms[s]
-            arcs = _arc_pool(self.n)  # shared arcs, as compose's results use
-            through = tuple(arcs[i, j] for i, j in zip(top_through, bottom_through))
+            through = tuple(zip(top_through, bottom_through))
             blobs = top_blobs + bottom_blobs + (through[:1] if blobbed else ())
             d = BlobDiagram(self.n, tuple(sorted(top + bottom + through)),
                             frozenset(blobs) if blobs else _NO_BLOBS)

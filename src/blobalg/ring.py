@@ -224,25 +224,35 @@ def monomial(a: int, b: int, c: int) -> RingElem:
     return elem
 
 
+def _digits(what: str, digits: str, text: str) -> int:
+    """The int of `digits`, ASCII digits with an optional sign; past int's
+    digit limit, a ValueError naming `what` and the scalar `text`."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"{what} {quote(digits)} has too many digits in scalar {quote(text)}") from None
+
+
 def _read_term(sign: str, piece: str, text: str) -> Tuple[Monomial, int]:
     """One term of a scalar: its sign and its ``*``-joined factors, read
-    into (monomial, coefficient).  ``text`` is the whole scalar, named in
-    error messages."""
+    into (monomial, coefficient).  Digits are ASCII only, as ``int`` and
+    ``\\d`` would also take other scripts' digits.  ``text`` is the whole
+    scalar, named in error messages."""
     coeff = -1 if sign == "-" else 1
     exps = {"q": 0, "g": 0, "de": 0}
     for factor in piece.split("*"):
         factor = factor.strip()
         if not factor:
             raise ValueError(f"malformed scalar {quote(text)}")
-        if factor.isdecimal():
-            coeff *= int(factor)
+        if factor.isascii() and factor.isdigit():
+            coeff *= _digits("coefficient", factor, text)
             continue
         sym, caret, exp_s = factor.partition("^")
         if sym not in exps:
             raise ValueError(f"unknown symbol {quote(sym)} in scalar {quote(text)}")
-        if caret and not re.fullmatch(r"[+-]?\d+", exp_s):
+        if caret and not re.fullmatch(r"[+-]?[0-9]+", exp_s):
             raise ValueError(f"{sym} exponent {quote(exp_s)} is not an integer in scalar {quote(text)}")
-        exp = int(exp_s) if caret else 1
+        exp = _digits(f"{sym} exponent", exp_s, text) if caret else 1
         if exp < 0 and sym != "q":
             raise ValueError(f"{sym} exponent must be nonnegative")
         exps[sym] += exp

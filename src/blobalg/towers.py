@@ -15,10 +15,12 @@ tables of ``presentation``, which pair two walks on the Pascal triangle as
 the paper does.  One breadth-first walk from the identity's state over
 those tables numbers the states and gives the right action tables;
 ``compose`` runs only to fill a missing table entry, and no basis diagram
-is kept.  ``flip`` is an anti-automorphism of b_n fixing every generator,
-and it maps halves to halves, so the left action is the right one read
-through a flip computed on halves.  Both actions sit in one array,
-``DiagramSpace.steps``.
+is kept.  A word's image is read off the same tables: walked from the
+identity's state, the word ends at its basis index, and its step counts
+give its monomial, so no word image is a diagram.  ``flip`` is an
+anti-automorphism of b_n fixing every generator, and it maps halves to
+halves, so the left action is the right one read through a flip computed
+on halves.  Both actions sit in one array, ``DiagramSpace.steps``.
 
 Every ideal, tower and quotient span is a closure: start from some
 diagrams and multiply by generators on the required side(s), which is
@@ -56,9 +58,9 @@ import numpy as np
 # requires the binding in this module); the tables compose in presentation
 from .diagrams import BlobDiagram, ScaledDiagram, all_diagrams, compose, compose_scaled  # noqa: F401
 from .modlin import CoordSolver, RowSpan, SpecPoint, draw_points, mulmod
-from .presentation import _table, defining_relations, evaluate_word, phi_equal, walk_basis
+from .presentation import _advance, _table, defining_relations, evaluate_word, walk_basis
 from .reports import Report
-from .ring import RingElem
+from .ring import RingElem, monomial
 from .walks import regular_basis, squared_basis, tail_word, walk_words
 from .words import (
     Word,
@@ -89,7 +91,8 @@ class DiagramSpace:
     right table conjugated by it.  ``steps[side, letter]`` is the table of
     one generator, side 0 acting on the left and side 1 on the right.  No
     diagram is kept per basis element: `diagram` rebuilds one from its
-    halves and `index_of` splits one.
+    halves and `index_of` splits one.  `image` reads a word's image off
+    the tables, as a basis index and a monomial.
     """
 
     def __init__(self, n: int):
@@ -117,11 +120,19 @@ class DiagramSpace:
         """The basis index of diagram d."""
         return self._where.item(self.halves.state(d, keep=False))
 
+    def image(self, w: Word) -> Tuple[int, RingElem]:
+        """The image of the word w of b_n as (basis index, scalar): the
+        state its letters walk to from the identity's state (0, 0), and
+        ``monomial`` of the walk's [2], g and de step counts.  The walk
+        reads the tables `walk_basis` filled, so it composes nothing."""
+        t, s, a, b, c = _advance(self.halves, 0, 0, w.letters)
+        return self._where.item(t, s), monomial(a, b, c)
+
     def word_rows(self, words: Iterable[Word], point: SpecPoint) -> np.ndarray:
         """The word images at the point as a k x 2 array of ``(column,
         value)`` rows: each is a monomial times one diagram."""
         at = (point.q0, point.g0, point.d0, point.prime)
-        rows = [(self.index_of(s.diagram), s.coeff.specialize(*at)) for s in map(evaluate_word, words)]
+        rows = [(i, coeff.specialize(*at)) for i, coeff in map(self.image, words)]
         return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
     def mask(self, indices: Iterable[int]) -> np.ndarray:
@@ -133,7 +144,7 @@ class DiagramSpace:
     def word_span(self, words: Iterable[Word]) -> np.ndarray:
         """Span of the word images: each is a nonzero monomial times one
         diagram, so this is the mask of their diagram indices."""
-        return self.mask(self.index_of(evaluate_word(w).diagram) for w in words)
+        return self.mask(self.image(w)[0] for w in words)
 
     def left_images(self, span: np.ndarray) -> np.ndarray:
         """The diagrams g * d over every generator g and every d in span."""
@@ -227,37 +238,42 @@ def check_word_basis(n: int, points: Optional[Sequence[SpecPoint]] = None,
                      seed: Optional[int] = 0) -> Report:
     """The regular word basis maps bijectively onto the diagram basis
     (exact), each squared basis has an opposite-invariant member, and the
-    squared bases span the two-sided ideal filtration layer by layer."""
+    squared bases span the two-sided ideal filtration layer by layer.
+
+    Each word's image is its basis index and scalar (`DiagramSpace.image`).
+    Distinct indices are distinct diagrams, so the images are onto when
+    they reach as many indices as ``all_diagrams(n)`` has diagrams."""
     rep, _, space, note = _start_check("bases", n, points, seed)
     try:
         words = regular_basis(n)
     except AssertionError as exc:  # a walk word that does not factor names its walk
         rep.add("factor", "walk words as prefix * tail", "images verified", False, str(exc))
         return rep
-    images = [evaluate_word(w) for w in words]
+    index, scalars = zip(*map(space.image, words))
     rep.add("unit-scalars", f"{len(words)} word images", "all scalar 1",
-            all(s.coeff.is_one() for s in images))
-    distinct = {s.diagram for s in images}
-    rep.add("distinct", len(distinct), len(words), len(distinct) == len(words))
-    target = set(all_diagrams(n))
-    rep.add("onto", f"{len(distinct)} distinct images", f"all {len(target)} diagrams",
-            distinct == target)
+            all(s.is_one() for s in scalars))
+    distinct = len(set(index))
+    rep.add("distinct", distinct, len(words), distinct == len(words))
+    target = len(all_diagrams(n))
+    rep.add("onto", f"{distinct} distinct images", f"all {target} diagrams", distinct == target)
     rep.add("count", len(words), comb(2 * n, n), len(words) == comb(2 * n, n))
 
     for m in range(-n, n + 1, 2):
-        found = any(phi_equal(w, opposite(w)) for w in squared_basis(n, m).words)
+        found = any(space.image(w) == space.image(opposite(w)) for w in squared_basis(n, m).words)
         rep.add(f"self-opposite m={m}", "exists w = op(w) under evaluation", "true", found)
 
     def layer_ideal(m: int) -> np.ndarray:
         return blob_ideal(n, m) if m > 0 else through_ideal(n, -m)
 
+    stop = 0  # regular_basis lists the squared bases in this order of m
     for m in range(-n, n + 1, 2):
         sq = squared_basis(n, m)
+        start, stop = stop, stop + len(sq.words)
         lower = [m2 for m2 in range(-n, n + 1, 2) if abs(m2) < abs(m) or (m < 0 and m2 == -m)]
         below = np.zeros(space.dim, dtype=bool)
         for m2 in lower:
             below |= layer_ideal(m2)
-        with_words = below | space.word_span(sq.words)
+        with_words = below | space.mask(index[start:stop])
         ok_span = (with_words == below | layer_ideal(m)).all()
         rank = np.count_nonzero(below)
         ok_indep = np.count_nonzero(with_words) == rank + len(sq.words)
@@ -447,8 +463,7 @@ def _module_images(n: int, m: int, words: Tuple[Word, ...]) -> Tuple[Tuple[int, 
     themselves, not only on the weight."""
     space = diagram_space(n)
     actions = [Word(n, (letter,)) * w for letter in space.letters for w in words]
-    return tuple((space.index_of(s.diagram), s.coeff)
-                 for s in map(evaluate_word, (*words, *actions, tail_word(m, n))))
+    return tuple(map(space.image, (*words, *actions, tail_word(m, n))))
 
 
 def standard_module(n: int, m: int, point: SpecPoint) -> StandardModule:

@@ -12,19 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 _INT = frozenset({int})  # the one type a strand count or letter may have, bool excluded
 _QUOTED = 24  # characters of a token an error message quotes
 
 
-def quote(token: str) -> str:
-    """The token as ``repr`` writes it, or its first ``_QUOTED`` characters
-    and its length when it is longer, so an error line naming a token stays
-    short whatever the input."""
+def quote(token: str, form: Callable[[str], str] = repr) -> str:
+    """The token as `form` writes it (``repr`` by default; ``str`` shows
+    text already formatted, such as JSON), or its first ``_QUOTED``
+    characters so written and its length when it is longer, so an error
+    line naming a token stays short whatever the input."""
     if len(token) <= _QUOTED:
-        return repr(token)
-    return f"{token[:_QUOTED]!r}... ({len(token)} characters)"
+        return form(token)
+    return f"{form(token[:_QUOTED])}... ({len(token)} characters)"
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,13 @@ def test_non_ascii_integer_env_var_exits_two(capsys, monkeypatch, name, value):
     assert err == f"error: {name} must be an integer, got {value!r}\n"
 
 
+def test_a_megabyte_env_var_gives_one_short_line(capsys, monkeypatch):
+    monkeypatch.setenv("BLOBALG_SEED", "x" * _MB)
+    code, out, err = run(capsys, "verify", "--suite", "relations", "--n", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: BLOBALG_SEED must be an integer, got {'x' * 24!r}... ({_MB} characters)\n"
+
+
 def test_ascii_integers_keep_their_sign_and_spaces(capsys, monkeypatch):
     code, out, _ = run(capsys, "phi", "--n", " +3 ", "--word", "U1")
     assert code == 0 and json.loads(out)["n"] == 3
@@ -341,10 +348,16 @@ def test_bad_word_or_walk_token_is_named(capsys, argv, message):
 _MB = 1 << 20
 
 
+def _mul_json(side):
+    """The argv of a product whose left operand is the JSON of `side`."""
+    return ["mul", "--n", "2", "--left", json.dumps(side), "--right", "U1"]
+
+
 # About 1 MB per input, past what one command-line argument may hold, so
 # main runs in-process: a long bad token, a long whitespace run and 250k
-# tokens for each parser.  Each gives its value (the output of the short
-# argv given) or exit 2 with one short line naming the token's start.
+# tokens for each parser, and JSON operands whose bad value is about 1 MB
+# (or a few thousand digits) long.  Each gives its value (the output of the
+# short argv given) or exit 2 with one short line naming the value's start.
 @pytest.mark.parametrize("argv, want", [
     (["phi", "--n", "3", "--word", "U1 " + "V" * _MB], "error: bad word token 'VVVVV"),
     (["phi", "--n", "3", "--word", "U" + "1" * _MB], "error: letter 'U1111"),
@@ -356,8 +369,20 @@ _MB = 1 << 20
     (["word", "--path", "0," + "1" * _MB], "error: weight '11111"),
     (["word", "--path", "0," + " " * _MB + "1"], ["word", "--path", "0,1"]),
     (["word", "--path", ",".join(str(-i) for i in range(1 << 18))], ["word", "--path", "0,-1"]),
+    (_mul_json({"pairs": [[1, 4], [2, 3]], "coeff": list(range(200_000))}),
+     'error: diagram JSON field "coeff" must be a string, not [0, 1, 2, 3'),
+    (_mul_json({"pairs": {"x": "y" * 600_000}}),
+     'error: diagram JSON field "pairs" must be a list of [i, j] lists, not {"x": "yyy'),
+    (_mul_json({"pairs": [["x" * _MB, 2], [3, 4]]}), "error: diagram point 'xxxxx"),
+    (_mul_json({"pairs": [list(range(200_000))]}), "error: arc [0, 1, 2, 3"),
+    (_mul_json({"n": "x" * _MB, "pairs": [[1, 4], [2, 3]]}), "error: strand count 'xxxxx"),
+    (_mul_json({"pairs": [[1, 4], [2, 3]], "blobs": [[1, int("9" * 4000)]]}),
+     "error: blob on missing arc (1, 99999"),
+    (_mul_json({"pairs": [[1, 4], [2, 3]], "blobs": [[1, int("9" * 4000)]] * 2}),
+     "error: blob arc (1, 99999"),
 ], ids=["word-token", "word-digits", "word-5000-digits", "word-zeros", "word-spaces", "word-many",
-        "walk-token", "walk-digits", "walk-spaces", "walk-many"])
+        "walk-token", "walk-digits", "walk-spaces", "walk-many", "json-coeff", "json-pairs",
+        "json-point", "json-arc", "json-n", "json-blob-digits", "json-repeated-blob"])
 def test_a_megabyte_input_gives_its_value_or_one_short_line(capsys, argv, want):
     code, out, err = run(capsys, *argv)
     if isinstance(want, str):
@@ -379,8 +404,8 @@ def _mul_with_coeff(capsys, coeff):
     ("x" * _MB, "error: unknown symbol 'xxxxx"),
     ("q^" + "1" * _MB + "x", "error: q exponent '11111"),
     ("q + " * (1 << 18) + "+", "error: malformed scalar 'q + q + "),
-    ("2" * _MB, "error: "),
-    ("q^" + "1" * _MB, "error: "),
+    ("2" * _MB, "error: coefficient '22222"),
+    ("q^" + "1" * _MB, "error: q exponent '11111"),
     ("q + " * (1 << 18) + "q", f"{(1 << 18) + 1}*q"),
 ], ids=["symbol", "exponent", "malformed", "coeff-digits", "exponent-digits", "many-terms"])
 def test_a_megabyte_scalar_gives_its_value_or_one_short_line(capsys, coeff, want):
@@ -393,6 +418,15 @@ def test_a_megabyte_scalar_gives_its_value_or_one_short_line(capsys, coeff, want
 
 
 @pytest.mark.parametrize("coeff, message", [
+    # other scripts' digits are not digits here, though int and \d take them
+    ("\u0663*q^\u0662", "error: unknown symbol '\u0663' in scalar '\u0663*q^\u0662'"),
+    ("3*q^\u0662", "error: q exponent '\u0662' is not an integer in scalar '3*q^\u0662'"),
+    ("\uff12", "error: unknown symbol '\uff12' in scalar '\uff12'"),
+    # past int's 4,300-digit limit, named by the package, not by int
+    ("7" * 5000 + "*g", "error: coefficient '777777777777777777777777'... (5000 characters) "
+                       "has too many digits in scalar '777777777777777777777777'... (5002 characters)"),
+    ("g^" + "1" * 5000, "error: g exponent '111111111111111111111111'... (5000 characters) "
+                        "has too many digits in scalar 'g^1111111111111111111111'... (5002 characters)"),
     ("q^", "error: q exponent '' is not an integer in scalar 'q^'"),
     ("q^1.5", "error: q exponent '1.5' is not an integer in scalar 'q^1.5'"),
     # canonical monomial text up to the fault
