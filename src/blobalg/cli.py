@@ -25,7 +25,7 @@ import os
 import sys
 from functools import lru_cache
 from math import comb
-from typing import Callable, Dict, List, NoReturn, Optional, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Tuple, Union
 
 # towers (and with it numpy) loads here on purpose, not on first use: the
 # benchmark times `main` after importing this module, and a verify run that
@@ -152,10 +152,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_side(text: str, n: int) -> ScaledDiagram:
+def _parse_side(text: str, n: int) -> Union[Word, ScaledDiagram]:
+    """A ``mul`` operand: the word of word text, the scaled diagram of JSON."""
     text = text.strip()
     if not text.startswith("{"):
-        return evaluate_word(parse_word(text, n))
+        return parse_word(text, n)
     data = json.loads(text)
     if "pairs" not in data:
         raise ValueError("diagram JSON has no field 'pairs'")
@@ -171,6 +172,10 @@ def _parse_side(text: str, n: int) -> ScaledDiagram:
     if type(data.get("n")) is int and data["n"] != n:  # other types fail in make_diagram
         raise ValueError("diagram strand count disagrees with --n")
     return ScaledDiagram(parse_scalar(coeff), diagram_from_dict({"n": n, **data}))
+
+
+def _image(side: Union[Word, ScaledDiagram]) -> ScaledDiagram:
+    return evaluate_word(side) if isinstance(side, Word) else side
 
 
 def _latex_word(w: Word) -> str:
@@ -204,7 +209,13 @@ def cmd_phi(args) -> int:
 def cmd_mul(args) -> int:
     left = _parse_side(args.left, args.n)
     right = _parse_side(args.right, args.n)
-    print(json.dumps(scaled_to_dict(compose_scaled(left, right))))
+    if isinstance(left, Word) and isinstance(right, Word):
+        # words to diagrams is an algebra map, so the product of two words
+        # is the image of their concatenation: one walk, no composing
+        product = evaluate_word(left * right)
+    else:
+        product = compose_scaled(_image(left), _image(right))
+    print(json.dumps(scaled_to_dict(product)))
     return 0
 
 

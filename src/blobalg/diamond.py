@@ -28,7 +28,7 @@ from typing import List, Tuple
 from .presentation import phi_equal
 from .reports import Report
 from .walks import Walk, all_walks, path_word
-from .words import Word
+from .words import Word, quote
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,17 @@ def diamond_to_dict(t: DiamondWalk) -> dict:
 
 
 def diamond_from_dict(data: dict) -> DiamondWalk:
-    """The walk of ``data["steps"]``; a ``start_height``, if given, must be
-    an ``int`` (``bool`` excluded) equal to the derived one."""
-    t = diamond_walk(data["steps"])
+    """The walk of ``data["steps"]``, a ``str``; a ``start_height``, if
+    given, must be an ``int`` (``bool`` excluded) equal to the derived one.
+    An error names a value by at most a short prefix (`quote`)."""
+    steps = data["steps"]
+    if type(steps) is not str:
+        raise ValueError(f"steps {quote(repr(steps), str)} is not a string")
+    t = diamond_walk(steps)
     if "start_height" in data:
         height = data["start_height"]
         if type(height) is not int:
-            raise ValueError(f"start_height {height!r} is not an integer")
+            raise ValueError(f"start_height {quote(repr(height), str)} is not an integer")
         if height != t.start_height:
             raise ValueError("start_height does not match the step sequence")
     return t

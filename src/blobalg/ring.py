@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from math import comb
 from typing import Dict, Tuple
 
 from .words import quote  # words imports nothing of the package
@@ -194,7 +193,7 @@ class RingElem:
             factors.append("q" if a == 1 else f"q^{a}")
         mag = abs(coeff)
         if mag != 1 or not factors:
-            factors.insert(0, str(mag))
+            factors.insert(0, _decimal(mag))
         return "*".join(factors)
 
     def __str__(self) -> str:
@@ -213,13 +212,32 @@ class RingElem:
         return f"RingElem({str(self)!r})"
 
 
+def _decimal(mag: int) -> str:
+    """The decimal digits of `mag` >= 0.  Past int's int-to-str digit limit
+    ``str`` refuses it, so it is split by a power of ten into two halves,
+    each written the same way; the process's limit is left as it is."""
+    try:
+        return str(mag)
+    except ValueError:
+        pass
+    half = mag.bit_length() * 3 // 20  # about half its digits: log10(2) > 0.3
+    high, low = divmod(mag, 10 ** half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 @lru_cache(maxsize=1024)
 def monomial(a: int, b: int, c: int) -> RingElem:
-    """[2]^a g^b de^c, [2] = q + q^-1, from binomial coefficients alone.
-    The result records (a, b, c), so products of monomials add exponents."""
+    """[2]^a g^b de^c, [2] = q + q^-1, from binomial coefficients alone,
+    each the one before it times (a - k) / (k + 1), so the row costs about
+    a times its widest coefficient.  The result records (a, b, c), so
+    products of monomials add exponents."""
     if a < 0 or b < 0 or c < 0:
         raise ValueError(f"monomial exponents {(a, b, c)} must be nonnegative")
-    elem = RingElem({(a - 2 * k, b, c): comb(a, k) for k in range(a + 1)})
+    terms, binom = {}, 1
+    for k in range(a + 1):
+        terms[a - 2 * k, b, c] = binom
+        binom = binom * (a - k) // (k + 1)
+    elem = RingElem(terms)
     elem._exps = (a, b, c)
     return elem
 
@@ -281,8 +299,8 @@ def parse_scalar(text: str) -> RingElem:
     exactly ``a + 1`` terms, and its binomial coefficients make it longer
     than ``a * a / 8`` characters.  The monomial is built only when the text
     holds ``a`` separators `` + `` and is that long, so the work stays
-    bounded by the text.  Every other text, and one whose monomial cannot
-    be printed, is read term by term.
+    bounded by the text.  Every other text is read term by term, and a
+    coefficient or exponent in it past int's digit limit is refused.
     """
     s = _strip_spaces(text)
     if not s:
@@ -292,12 +310,9 @@ def parse_scalar(text: str) -> RingElem:
     mono, coeff = _read_term(*next(pieces), text)
     a = -mono[0]
     if coeff == 1 and a >= 0 and a * a <= 8 * len(s) and s.count(" + ") == a:
-        try:
-            elem = monomial(a, mono[1], mono[2])
-            if str(elem) == s:
-                return elem
-        except ValueError:  # a coefficient past the int-to-str digit limit
-            pass
+        elem = monomial(a, mono[1], mono[2])
+        if str(elem) == s:
+            return elem
     terms: Dict[Monomial, int] = {mono: coeff}
     for sign, piece in pieces:
         mono, coeff = _read_term(sign, piece, text)

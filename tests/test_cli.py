@@ -1,9 +1,14 @@
 import json
 import random
+import sys
+from itertools import product
+from math import comb
 
 import pytest
 
+from blobalg import cli
 from blobalg.cli import _SUITES, main, run_suite
+from blobalg.diagrams import compose_scaled, scaled_to_dict
 from blobalg.presentation import evaluate_word
 from blobalg.reports import Report
 from blobalg.words import parse_word
@@ -99,6 +104,104 @@ def test_mul_rejects_mismatched_strand_count(capsys):
     code, left, _ = run(capsys, "phi", "--n", "2", "--word", "e")
     code, _, err = run(capsys, "mul", "--n", "3", "--left", left.strip(), "--right", "e")
     assert code == 2 and "error" in err
+
+
+def _composed(u, v):
+    """What mul printed for two words before it walked their concatenation:
+    the composite of their images."""
+    return json.dumps(scaled_to_dict(compose_scaled(evaluate_word(u), evaluate_word(v)))) + "\n"
+
+
+def test_a_product_of_words_equals_the_composite_of_their_images(capsys):
+    for n in range(1, 5):
+        words = [parse_word(_word_text(letters), n)
+                 for length in range(4) for letters in product(range(n), repeat=length)]
+        for u, v in product(words, repeat=2):
+            code, out, _ = run(capsys, "mul", "--n", str(n), "--left", str(u), "--right", str(v))
+            assert code == 0 and out == _composed(u, v), (n, str(u), str(v))
+    rng = random.Random("word-products-10")
+    for _ in range(500):
+        u, v = (parse_word(_word_text(rng.randrange(10) for _ in range(24)), 10) for _ in range(2))
+        code, out, _ = run(capsys, "mul", "--n", "10", "--left", str(u), "--right", str(v))
+        assert code == 0 and out == _composed(u, v), (str(u), str(v))
+
+
+@pytest.mark.parametrize("n, pairs", [(0, []), (1, [[1, 2]]), (3, [[1, 6], [2, 5], [3, 4]])])
+def test_the_product_of_two_empty_words_is_the_identity(capsys, n, pairs):
+    code, out, _ = run(capsys, "mul", "--n", str(n), "--left", "1", "--right", "1")
+    assert code == 0
+    assert json.loads(out) == {"n": n, "pairs": pairs, "blobs": [], "coeff": "1"}
+
+
+@pytest.mark.parametrize("left, right, message", [
+    ("U9", "x", "error: U9 out of range for n=3"),
+    ("V", "U9", "error: bad word token 'V'"),
+    ("U1", "U9", "error: U9 out of range for n=3"),
+    ('{"pairs": 5}', "V", 'error: diagram JSON field "pairs" must be a list of [i, j] lists, not 5'),
+    ("V", '{"pairs": 5}', "error: bad word token 'V'"),
+    ('{"pairs": [[1, 2]]}', "U7", "error: pairs are not a perfect matching of 1..2n"),
+])
+def test_the_left_operand_is_read_first(capsys, left, right, message):
+    code, out, err = run(capsys, "mul", "--n", "3", "--left", left, "--right", right)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("left, right, composed", [
+    ("U1 U2", "e U1", 0),
+    ('{"pairs": [[1, 6], [2, 3], [4, 5]], "coeff": "g"}', "U1 e", 1),
+    ("U1 e", '{"pairs": [[1, 6], [2, 3], [4, 5]], "coeff": "g"}', 1),
+])
+def test_only_a_json_operand_is_composed(capsys, monkeypatch, left, right, composed):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return compose_scaled(a, b)
+
+    monkeypatch.setattr(cli, "compose_scaled", counted)
+    code, out, _ = run(capsys, "mul", "--n", "3", "--left", left, "--right", right)
+    assert code == 0 and len(calls) == composed
+    monkeypatch.undo()
+    assert (code, out) == run(capsys, "mul", "--n", "3", "--left", left, "--right", right)[:2]
+
+
+def _with_the_digit_limit_lifted(make):
+    """make() with no int-to-str digit limit, the process's limit kept."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return make()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_a_coefficient_past_the_digit_limit_is_printed_exactly(capsys):
+    limit = sys.get_int_max_str_digits()
+    # U1^15000 = [2]^14999 U1 on 2 strands; its middle binomials have 4,514 digits
+    a = 14999
+    code, out, err = run(capsys, "phi", "--n", "2", "--word", " ".join(["U1"] * (a + 1)))
+    assert (code, err) == (0, "")
+    row = [1]  # comb(a, k) for every k, each from the last: math.comb for each is far slower
+    for k in range(a):
+        row.append(row[-1] * (a - k) // (k + 1))
+    assert all(row[k] == comb(a, k) for k in (0, 1, 2, 5000, a // 2, a // 2 + 1, a - 1, a))
+
+    def want():
+        return " + ".join(("" if c == 1 else f"{c}*") + ("q" if 2 * k - a == 1 else f"q^{2 * k - a}")
+                          for k, c in enumerate(row))
+
+    assert json.loads(out)["coeff"] == _with_the_digit_limit_lifted(want)
+
+    # 4,300 nines times [2]^2 has a 4,301-digit middle term
+    nines = 10 ** 4300 - 1
+    for coeff, want_coeff in (("1", lambda: "q^-2 + 2 + q^2"),
+                              ("9" * 4300, lambda: f"{nines}*q^-2 + {2 * nines} + {nines}*q^2")):
+        side = json.dumps({"pairs": [[1, 6], [2, 3], [4, 5]], "coeff": coeff})
+        code, out, err = run(capsys, "mul", "--n", "3", "--left", side, "--right", "U1 U1 U1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["coeff"] == _with_the_digit_limit_lifted(want_coeff)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_basis_n2_known_words(capsys):

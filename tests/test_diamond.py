@@ -118,6 +118,25 @@ def test_start_height_must_be_an_int(height):
     assert str(info.value) == f"start_height {height!r} is not an integer"
 
 
+def test_a_long_start_height_is_named_by_its_start():
+    with pytest.raises(ValueError) as info:
+        diamond_from_dict({"steps": "NS", "start_height": "7" * (1 << 20)})
+    assert str(info.value) == "start_height '77777777777777777777777... (1048578 characters) is not an integer"
+
+
+@pytest.mark.parametrize("steps, message", [
+    (5, "steps 5 is not a string"),
+    (None, "steps None is not a string"),
+    (["N", "S"], "steps ['N', 'S'] is not a string"),
+    (list(range(1 << 18)),
+     f"steps [0, 1, 2, 3, 4, 5, 6, 7,... ({len(repr(list(range(1 << 18))))} characters) is not a string"),
+])
+def test_steps_that_are_not_a_string_are_refused(steps, message):
+    with pytest.raises(ValueError) as info:
+        diamond_from_dict({"steps": steps, "start_height": 2})
+    assert str(info.value) == message
+
+
 def test_check_reports():
     for n in range(0, 9):
         rep = check_diamond_walks(n)

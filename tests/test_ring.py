@@ -2,6 +2,7 @@ import random
 import re
 import sys
 import time
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -316,8 +317,9 @@ def test_monomial_is_never_built_beyond_the_text(monkeypatch):
 
 
 def test_an_unprintable_monomial_falls_through_to_the_general_parse():
-    # the text passes both size gates, so monomial(2200, 0, 0) is built, but
-    # its middle binomial has 661 digits, past the lowered int-to-str limit
+    # the text passes both size gates, so monomial(2200, 0, 0) is built; its
+    # middle binomial has 661 digits, past the lowered int-to-str limit, and
+    # its text, printed in pieces, is not this one
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("no int-to-str digit limit on this interpreter")
     text = "q^-2200" + " + q" * 2200 + "*1" * 302_500
@@ -362,3 +364,29 @@ def test_a_long_whitespace_run_parses_in_linear_time(text, want):
     got = parse_scalar(text)
     assert time.perf_counter() - start < 1
     assert got == want
+
+
+def test_monomial_coefficients_are_the_binomials():
+    for a in (0, 1, 2, 7, 60, 301):
+        assert dict(monomial(a, 1, 0)._terms) == {(a - 2 * k, 1, 0): comb(a, k) for k in range(a + 1)}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_a_coefficient_past_the_digit_limit_prints_in_pieces(limit):
+    # zeros at the split point, all nines, and many pieces
+    values = [10 ** limit, 10 ** (limit + 1) + 1, 10 ** (3 * limit) - 1, 7 ** 40_000,
+              12345 * 10 ** (2 * limit) + 678]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(old)
+    sys.set_int_max_str_digits(limit)
+    try:
+        for v, digits in zip(values, want):
+            assert str(RingElem({(0, 0, 0): -v, (1, 0, 0): v})) == f"-{digits} + {digits}*q"
+        assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(old)
