@@ -222,8 +222,9 @@ def cmd_mul(args) -> int:
 def cmd_basis(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
-    if args.m is not None and args.squared:
-        words: List[Word] = list(squared_basis(args.n, args.m).words)
+    squared = squared_basis(args.n, args.m) if args.m is not None and args.squared else None
+    if squared is not None:
+        words: List[Word] = list(squared.words)
     elif args.m is not None:
         words = walk_words(args.n, args.m)
     else:
@@ -231,8 +232,8 @@ def cmd_basis(args) -> int:
     if args.format == "json":
         print(json.dumps([str(w) for w in words]))
     elif args.format == "latex":
-        if args.m is not None and args.squared:
-            grid = squared_basis(args.n, args.m).grid()
+        if squared is not None:
+            grid = squared.grid()
             cols = "c" * len(grid)
             print(r"\begin{array}{%s}" % cols)
             for row in grid:

@@ -449,7 +449,7 @@ def check_reduction_stability(n: int) -> Report:
     """
     if n < 3:
         raise ValueError("reduction stability needs n >= 3")
-    from .walks import regular_basis  # deferred: walks builds on this module
+    from .walks import squared_basis  # deferred: walks builds on this module
 
     rep = Report(f"redux(n={n})", meta={"n": n})
     # the tails depend only on n, so they are built once
@@ -510,7 +510,8 @@ def check_reduction_stability(n: int) -> Report:
                 big(big(far_stem, big_skip), big_tail) == big(big(stem_big, big_skip), e_u_far))
 
     far = big(root, u_far)
-    for w in regular_basis(n - 1):
+    # the regular basis of n - 1, one squared basis at a time
+    for w in (w for m in range(1 - n, n, 2) for w in squared_basis(n - 1, m).words):
         stems = (small(root, w), big(root, w), big(far, w))
         body = str(w) if w.letters else ""
         decide(body, *stems)

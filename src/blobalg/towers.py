@@ -61,7 +61,7 @@ from .modlin import CoordSolver, RowSpan, SpecPoint, draw_points, mulmod
 from .presentation import _advance, _table, defining_relations, evaluate_word, walk_basis
 from .reports import Report
 from .ring import RingElem, monomial
-from .walks import regular_basis, squared_basis, tail_word, walk_words
+from .walks import squared_basis, tail_word, walk_words
 from .words import (
     Word,
     blob_cap_word,
@@ -241,44 +241,50 @@ def check_word_basis(n: int, points: Optional[Sequence[SpecPoint]] = None,
     squared bases span the two-sided ideal filtration layer by layer.
 
     Each word's image is its basis index and scalar (`DiagramSpace.image`).
+    The squared bases are built and read one weight at a time, and each
+    leaves only the mask of its images' indices and its word count.
     Distinct indices are distinct diagrams, so the images are onto when
-    they reach as many indices as ``all_diagrams(n)`` has diagrams."""
+    the union of the masks reaches as many indices as ``all_diagrams(n)``
+    has diagrams."""
     rep, _, space, note = _start_check("bases", n, points, seed)
+    weights = range(-n, n + 1, 2)
+    masks, sizes, found, unit_scalars = {}, {}, {}, True
     try:
-        words = regular_basis(n)
+        for m in weights:
+            words = squared_basis(n, m).words
+            images = list(map(space.image, words))
+            unit_scalars &= all(s.is_one() for _, s in images)
+            found[m] = any(image == space.image(opposite(w)) for w, image in zip(words, images))
+            masks[m], sizes[m] = space.mask(i for i, _ in images), len(words)
+            del words, images  # before the next weight's basis is built
     except AssertionError as exc:  # a walk word that does not factor names its walk
         rep.add("factor", "walk words as prefix * tail", "images verified", False, str(exc))
         return rep
-    index, scalars = zip(*map(space.image, words))
-    rep.add("unit-scalars", f"{len(words)} word images", "all scalar 1",
-            all(s.is_one() for s in scalars))
-    distinct = len(set(index))
-    rep.add("distinct", distinct, len(words), distinct == len(words))
+    count = sum(sizes.values())
+    rep.add("unit-scalars", f"{count} word images", "all scalar 1", unit_scalars)
+    distinct = np.count_nonzero(np.logical_or.reduce(list(masks.values())))
+    rep.add("distinct", distinct, count, distinct == count)
     target = len(all_diagrams(n))
     rep.add("onto", f"{distinct} distinct images", f"all {target} diagrams", distinct == target)
-    rep.add("count", len(words), comb(2 * n, n), len(words) == comb(2 * n, n))
+    rep.add("count", count, comb(2 * n, n), count == comb(2 * n, n))
 
-    for m in range(-n, n + 1, 2):
-        found = any(space.image(w) == space.image(opposite(w)) for w in squared_basis(n, m).words)
-        rep.add(f"self-opposite m={m}", "exists w = op(w) under evaluation", "true", found)
+    for m in weights:
+        rep.add(f"self-opposite m={m}", "exists w = op(w) under evaluation", "true", found[m])
 
     def layer_ideal(m: int) -> np.ndarray:
         return blob_ideal(n, m) if m > 0 else through_ideal(n, -m)
 
-    stop = 0  # regular_basis lists the squared bases in this order of m
-    for m in range(-n, n + 1, 2):
-        sq = squared_basis(n, m)
-        start, stop = stop, stop + len(sq.words)
-        lower = [m2 for m2 in range(-n, n + 1, 2) if abs(m2) < abs(m) or (m < 0 and m2 == -m)]
+    for m in weights:
+        lower = [m2 for m2 in weights if abs(m2) < abs(m) or (m < 0 and m2 == -m)]
         below = np.zeros(space.dim, dtype=bool)
         for m2 in lower:
             below |= layer_ideal(m2)
-        with_words = below | space.mask(index[start:stop])
+        with_words = below | masks[m]
         ok_span = (with_words == below | layer_ideal(m)).all()
         rank = np.count_nonzero(below)
-        ok_indep = np.count_nonzero(with_words) == rank + len(sq.words)
+        ok_indep = np.count_nonzero(with_words) == rank + sizes[m]
         ok_rank = rank == sum(comb(n, (n + m2) // 2) ** 2 for m2 in lower)
-        rep.add(f"filtration m={m}", f"{len(sq.words)} squared words + lower ideals",
+        rep.add(f"filtration m={m}", f"{sizes[m]} squared words + lower ideals",
                 "span of layer ideal, independent", ok_span and ok_indep, note)
         rep.add(f"filtration-rank m={m}", "rank of lower ideals",
                 "sum of squared walk counts", ok_rank, note)

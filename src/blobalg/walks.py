@@ -20,6 +20,8 @@ raises ``ValueError``, as does a negative length.
 The word bases are built from the factorizations: ``squared_basis(n, m)``
 is every a * tail * opposite(b) over the prefixes a, b of weight m, and
 ``regular_basis(n)`` is their union over m, C(2n, n) words spanning b_n.
+Neither is cached: each call builds its words afresh, so a check that
+reads the squared bases one weight at a time holds one at a time.
 """
 
 from __future__ import annotations
@@ -228,7 +230,6 @@ class SquaredBasis:
         return [list(self.words[r * k: (r + 1) * k]) for r in range(k)]
 
 
-@lru_cache(maxsize=256)
 def squared_basis(n: int, m: int) -> SquaredBasis:
     pairs = factor_walk_words(n, m)
     prefixes = tuple(prefix for prefix, _ in pairs)
@@ -238,13 +239,10 @@ def squared_basis(n: int, m: int) -> SquaredBasis:
     return SquaredBasis(n, m, prefixes, middle, words)
 
 
-@lru_cache(maxsize=64)
 def regular_basis(n: int) -> Tuple[Word, ...]:
-    """The union of all squared bases: C(2n, n) words spanning b_n."""
-    out: List[Word] = []
-    for m in range(-n, n + 1, 2):
-        out.extend(squared_basis(n, m).words)
-    return tuple(out)
+    """The union of all squared bases, in increasing m: C(2n, n) words
+    spanning b_n."""
+    return tuple(w for m in range(-n, n + 1, 2) for w in squared_basis(n, m).words)
 
 
 # -- verification ------------------------------------------------------------

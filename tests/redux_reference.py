@@ -13,7 +13,7 @@ from typing import List
 
 from blobalg.presentation import is_reduced, phi_equal
 from blobalg.reports import Report
-from blobalg.towers import regular_basis
+from blobalg.walks import regular_basis
 from blobalg.words import Word, ascending_run, descending_run, gen_e, gen_u, skip_run
 
 

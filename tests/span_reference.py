@@ -45,8 +45,8 @@ import numpy as np
 from blobalg.diagrams import compose, compose_scaled, generator_diagram
 from blobalg.modlin import SpecPoint, mulmod
 from blobalg.presentation import defining_relations, evaluate_word
-from blobalg.towers import _quotient_span, diagram_space, regular_basis
-from blobalg.walks import tail_word, walk_words
+from blobalg.towers import _quotient_span, diagram_space
+from blobalg.walks import regular_basis, tail_word, walk_words
 from blobalg.words import Word
 
 

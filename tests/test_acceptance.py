@@ -38,8 +38,6 @@ from blobalg.towers import (
     check_tower,
     check_word_basis,
     default_points,
-    regular_basis,
-    squared_basis,
 )
 from blobalg.walks import (
     all_walks,
@@ -47,6 +45,8 @@ from blobalg.walks import (
     factor_walk_words,
     parse_walk,
     path_word,
+    regular_basis,
+    squared_basis,
     walk_words,
 )
 from blobalg.words import parse_word

@@ -220,6 +220,24 @@ def test_basis_squared_latex_grid(capsys):
     assert len([l for l in lines if l.endswith(r"\\")]) == 3
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "313989fbf11251af5cac5990a9043d29e91136805c3aeeeb473eafda4de15235"),
+    ("json", "c9b22f558c308922caedfaa4a18a2e44930384c49c1b2dedbf4ce2e7be4e5121"),
+    ("latex", "3d710175b490dd3d65172493b187983b5d25392bb41f3d24b1cbc16d0ff9289a"),
+])
+def test_a_squared_basis_is_built_once(capsys, monkeypatch, fmt, digest):
+    # the words and the latex grid come from one build; the digests are
+    # those of the output before the basis was bound once
+    import hashlib
+
+    calls = []
+    real = cli.squared_basis
+    monkeypatch.setattr(cli, "squared_basis", lambda n, m: calls.append((n, m)) or real(n, m))
+    code, out, _ = run(capsys, "basis", "--n", "4", "--m", "0", "--squared", "--format", fmt)
+    assert code == 0 and calls == [(4, 0)]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_basis_walk_words(capsys):
     code, out, _ = run(capsys, "basis", "--n", "3", "--m", "1", "--format", "json")
     assert json.loads(out) == ["U1 e U2 U1", "e U1 e U2 U1", "e U2 U1"]

@@ -44,7 +44,7 @@ def test_every_exported_name_is_its_modules_own():
             assert getattr(home, name) is value, name
     assert {"check_tower", "standard_module", "SpecPoint", "DEFAULT_PRIME", "towers",
             "modlin", "regular_basis", "SquaredBasis"} <= set(blobalg.__all__)
-    assert blobalg.regular_basis is blobalg.walks.regular_basis is blobalg.towers.regular_basis
+    assert blobalg.regular_basis is blobalg.walks.regular_basis
     assert blobalg.DEFAULT_PRIME == blobalg.modlin.DEFAULT_PRIME
 
 

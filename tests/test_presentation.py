@@ -3,6 +3,7 @@ import random
 import pytest
 
 import blobalg.presentation as presentation
+import blobalg.walks as walks
 from blobalg.diagrams import (
     BlobDiagram,
     ScaledDiagram,
@@ -26,7 +27,8 @@ from blobalg.presentation import (
     phi_equal,
 )
 from blobalg.ring import RingElem, monomial
-from blobalg.towers import DiagramSpace, diagram_space, regular_basis
+from blobalg.towers import DiagramSpace, diagram_space
+from blobalg.walks import regular_basis, squared_basis
 from blobalg.words import Word, gen_e, gen_u, opposite, parse_word, unit
 
 from redux_reference import reference_reduction_stability
@@ -572,13 +574,35 @@ def _forgetting_the_stem(tables, position, letters):
 
 @pytest.mark.parametrize("mutant", ["skips g steps", "forgets the stem"])
 def test_reduction_stability_tells_a_broken_walk_from_the_reference(monkeypatch, mutant):
-    # the reference and regular_basis are built first, with the real walk
+    # the reference and the squared bases are built first, with the real
+    # walk; the check reads those bases, so only its own walks are broken
     want = {n: reference_reduction_stability(n).lines() for n in range(3, 7)}
+    bases = {(n, m): squared_basis(n, m) for n in range(2, 6) for m in range(-n, n + 1, 2)}
+    monkeypatch.setattr(walks, "squared_basis", lambda n, m: bases[n, m])
     if mutant == "skips g steps":
         monkeypatch.setattr(presentation, "_advance", _skipping_g_steps(presentation._advance))
     else:
         monkeypatch.setattr(presentation, "_walk_on", _forgetting_the_stem)
     assert any(check_reduction_stability(n).lines() != want[n] for n in range(3, 7))
+
+
+def test_reduction_stability_holds_one_squared_basis_at_a_time(monkeypatch):
+    # the basis of n - 1 is read one weight at a time, each squared basis
+    # built once and none kept once the check returns
+    import gc
+    import weakref
+
+    n, refs = 6, []
+
+    def recording(k, m):
+        basis = squared_basis(k, m)
+        refs.append(weakref.ref(basis))
+        return basis
+
+    monkeypatch.setattr(walks, "squared_basis", recording)
+    assert check_reduction_stability(n).passed
+    gc.collect()
+    assert len(refs) == n and all(ref() is None for ref in refs)
 
 
 def test_reduction_stability_caches_no_tail_images(cold_evaluate_word):

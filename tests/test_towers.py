@@ -21,12 +21,10 @@ from blobalg.towers import (
     diagram_space,
     ideal_span,
     matrices_satisfy_relations,
-    regular_basis,
-    squared_basis,
     standard_module,
     through_ideal,
 )
-from blobalg.walks import walk_words
+from blobalg.walks import regular_basis, squared_basis, walk_words
 from blobalg.words import (
     Word,
     blob_cap_word,
@@ -406,7 +404,7 @@ def test_tower_and_quotients_evaluate_no_basis_word(monkeypatch):
     n = 6
     space = diagram_space(n)
     evaluated, products = [], []
-    monkeypatch.setattr(towers, "regular_basis", lambda k: pytest.fail("regular_basis called"))
+    monkeypatch.setattr(towers, "squared_basis", lambda *a: pytest.fail("squared_basis called"))
     monkeypatch.setattr(towers, "evaluate_word", lambda w: evaluated.append(w) or evaluate_word(w))
     monkeypatch.setattr(towers, "compose_scaled",
                         lambda a, b: products.append(a) or compose_scaled(a, b))
@@ -422,6 +420,51 @@ def test_tower_and_quotients_evaluate_no_basis_word(monkeypatch):
     assert len(products) == sum(np.count_nonzero(_closure(space, space.word_span([w]), "R"))
                                 for w in set(_conjugators(n)) if w.letters)
     assert cap_word_right(n, n) == unit(n)
+
+
+def test_word_basis_check_holds_one_squared_basis_at_a_time(monkeypatch):
+    # each weight's squared basis is built once, read, and dropped: none
+    # outlives the check
+    import gc
+    import weakref
+
+    import blobalg.towers as towers
+
+    n, refs = 6, []
+
+    def recording(k, m):
+        basis = squared_basis(k, m)
+        refs.append(weakref.ref(basis))
+        return basis
+
+    monkeypatch.setattr(towers, "squared_basis", recording)
+    assert check_word_basis(n).passed
+    gc.collect()
+    assert len(refs) == n + 1 and all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("clash", ["across weights m and -m", "within one weight"])
+def test_a_shared_image_fails_distinct_and_onto(monkeypatch, capsys, clash):
+    # the distinct count is the union of the per-weight masks, so a word
+    # landing on another's index is caught whether the two share a weight
+    # or not
+    import blobalg.towers as towers
+    from blobalg.cli import main
+
+    n, real = 4, towers.DiagramSpace.image
+    word = squared_basis(n, 2).words[0]
+    other = squared_basis(n, -2 if clash == "across weights m and -m" else 2).words[1]
+    target = real(diagram_space(n), other)
+    assert real(diagram_space(n), word) != target
+    monkeypatch.setattr(towers.DiagramSpace, "image",
+                        lambda space, w: target if w == word else real(space, w))
+    failed = {c.instance for c in check_word_basis(n).checks if not c.passed}
+    assert {"distinct", "onto"} <= failed and "count" not in failed
+    assert main(["verify", "--suite", "bases", "--n", str(n)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    size = comb(2 * n, n)
+    assert f"[FAIL] bases(n={n})/distinct: {size - 1} == {size}" in lines
+    assert f"[FAIL] bases(n={n})/onto: {size - 1} distinct images == all {size} diagrams" in lines
 
 
 def test_left_images_match_evaluated_generator_products():
@@ -636,7 +679,7 @@ def cold_spaces():
     def clear():
         presentation.reset_tables()
         for cached in (evaluate_word, diagram_space, towers._cached_ideal, _conjugated_span,
-                       towers._module_images, regular_basis, squared_basis):
+                       towers._module_images):
             cached.cache_clear()
 
     clear()
