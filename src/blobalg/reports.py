@@ -11,7 +11,10 @@ check is decided and keeps only the failed checks and a count of the passed
 ones, so its memory does not grow with the number of checks.  The check
 functions build their own reports, so a report created inside
 ``with streaming(sink):`` takes that sink; ``blobalg verify`` runs the
-suites inside one.  Any other report keeps every check.
+suites inside one.  Any other report keeps every check, which for a large
+check is large: ``check_reduction_stability(11)`` keeps 2.2M of them, about
+1.3 GB.  A caller that needs only the verdict and the failed checks runs
+the check inside ``with streaming(lambda line: None):``.
 """
 
 from __future__ import annotations

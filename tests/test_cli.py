@@ -732,6 +732,20 @@ def test_streamed_report_keeps_only_failed_checks():
     assert rep.lines() == ["[FAIL] t/b: 1 == 0  (why)", "== t: FAILED (2/3 checks)"]
 
 
+def test_a_report_streamed_to_nowhere_keeps_no_passed_check():
+    # a report made outside `streaming` keeps every check; a sink that drops
+    # each line keeps only the failed checks and a count of the rest
+    from blobalg.presentation import check_reduction_stability
+    from blobalg.reports import streaming
+
+    kept = check_reduction_stability(5)
+    with streaming(lambda line: None):
+        rep = check_reduction_stability(5)
+    assert rep.passed and rep.checks == []
+    assert rep.streamed == len(kept.checks) > 0
+    assert rep.summary() == kept.summary()
+
+
 class _Mutated(Report):
     """A report whose `at`-th check fails (or raises, when `error` is set)."""
 

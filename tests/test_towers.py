@@ -17,6 +17,7 @@ from blobalg.towers import (
     check_standard_modules,
     check_tower,
     check_word_basis,
+    commuting_subsets,
     default_points,
     diagram_space,
     ideal_span,
@@ -27,6 +28,7 @@ from blobalg.towers import (
 from blobalg.walks import regular_basis, squared_basis, walk_words
 from blobalg.words import (
     Word,
+    ascending_run,
     blob_cap_word,
     cap_word,
     cap_word_right,
@@ -506,7 +508,7 @@ def test_span_closure_evaluates_only_walk_words_and_ideal_seeds(monkeypatch):
     monkeypatch.setattr(towers.DiagramSpace, "image",
                         lambda space, w: evaluated.append(w) or real(space, w))
     monkeypatch.setattr(towers, "evaluate_word", lambda w: pytest.fail("evaluate_word called"))
-    towers._cached_ideal.cache_clear()
+    ideal_span.cache_clear()
     assert check_span_closure(n).passed
     walk = {w for m in range(-n, n + 1, 2) for w in walk_words(n, m)}
     ms = range(n % 2, n + 1, 2)
@@ -623,12 +625,12 @@ def _closures_made(monkeypatch, n, checks):
         return got
 
     monkeypatch.setattr(towers, "_closure", recording)
-    towers._cached_ideal.cache_clear()
+    ideal_span.cache_clear()
     _conjugated_span.cache_clear()
     for check in checks:
         assert check(n).passed
     monkeypatch.undo()
-    towers._cached_ideal.cache_clear()
+    ideal_span.cache_clear()
     _conjugated_span.cache_clear()
     return calls
 
@@ -646,6 +648,11 @@ def test_sweep_closures_match_the_diagram_bfs(monkeypatch):
             checks += [check_tower, check_quotient_dims]
         calls = _closures_made(monkeypatch, n, checks)
         assert {sides for _, sides, _, _ in calls} == ({"LR", "L", "R"} if n >= 2 else {"LR", "L"})
+        # and the ideal of every commuting product, which
+        # check_ideal_inclusions decides without closing it
+        for subset in commuting_subsets(n):
+            w = Word(n, subset)
+            calls.append((space.word_span([w]), "LR", None, ideal_span(n, w, True)))
         for seeds, sides, k, got in calls:
             want = bfs_closure(space, seeds, sides, k)
             assert (got == want).all(), (n, np.flatnonzero(seeds), sides, k)
@@ -678,7 +685,7 @@ def cold_spaces():
 
     def clear():
         presentation.reset_tables()
-        for cached in (evaluate_word, diagram_space, towers._cached_ideal, _conjugated_span,
+        for cached in (evaluate_word, diagram_space, ideal_span, _conjugated_span,
                        towers._module_images):
             cached.cache_clear()
 
@@ -748,3 +755,85 @@ def test_a_swapped_flip_pair_fails_a_report(cold_spaces, monkeypatch):
         rc, out = _verify("--suite", suite, "--n", "6")
         assert rc == 1 and out != want[suite][1], suite
         assert "[FAIL] " in out and out.endswith("passed=false\n"), suite
+
+
+# -- ideal inclusions as lookups in the target ideals ------------------------------
+
+
+def _witness(n, subset):
+    """x W op(x) for W the product of the commuting U_i, i in subset, where
+    x = x_k ... x_1 and x_j = U_{2j-1} ... U_{i_j - 1} carries the j-th cap
+    down to U_{2j-1}."""
+    runs = [ascending_run(2 * j - 1, i - 1, n) for j, i in enumerate(subset, 1)]
+    x = Word(n, sum((run.letters for run in reversed(runs)), ()))
+    return x * Word(n, subset) * opposite(x)
+
+
+def test_the_witness_of_every_commuting_product_is_its_cap_word():
+    for n in range(1, 13):
+        for subset in commuting_subsets(n):
+            got = evaluate_word(_witness(n, subset))
+            assert got == evaluate_word(cap_word(n - 2 * len(subset), n)), (n, subset)
+            assert got.coeff.is_one(), (n, subset)
+
+
+def test_ideal_lookups_give_the_whole_closure_verdicts():
+    # each claim against the comparison of whole ideals, each closed one
+    # basis index at a time
+    from span_reference import bfs_closure
+
+    for n in range(1, 10):
+        space = diagram_space(n)
+        closed = {}
+
+        def ideal(w):
+            i = space.image(w)[0]
+            if i not in closed:
+                closed[i] = bfs_closure(space, space.mask([i]), "LR")
+            return closed[i]
+
+        want = {}
+        for subset in commuting_subsets(n):
+            label = "*".join(f"U{i}" for i in subset) or "1"
+            m = n - 2 * len(subset)
+            want[f"generates W={label}"] = (ideal(Word(n, subset)) == ideal(cap_word(m, n))).all()
+        for m in range(n % 2, n - 1, 2):
+            want[f"nesting m={m}"] = (ideal(cap_word(m, n)) <= ideal(cap_word(m + 2, n))).all()
+        for m in range(n % 2 or 2, n + 1, 2):
+            want[f"blob-inside m={m}"] = (ideal(blob_cap_word(m, n)) <= ideal(cap_word(m, n))).all()
+        for m in range(n % 2, n - 1, 2):
+            want[f"g-step m={m}"] = (ideal(cap_word(m, n)) <= ideal(blob_cap_word(m + 2, n))).all()
+        got = check_ideal_inclusions(n).checks
+        assert [c.instance for c in got] == list(want)
+        assert [c.passed for c in got] == [bool(ok) for ok in want.values()], n
+
+
+def test_ideal_inclusions_close_only_their_target_ideals(monkeypatch):
+    for n in range(1, 10):
+        space = diagram_space(n)
+        targets = [cap_word(m, n) for m in range(n % 2, n + 1, 2)]
+        targets += [blob_cap_word(m, n) for m in range(n % 2 or 2, n + 1, 2)]
+        seeds = [[space.image(w)[0]] for w in targets]
+        calls = _closures_made(monkeypatch, n, [check_ideal_inclusions])
+        assert 0 < len(calls) <= n + 1
+        for seed, sides, k, _ in calls:
+            assert sides == "LR" and k is None and np.flatnonzero(seed).tolist() in seeds, n
+
+
+def test_a_misplaced_witness_fails_its_generates_line(monkeypatch):
+    import blobalg.towers as towers
+
+    n, subset = 6, (2, 4)
+    witness, real = _witness(n, subset), towers.DiagramSpace.image
+
+    def misplaced(space, w):
+        i, scalar = real(space, w)
+        return ((i + 1) % space.dim if w == witness else i), scalar
+
+    monkeypatch.setattr(towers.DiagramSpace, "image", misplaced)
+    rep = check_ideal_inclusions(n)
+    assert [c.instance for c in rep.checks if not c.passed] == ["generates W=U2*U4"]
+    rc, out = _verify("--suite", "ideals", "--n", str(n))
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL] ")]
+    assert rc == 1 and len(failed) == 1
+    assert failed[0].startswith("[FAIL] ideals(n=6)/generates W=U2*U4: ")
