@@ -222,13 +222,13 @@ def cmd_mul(args) -> int:
 def cmd_basis(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
-    squared = squared_basis(args.n, args.m) if args.m is not None and args.squared else None
-    if squared is not None:
-        words: List[Word] = list(squared.words)
-    elif args.m is not None:
-        words = walk_words(args.n, args.m)
+    if args.squared and args.m is None:
+        raise ValueError("--squared needs --m")
+    squared = squared_basis(args.n, args.m) if args.squared else None
+    if args.m is None:
+        words: List[Word] = list(regular_basis(args.n))
     else:
-        words = list(regular_basis(args.n))
+        words = list(squared.words) if squared else walk_words(args.n, args.m)
     if args.format == "json":
         print(json.dumps([str(w) for w in words]))
     elif args.format == "latex":

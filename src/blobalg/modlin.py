@@ -13,16 +13,18 @@ one diagram times a monomial, so at a point every word image is a scaled
 unit vector, and that is the only vector this module writes: an int64
 ``(column, value)`` row standing for value times the unit vector at
 column, with a batch of k vectors a k x 2 array.  A value that is 0 mod p
-is the zero vector.  `RowSpan` is a coordinate subspace kept as its set of
-pivot columns, and `CoordSolver` expresses such rows in a basis of them
-on distinct columns.
+is the zero vector.  `RowSpan` is a coordinate subspace kept as the boolean
+mask over the basis that `blobalg.towers` builds for it (`coordinate`
+copies the mask), and `CoordSolver` expresses such rows in a basis of them
+on distinct columns.  Both stay only until the module relations are
+decided on partial maps without a point (ROADMAP item 4).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -95,47 +97,42 @@ def draw_points(seed: int, count: int = 3, prime: int = DEFAULT_PRIME) -> List[S
 
 
 class RowSpan:
-    """A coordinate subspace of F_p^dim: the span of the unit vectors at
-    its pivot columns, kept as the sorted pivot list alone.  Vectors come
-    as ``(column, value)`` rows, one row or a k x 2 batch; reduction zeroes
-    the value of each row whose column is a pivot.
+    """A coordinate subspace of F_p^dim: the span of the unit vectors where
+    its boolean mask is set, kept as that mask alone.  Vectors come as
+    ``(column, value)`` rows, one row or a k x 2 batch; reduction zeroes
+    the value of each row whose column is in the mask.
     """
 
     def __init__(self, dim: int, p: int):
-        self.dim = dim
         self.p = p
-        self.pivots: List[int] = []
+        self.mask = np.zeros(dim, dtype=bool)
 
     @classmethod
-    def coordinate(cls, dim: int, p: int, indices: Iterable[int]) -> "RowSpan":
-        """The span of the unit vectors at the given coordinate indices:
-        Python ints, or an integer array.  The pivots are Python ints."""
-        out = cls(dim, p)
-        if isinstance(indices, np.ndarray):
-            indices = indices.tolist()
-        out.pivots = sorted(indices if isinstance(indices, (set, frozenset)) else set(indices))
+    def coordinate(cls, p: int, mask: np.ndarray) -> "RowSpan":
+        """The span of the unit vectors where `mask` is set.  The mask is
+        copied, so a cached read-only one may be passed."""
+        out = cls(len(mask), p)
+        out.mask[:] = mask
         return out
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return int(np.count_nonzero(self.mask))
 
     def reduce(self, rows: np.ndarray) -> np.ndarray:
         """Residual of rows after removing their span component."""
         rows = np.array(rows, dtype=np.int64)
-        rows[..., 1] = np.where(np.isin(rows[..., 0], self.pivots), 0, rows[..., 1] % self.p)
+        rows[..., 1] = np.where(self.mask[rows[..., 0]], 0, rows[..., 1] % self.p)
         return rows
 
     def absorb(self, rows: np.ndarray) -> np.ndarray:
-        """Add rows; return the pivot columns this added, in the order the
-        rows reach them."""
+        """Add rows; return the columns this added, in the order the rows
+        reach them."""
         rows = np.atleast_2d(rows)
-        cols = rows[rows[:, 1] % self.p != 0, 0]
-        seen = set(self.pivots)
-        new = [c for c in dict.fromkeys(cols.tolist()) if c not in seen]
-        if new:
-            self.pivots = sorted(seen.union(new))
-        return np.array(new, dtype=np.int64)
+        cols = rows[(rows[:, 1] % self.p != 0) & ~self.mask[rows[:, 0]], 0]
+        new, first = np.unique(cols, return_index=True)
+        self.mask[new] = True
+        return new[np.argsort(first)].astype(np.int64)
 
 
 class CoordSolver:

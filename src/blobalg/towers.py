@@ -499,7 +499,7 @@ def standard_module(n: int, m: int, point: SpecPoint) -> StandardModule:
     at = (point.q0, point.g0, point.d0, point.prime)
     values = {c: c.specialize(*at) for c in {coeff for _, coeff in images}}
     rows = np.array([(col, values[c]) for col, c in images], dtype=np.int64)
-    z_span = RowSpan.coordinate(diagram_space(n).dim, point.prime, np.flatnonzero(_quotient_span(n, m)))
+    z_span = RowSpan.coordinate(point.prime, _quotient_span(n, m))
     k = len(words)
     solver = CoordSolver(z_span.reduce(rows[:k]), point.prime)
     coeffs = solver.express(z_span.reduce(rows[k:]))
@@ -558,7 +558,7 @@ def check_standard_modules(n: int, points: Optional[Sequence[SpecPoint]] = None,
     rep, points, space, note = _start_check("modules", n, points, seed)
     for m in range(-n, n + 1, 2):
         want = comb(n, (n + m) // 2)
-        quotient = np.flatnonzero(_quotient_span(n, m))
+        quotient = _quotient_span(n, m)
         ok_dim = ok_rel = True
         why = note
         for pt in points:
@@ -568,9 +568,9 @@ def check_standard_modules(n: int, points: Optional[Sequence[SpecPoint]] = None,
                 ok_dim = ok_rel = False
                 why = f"{note}; not built: {exc}"
                 break
-            with_basis = RowSpan.coordinate(space.dim, pt.prime, quotient)
+            with_basis = RowSpan.coordinate(pt.prime, quotient)
             with_basis.absorb(space.word_rows(mod.words, pt))
-            ok_dim &= mod.dim == want and with_basis.rank == len(quotient) + want
+            ok_dim &= mod.dim == want and with_basis.rank == np.count_nonzero(quotient) + want
             ok_rel &= matrices_satisfy_relations(mod)
         rep.add(f"dim m={m}", f"standard module at m={m}", f"dimension {want}", ok_dim, why)
         rep.add(f"relations m={m}", f"action matrices at m={m}", "defining relations", ok_rel, why)

@@ -431,6 +431,7 @@ def test_walks_rejects_negative_n(capsys):
     (["basis", "--n", "3", "--m", "2", "--squared"], "error: no walks of length 3 reach weight 2"),
     (["basis", "--n", "-1"], "error: --n must be nonnegative"),
     (["dims", "--n-max", "-2"], "error: --n-max must be nonnegative"),
+    (["basis", "--n", "3", "--squared"], "error: --squared needs --m"),
 ])
 def test_unreachable_weight_or_negative_size_exits_two(capsys, argv, message):
     import warnings

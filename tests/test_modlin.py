@@ -82,17 +82,18 @@ def test_mulmod_is_exact_where_every_entry_is_largest():
     assert (mulmod(full, full, p) == k).all()
 
 
-def test_coordinate_pivots_are_sorted_python_ints_from_sets_and_arrays():
+def test_coordinate_copies_its_mask():
+    # ideal_span caches read-only masks and standard_module passes them on
     from blobalg.modlin import RowSpan
+    from blobalg.towers import through_ideal
 
-    indices = frozenset({9, 2, 31_751, 4, 700})
-    spans = [RowSpan.coordinate(31_752, DEFAULT_PRIME, source)
-             for source in (indices, set(indices), sorted(indices) * 2,
-                            np.array(sorted(indices, reverse=True) * 2, dtype=np.int64),
-                            np.array(sorted(indices), dtype=np.int32))]
-    for span in spans:
-        assert span.pivots == [2, 4, 9, 700, 31_751]
-        assert all(type(i) is int for i in span.pivots)
-    # absorb compares the pivots with tolist() values of its rows
-    added = spans[3].absorb(np.array([[700, 1], [5, 3]], dtype=np.int64))
-    assert added.tolist() == [5] and spans[3].pivots == [2, 4, 5, 9, 700, 31_751]
+    n, m = 6, 2
+    ideal = through_ideal(n, m)
+    assert not ideal.flags.writeable
+    before = ideal.copy()
+    span = RowSpan.coordinate(DEFAULT_PRIME, ideal)
+    outside = np.flatnonzero(~ideal)[[0, -1]]
+    added = span.absorb(np.stack([outside, [1, 2]], axis=1))
+    assert added.tolist() == outside.tolist()
+    assert span.rank == np.count_nonzero(before) + 2
+    assert (ideal == before).all() and not ideal.flags.writeable

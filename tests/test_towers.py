@@ -536,13 +536,13 @@ def test_word_span_matches_word_matrix():
 
 def test_coordinate_rowspan_absorb_and_reduce():
     p = POINTS[0].prime
-    span = RowSpan.coordinate(5, p, [3, 1, 3])
+    span = RowSpan.coordinate(p, np.array([False, True, False, True, False]))
     ref = span_of(dense([[3, 1], [1, 1]], 5), 5, p)
-    assert span.pivots == ref.pivots == [1, 3] and span.rank == 2
-    assert vars(span).keys() == {"dim", "p", "pivots"}  # no dense rows kept
+    assert np.flatnonzero(span.mask).tolist() == ref.pivots == [1, 3] and span.rank == 2
+    assert vars(span).keys() == {"p", "mask"}  # no dense rows kept
     rows = np.array([[3, 7], [0, 2], [2, 0], [4, p], [2, -2 * p]])  # the last three are zero
     added = span.absorb(rows)
-    assert span.pivots == [0, 1, 3]
+    assert np.flatnonzero(span.mask).tolist() == [0, 1, 3]
     assert added.dtype == np.int64 and added.tolist() == [0]
     assert ref.absorb(dense(rows, 5)).tolist() == [[1, 0, 0, 0, 0]]
     queries = np.array([[0, 5], [1, 1], [2, 2], [3, 7], [4, 9], [4, p + 9], [2, -1]])
@@ -551,7 +551,7 @@ def test_coordinate_rowspan_absorb_and_reduce():
     assert (dense(got, 5) == ref.reduce(dense(queries, 5))).all()
     assert span.reduce(np.array([4, p + 9])).tolist() == [4, 9]
     assert span.absorb(np.array([4, 9])).tolist() == [4]
-    assert span.pivots == [0, 1, 3, 4] and span.rank == 4
+    assert np.flatnonzero(span.mask).tolist() == [0, 1, 3, 4] and span.rank == 4
 
 
 def test_bfs_closure_matches_reference_closure():
