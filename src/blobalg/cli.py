@@ -157,7 +157,10 @@ def _parse_side(text: str, n: int) -> Union[Word, ScaledDiagram]:
     text = text.strip()
     if not text.startswith("{"):
         return parse_word(text, n)
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:  # past the decoder's depth limit: malformed input
+        raise ValueError("diagram JSON is nested too deeply") from None
     if "pairs" not in data:
         raise ValueError("diagram JSON has no field 'pairs'")
     coeff = data.get("coeff", "1")

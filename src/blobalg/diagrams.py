@@ -41,6 +41,7 @@ from __future__ import annotations
 from collections import abc
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
@@ -55,9 +56,6 @@ class BlobDiagram:
     n: int
     pairs: Tuple[Arc, ...]
     blobs: FrozenSet[Arc]
-
-    def sort_key(self):
-        return (self.pairs, tuple(sorted(self.blobs)))
 
     def __str__(self) -> str:
         inner = ", ".join(
@@ -370,20 +368,26 @@ def _noncross_matchings(points: Tuple[int, ...]) -> Iterator[Tuple[Arc, ...]]:
 
 @lru_cache(maxsize=32)
 def all_diagrams(n: int) -> Tuple[BlobDiagram, ...]:
-    """Every blob diagram on n strands, in a fixed sorted order.
+    """Every blob diagram on n strands, sorted by its pairs, then by its
+    blob arcs as a sorted tuple.  The total count is the central binomial
+    C(2n, n).
 
     Non-crossing matchings are enumerated by the Catalan recursion, then
-    each west-exposed subset of arcs is decorated.  The total count is the
-    central binomial C(2n, n).
+    each west-exposed subset of arcs is decorated.  No sort of the whole
+    tuple is needed: the recursion yields the matchings in lexicographic
+    order (the arc from the first point, its partner ascending, then the
+    matchings inside that arc, then those outside it, each in
+    lexicographic order), and the exposed arcs are sorted, so each blob
+    subset from ``combinations`` is a sorted tuple, and only the subsets
+    of one matching are sorted.
     """
     out = []
     shared: Dict[FrozenSet[Arc], FrozenSet[Arc]] = {}  # equal blob sets, one object
     for matching in _noncross_matchings(tuple(range(1, 2 * n + 1))):
         exposed = _exposed_arcs(n, matching)
-        for mask in range(1 << len(exposed)):
-            blobs = frozenset(exposed[b] for b in range(len(exposed)) if mask >> b & 1)
+        for arcs in sorted(c for k in range(len(exposed) + 1) for c in combinations(exposed, k)):
+            blobs = frozenset(arcs)
             out.append(BlobDiagram(n, matching, shared.setdefault(blobs, blobs)))
-    out.sort(key=BlobDiagram.sort_key)
     if len(out) != comb(2 * n, n):
         raise AssertionError(f"enumeration produced {len(out)} diagrams at n={n}")
     return tuple(out)

@@ -16,8 +16,9 @@ column, with a batch of k vectors a k x 2 array.  A value that is 0 mod p
 is the zero vector.  `RowSpan` is a coordinate subspace kept as the boolean
 mask over the basis that `blobalg.towers` builds for it (`coordinate`
 copies the mask), and `CoordSolver` expresses such rows in a basis of them
-on distinct columns.  Both stay only until the module relations are
-decided on partial maps without a point (ROADMAP item 4).
+on distinct columns, once an absorb into a `RowSpan` has shown them
+independent.  Both stay only until the module relations are decided on
+partial maps without a point (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -115,10 +116,6 @@ class RowSpan:
         out.mask[:] = mask
         return out
 
-    @property
-    def rank(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
     def reduce(self, rows: np.ndarray) -> np.ndarray:
         """Residual of rows after removing their span component."""
         rows = np.array(rows, dtype=np.int64)
@@ -141,16 +138,16 @@ class CoordSolver:
 
     Basis row i is s_i times the unit vector at column c_i, so a target
     (c, t) lies in the span exactly when t is 0 mod p or c is some c_i, and
-    its coefficient on row i is then t / s_i.  A zero row or a repeated
-    column raises `ValueError`.
+    its coefficient on row i is then t / s_i.  The rows must be
+    independent, each nonzero mod p and on its own column;
+    `blobalg.towers.standard_module` decides that with one
+    `RowSpan.absorb` before it solves.
     """
 
     def __init__(self, rows: np.ndarray, p: int):
         cols, scalars = np.asarray(rows, dtype=np.int64).T.tolist()
         self.p = p
         self.slot = {c: i for i, c in enumerate(cols)}
-        if any(s % p == 0 for s in scalars) or len(self.slot) < len(cols):
-            raise ValueError("rows are not independent")
         self.inverses = [pow(s, -1, p) for s in scalars]
 
     def express(self, rows: np.ndarray) -> Optional[np.ndarray]:

@@ -9,7 +9,7 @@ any input:
 
 * `dense`: the dense expansion of ``(column, value)`` rows, and
   `image_vectors`/`word_vectors`: dense rows of scaled diagrams or word
-  images at a point, built without `DiagramSpace.word_rows`;
+  images at a point, read from each word's `evaluate_word` diagram;
 * `ReferenceSpan`: a subspace of F_p^dim in reduced row echelon form, each
   row with a leading 1 in its pivot column and zeros in every other pivot
   column, absorbing arbitrary vectors;

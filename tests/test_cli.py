@@ -412,6 +412,14 @@ def test_mul_rejects_diagram_json_without_pairs(capsys):
     assert err.startswith("error:") and "pairs" in err and len(err.splitlines()) == 1
 
 
+def test_deeply_nested_diagram_json_exits_two(capsys):
+    # past the JSON decoder's depth limit: malformed input, not an internal error
+    deep = '{"pairs": ' + "[" * 50_000 + "]" * 50_000 + "}"
+    code, out, err = run(capsys, "mul", "--n", "2", "--left", deep, "--right", "U1")
+    assert code == 2 and out == ""
+    assert err == "error: diagram JSON is nested too deeply\n"
+
+
 def test_verify_rejects_n_below_suite_minimum(capsys):
     code, out, err = run(capsys, "verify", "--suite", "bases", "--n", "0")
     assert code == 2 and out == ""

@@ -95,5 +95,5 @@ def test_coordinate_copies_its_mask():
     outside = np.flatnonzero(~ideal)[[0, -1]]
     added = span.absorb(np.stack([outside, [1, 2]], axis=1))
     assert added.tolist() == outside.tolist()
-    assert span.rank == np.count_nonzero(before) + 2
+    assert np.count_nonzero(span.mask) == np.count_nonzero(before) + 2
     assert (ideal == before).all() and not ideal.flags.writeable

@@ -4,12 +4,13 @@ Random words on up to 10 strands stand in for random diagrams: every basis
 diagram is the image of a word, and no basis enumeration is needed at
 n = 10.  Random batches of (column, value) rows (zero values and repeated
 columns included) check `RowSpan` and `CoordSolver` against the dense
-references in `span_reference`, fed the dense expansion of the same rows.  Runs are derandomized,
+references in `span_reference`, fed the dense expansion of the same rows;
+`CoordSolver` gets independent rows, as `standard_module` passes it only
+rows one absorb has shown independent.  Runs are derandomized,
 so a failure reproduces on every run.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -143,12 +144,12 @@ def test_rowspan_matches_dense_reference(case):
     dim, p, (first, second, queries) = case
     ours, ref = RowSpan(dim, p), ReferenceSpan(dim, p)
     assert ours.absorb(first).tolist() == _leading_columns(ref.absorb(dense(first, dim)))
-    assert np.flatnonzero(ours.mask).tolist() == ref.pivots and ours.rank == ref.rank
+    assert np.flatnonzero(ours.mask).tolist() == ref.pivots
     assert (dense(ours.reduce(queries), dim) == ref.reduce(dense(queries, dim))).all()
     for row in queries:
         assert (dense(ours.reduce(row), dim) == ref.reduce(dense(row, dim))).all()
     assert ours.absorb(second).tolist() == _leading_columns(ref.absorb(dense(second, dim)))
-    assert np.flatnonzero(ours.mask).tolist() == ref.pivots and ours.rank == ref.rank
+    assert np.flatnonzero(ours.mask).tolist() == ref.pivots
     assert (dense(ours.reduce(queries), dim) == ref.reduce(dense(queries, dim))).all()
 
 
@@ -187,16 +188,3 @@ def test_coord_solver_matches_reference_solve(case):
     if outside is not None:
         assert ours.express(outside[None]) is None and ref.express(dense(outside, dim)) is None
         assert ours.express(np.vstack([in_span, outside])) is None
-
-
-@PROPERTY
-@given(monomial_bases(), st.integers(0, 1))
-def test_coord_solver_rejects_dependent_and_zero_rows(case, fault):
-    dim, p, rows, _, _ = case
-    bad = rows.copy()
-    if fault == 0:  # a second row on the same column
-        bad = np.vstack([bad, bad[:1] * [1, 3]])
-    else:  # a row that vanishes mod p
-        bad[0, 1] = p
-    with pytest.raises(ValueError):
-        CoordSolver(bad, p)

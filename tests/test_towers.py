@@ -330,6 +330,29 @@ def test_standard_module_rejects_bad_weight():
         standard_module(3, 0, POINTS[0])
 
 
+def test_standard_module_rejects_dependent_walk_words(monkeypatch):
+    # one absorb of the reduced walk-word rows decides independence: a
+    # repeated word adds its column once, and a word inside the quotient
+    # span, or one whose scalar vanishes at the point, adds none
+    import blobalg.towers as towers
+
+    real = towers._walk_words
+    faults = []
+    for n in (3, 4, 5, 6):
+        for m in range(-n, n + 1, 2):
+            words = real(n, m)
+            faults.append((n, m, POINTS[0], words + words[:1]))
+            if m >= 2:
+                faults.append((n, m, POINTS[0], words + (cap_word(m - 2, n),)))
+            elif m < 0:
+                faults.append((n, m, POINTS[0], words + (blob_cap_word(-m, n),)))
+    faults.append((3, 1, ZERO_POINT, real(3, 1) + (parse_word("e e", 3),)))  # de = 0
+    for n, m, pt, words in faults:
+        monkeypatch.setattr(towers, "_walk_words", lambda n_, m_, words=words: words)
+        with pytest.raises(ValueError, match="rows are not independent"):
+            standard_module(n, m, pt)
+
+
 def test_decompose_closure_matches_explicit_products():
     # reference: b_{n-1} plus every product a * U_{n-1} * b of basis words
     for n in (2, 3, 4):
@@ -525,8 +548,7 @@ def test_word_span_matches_word_matrix():
         words += [parse_word("e e", n), parse_word("U1 e U1", n)]  # scalars de and g
         got = space.word_span(words)
         for pt in (POINTS[0], ZERO_POINT):
-            vecs = dense(space.word_rows(words, pt), space.dim)
-            assert (vecs == word_vectors(space, words, pt)).all()
+            vecs = word_vectors(space, words, pt)
             want = span_of(vecs, space.dim, pt.prime)
             assert got[want.pivots].all()
             if pt is POINTS[0]:
@@ -538,7 +560,7 @@ def test_coordinate_rowspan_absorb_and_reduce():
     p = POINTS[0].prime
     span = RowSpan.coordinate(p, np.array([False, True, False, True, False]))
     ref = span_of(dense([[3, 1], [1, 1]], 5), 5, p)
-    assert np.flatnonzero(span.mask).tolist() == ref.pivots == [1, 3] and span.rank == 2
+    assert np.flatnonzero(span.mask).tolist() == ref.pivots == [1, 3]
     assert vars(span).keys() == {"p", "mask"}  # no dense rows kept
     rows = np.array([[3, 7], [0, 2], [2, 0], [4, p], [2, -2 * p]])  # the last three are zero
     added = span.absorb(rows)
@@ -551,7 +573,7 @@ def test_coordinate_rowspan_absorb_and_reduce():
     assert (dense(got, 5) == ref.reduce(dense(queries, 5))).all()
     assert span.reduce(np.array([4, p + 9])).tolist() == [4, 9]
     assert span.absorb(np.array([4, 9])).tolist() == [4]
-    assert np.flatnonzero(span.mask).tolist() == [0, 1, 3, 4] and span.rank == 4
+    assert np.flatnonzero(span.mask).tolist() == [0, 1, 3, 4]
 
 
 def test_bfs_closure_matches_reference_closure():
