@@ -52,5 +52,5 @@ print(f"  basis ({mod.dim} walk words):")
 for w in mod.words:
     print(f"    {w}")
 print("  U1 acts by (columns are images):")
-for row in mod.matrices["U1"]:
+for row in mod.actions[1]:
     print("   ", row.tolist())

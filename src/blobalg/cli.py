@@ -25,7 +25,7 @@ import os
 import sys
 from functools import lru_cache
 from math import comb
-from typing import Callable, Dict, List, NoReturn, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NoReturn, Optional, Tuple, Union
 
 # towers (and with it numpy) loads here on purpose, not on first use: the
 # benchmark times `main` after importing this module, and a verify run that
@@ -229,9 +229,9 @@ def cmd_basis(args) -> int:
         raise ValueError("--squared needs --m")
     squared = squared_basis(args.n, args.m) if args.squared else None
     if args.m is None:
-        words: List[Word] = list(regular_basis(args.n))
+        words: Iterable[Word] = regular_basis(args.n)
     else:
-        words = list(squared.words) if squared else walk_words(args.n, args.m)
+        words = squared.words if squared else walk_words(args.n, args.m)  # read once below
     if args.format == "json":
         print(json.dumps([str(w) for w in words]))
     elif args.format == "latex":

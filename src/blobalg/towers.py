@@ -47,10 +47,11 @@ specialization point in F_p the distinct monomials are evaluated once,
 every image becomes one ``(column, value)`` row (see `blobalg.modlin`),
 one absorb of the reduced walk-word rows into a quotient span decides
 their independence, and one solve expresses all the action rows in the
-walk-word basis modulo that span.  The relation instances of
-``presentation.defining_relations``, the same list the relations suite
-reports on, are checked on the resulting matrices as stacked products,
-each stack bounded by ``_STACK`` entries.
+walk-word basis modulo that span.  The module keeps that one coefficient
+block, read as an ``(n, k, k)`` stack of action matrices and the cyclic
+vector.  The relation instances of ``presentation.defining_relations``,
+the same list the relations suite reports on, are checked on the stack
+as stacked products, each stack bounded by ``_STACK`` entries.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -241,22 +242,22 @@ def check_word_basis(n: int, points: Optional[Sequence[SpecPoint]] = None,
     squared bases span the two-sided ideal filtration layer by layer.
 
     Each word's image is its basis index and scalar (`DiagramSpace.image`).
-    The squared bases are built and read one weight at a time, and each
-    leaves only the mask of its images' indices and its word count.
-    Distinct indices are distinct diagrams, so the images are onto when
-    the union of the masks reaches as many indices as ``all_diagrams(n)``
-    has diagrams."""
+    The squared bases are built one weight at a time and their words read
+    one at a time, and each weight leaves only the mask of its images'
+    indices and its word count.  Distinct indices are distinct diagrams,
+    so the images are onto when the union of the masks reaches as many
+    indices as ``all_diagrams(n)`` has diagrams."""
     rep, _, space, note = _start_check("bases", n, points, seed)
     weights = range(-n, n + 1, 2)
     masks, sizes, found, unit_scalars = {}, {}, {}, True
     try:
         for m in weights:
-            words = squared_basis(n, m).words
-            images = list(map(space.image, words))
-            unit_scalars &= all(s.is_one() for _, s in images)
-            found[m] = any(image == space.image(opposite(w)) for w, image in zip(words, images))
-            masks[m], sizes[m] = space.mask(i for i, _ in images), len(words)
-            del words, images  # before the next weight's basis is built
+            basis = squared_basis(n, m)
+            masks[m], sizes[m] = np.zeros(space.dim, dtype=bool), len(basis.prefixes) ** 2
+            for i, s in map(space.image, basis.words):
+                masks[m][i] = True
+                unit_scalars &= s.is_one()
+            found[m] = any(space.image(w) == space.image(opposite(w)) for w in basis.words)
     except AssertionError as exc:  # a walk word that does not factor names its walk
         rep.add("factor", "walk words as prefix * tail", "images verified", False, str(exc))
         return rep
@@ -438,13 +439,17 @@ def _quotient_span(n: int, m: int) -> np.ndarray:
 
 @dataclass
 class StandardModule:
-    """A cyclic module on the weight-m walk words over one specialization."""
+    """A cyclic module on the weight-m walk words over one specialization.
+
+    Letter x (0 is e, i >= 1 is U_i) acts as ``actions[x]``, a dim x dim
+    matrix whose column j is the image of walk word j; ``actions`` and
+    ``cyclic`` are views of the one coefficient block the solve returns."""
 
     n: int
     m: int
     point: SpecPoint
     words: Tuple[Word, ...]
-    matrices: Dict[str, np.ndarray]  # generator name -> dim x dim, column action
+    actions: np.ndarray  # (n, dim, dim)
     cyclic: np.ndarray
 
     @property
@@ -458,7 +463,8 @@ class StandardModule:
             "point": self.point.to_dict(),
             "basis": [str(w) for w in self.words],
             "cyclic": self.cyclic.tolist(),
-            "matrices": {k: v.tolist() for k, v in sorted(self.matrices.items())},
+            "matrices": dict(sorted((str(Word(self.n, (x,))), a.tolist())
+                                    for x, a in enumerate(self.actions))),
         }
 
 
@@ -489,7 +495,8 @@ def standard_module(n: int, m: int, point: SpecPoint) -> StandardModule:
     reaches (in walk_words).  Each distinct monomial of the images is
     specialized once; one absorb of the reduced walk-word rows into the
     quotient span decides independence, and one solve expresses every
-    action and the cyclic vector."""
+    action and the cyclic vector in one coefficient block, which the
+    module keeps as it is."""
     words = _walk_words(n, m)
     images = _module_images(n, m, words)
     at = (point.q0, point.g0, point.d0, point.prime)
@@ -503,8 +510,9 @@ def standard_module(n: int, m: int, point: SpecPoint) -> StandardModule:
     coeffs = CoordSolver(basis, point.prime).express(actions)
     if coeffs is None:
         raise AssertionError(f"a generator action or the cyclic vector left the module at m={m}")
-    matrices = {("e" if x == 0 else f"U{x}"): coeffs[:, x * k:(x + 1) * k] for x in range(n)}
-    return StandardModule(n, m, point, words, matrices, coeffs[:, -1])
+    # column x * k + j of coeffs is letter x times walk word j
+    actions = coeffs[:, :-1].reshape(k, n, k).swapaxes(0, 1)
+    return StandardModule(n, m, point, words, actions, coeffs[:, -1])
 
 
 _STACK = 1 << 15  # entries in one stacked operand of a relation product
@@ -529,10 +537,10 @@ def matrices_satisfy_relations(mod: StandardModule) -> bool:
 
     The relations go in chunks whose stacked sides hold at most ``_STACK``
     entries.  Each product depth of a chunk is one `mulmod` over the sides
-    that reach it, and each chunk is compared in one array operation."""
-    pt, k = mod.point, mod.dim
-    mats = np.array([mod.matrices["e" if x == 0 else f"U{x}"] for x in range(mod.n)],
-                    dtype=np.int64).reshape(-1, k, k)
+    that reach it, and each chunk is compared in one array operation.  The
+    products are gathered from ``mod.actions``, so they are copies and the
+    module is not written."""
+    pt, k, mats = mod.point, mod.dim, mod.actions
     letters, lengths, scalars = _relation_sides(mod.n)
     values = {s: s.specialize(pt.q0, pt.g0, pt.d0, pt.prime) for s in set(scalars)}
     scale = np.array([values[s] for s in scalars], dtype=np.int64)[:, None, None]

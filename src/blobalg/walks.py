@@ -18,10 +18,11 @@ A weight no walk of length n reaches (|m| > n, or m of the wrong parity)
 raises ``ValueError``, as does a negative length.
 
 The word bases are built from the factorizations: ``squared_basis(n, m)``
-is every a * tail * opposite(b) over the prefixes a, b of weight m, and
-``regular_basis(n)`` is their union over m, C(2n, n) words spanning b_n.
-Neither is cached: each call builds its words afresh, so a check that
-reads the squared bases one weight at a time holds one at a time.
+is the prefixes a, b of weight m and their middle, the tail, and its words
+a * tail * opposite(b) are built as they are read; ``regular_basis(n)`` is
+their union over m, C(2n, n) words spanning b_n.  Neither is cached, so a
+check that reads the squared bases one weight at a time holds one
+weight's prefixes and one word at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .presentation import is_reduced, phi_equal
 from .reports import Report
@@ -217,26 +218,29 @@ def _recursive_prefix(p: Walk) -> Word:
 
 @dataclass(frozen=True)
 class SquaredBasis:
-    """Words a * middle * opposite(b) over the walk-word prefixes to (n, m)."""
+    """The walk-word prefixes to (n, m) and their middle: the basis is the
+    words a * middle * opposite(b), built as they are read."""
 
     n: int
     m: int
     prefixes: Tuple[Word, ...]
     middle: Word
-    words: Tuple[Word, ...]  # row-major: row = b, column = a
+
+    @property
+    def words(self) -> Iterator[Word]:
+        """The k * k words, row-major (row = b, column = a); every read
+        builds them afresh and holds one at a time."""
+        tails = (self.middle * opposite(b) for b in self.prefixes)  # one per row
+        return (a * tail for tail in tails for a in self.prefixes)
 
     def grid(self) -> List[List[Word]]:
-        k = len(self.prefixes)
-        return [list(self.words[r * k: (r + 1) * k]) for r in range(k)]
+        k, words = len(self.prefixes), list(self.words)
+        return [words[r * k: (r + 1) * k] for r in range(k)]
 
 
 def squared_basis(n: int, m: int) -> SquaredBasis:
-    pairs = factor_walk_words(n, m)
-    prefixes = tuple(prefix for prefix, _ in pairs)
-    middle = tail_word(m, n)
-    tails = [middle * opposite(b) for b in prefixes]  # one per row
-    words = tuple(a * tail for tail in tails for a in prefixes)
-    return SquaredBasis(n, m, prefixes, middle, words)
+    prefixes = tuple(prefix for prefix, _ in factor_walk_words(n, m))
+    return SquaredBasis(n, m, prefixes, tail_word(m, n))
 
 
 def regular_basis(n: int) -> Tuple[Word, ...]:

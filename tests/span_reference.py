@@ -294,7 +294,8 @@ def _reference_quotient(n: int, m: int, p: int) -> ReferenceSpan:
 
 
 def reference_standard_module(n: int, m: int, point: SpecPoint):
-    """(matrices, cyclic) of the weight-m standard module at the point:
+    """(matrices, cyclic) of the weight-m standard module at the point,
+    matrices[x] the action of letter x:
     every image a dense vector reduced by the quotient span, and its
     coordinates in the reduced walk-word images solved for in general."""
     space = diagram_space(n)
@@ -307,8 +308,7 @@ def reference_standard_module(n: int, m: int, point: SpecPoint):
         assert all(c is not None for c in coeffs)
         return np.array(coeffs, dtype=np.int64).T
 
-    matrices = {("e" if letter == 0 else f"U{letter}"):
-                coordinates([Word(n, (letter,)) * w for w in words]) for letter in space.letters}
+    matrices = [coordinates([Word(n, (letter,)) * w for w in words]) for letter in space.letters]
     return matrices, coordinates([tail_word(m, n)])[:, 0]
 
 
@@ -320,7 +320,7 @@ def reference_relations_hold(mod) -> bool:
     pt = mod.point
 
     def image(w):
-        mats = (mod.matrices["e" if x == 0 else f"U{x}"] for x in w.letters)
+        mats = (mod.actions[x] for x in w.letters)
         return reduce(lambda a, b: mulmod(a, b, pt.prime), mats)
 
     ok = True

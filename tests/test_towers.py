@@ -126,11 +126,12 @@ def test_regular_basis_counts():
 
 def test_squared_basis_3_1_known_grid():
     sq = squared_basis(3, 1)
-    assert len(sq.words) == 9
+    words = tuple(sq.words)
+    assert len(words) == 9
     expected = ["U1 e U2 U1", "e U1 e U2 U1", "e U2 U1",
              "U1 e U2 U1 e", "e U1 e U2 U1 e", "e U2 U1 e",
              "U1 e U2", "e U1 e U2", "e U2"]
-    ours = [evaluate_word(w) for w in sq.words]
+    ours = [evaluate_word(w) for w in words]
     theirs = [evaluate_word(parse_word(t, 3)) for t in expected]
     assert all(s.coeff.is_one() for s in ours)
     assert all(s.coeff.is_one() for s in theirs)
@@ -146,11 +147,11 @@ def test_squared_basis_cardinality():
     for n in range(1, 6):
         for m in range(-n, n + 1, 2):
             sq = squared_basis(n, m)
-            assert len(sq.words) == len(sq.prefixes) ** 2 == len(
-                [None for _ in sq.words])
-            images = [evaluate_word(w) for w in sq.words]
+            words = tuple(sq.words)
+            assert len(words) == len(sq.prefixes) ** 2
+            images = [evaluate_word(w) for w in words]
             assert all(s.coeff.is_one() for s in images)
-            assert len({s.diagram for s in images}) == len(sq.words)
+            assert len({s.diagram for s in images}) == len(words)
 
 
 def test_standard_module_dims():
@@ -164,7 +165,7 @@ def test_standard_module_dims():
 def test_standard_module_matrices_and_json():
     mod = standard_module(4, 0, POINTS[0])
     p = POINTS[0].prime
-    u1, u2 = mod.matrices["U1"], mod.matrices["U2"]
+    u1, u2 = mod.actions[1], mod.actions[2]
     two = (POINTS[0].q0 + pow(POINTS[0].q0, -1, p)) % p
     from blobalg.modlin import mulmod
     assert (mulmod(u1, u1, p) == (two * u1) % p).all()
@@ -172,7 +173,9 @@ def test_standard_module_matrices_and_json():
     data = mod.to_json_dict()
     assert data["n"] == 4 and data["m"] == 0
     assert len(data["basis"]) == mod.dim
-    assert "U3" in data["matrices"] and "e" in data["matrices"]
+    assert list(data["matrices"]) == ["U1", "U2", "U3", "e"]
+    assert data["matrices"]["e"] == mod.actions[0].tolist()
+    assert data["matrices"]["U3"] == mod.actions[3].tolist()
 
 
 def test_standard_modules_match_dense_reference_build():
@@ -183,10 +186,10 @@ def test_standard_modules_match_dense_reference_build():
             for pt in (*POINTS, DEGENERATE_POINT):
                 mod = standard_module(n, m, pt)
                 matrices, cyclic = reference_standard_module(n, m, pt)
-                assert mod.matrices.keys() == matrices.keys(), (n, m, pt)
-                for name, mat in matrices.items():
-                    ours = mod.matrices[name]
-                    assert ours.shape == mat.shape and (ours == mat).all(), (n, m, pt, name)
+                assert mod.actions.shape == (n, mod.dim, mod.dim), (n, m, pt)
+                for x, mat in enumerate(matrices):
+                    ours = mod.actions[x]
+                    assert ours.shape == mat.shape and (ours == mat).all(), (n, m, pt, x)
                 assert mod.cyclic.shape == cyclic.shape and (mod.cyclic == cyclic).all(), (n, m, pt)
 
 
@@ -196,11 +199,11 @@ def test_relations_fail_on_a_broken_matrix():
         for m in range(-n + 2, n - 1, 2):  # the weights with dimension >= 2
             mod = standard_module(n, m, POINTS[0])
             assert matrices_satisfy_relations(mod)
-            e, u1 = mod.matrices["e"], mod.matrices["U1"]
-            scaled = replace(mod, matrices={**mod.matrices, "e": 2 * e % p})
-            assert not matrices_satisfy_relations(scaled), (n, m)
-            swapped = replace(mod, matrices={**mod.matrices, "U1": u1[:, [1, 0, *range(2, mod.dim)]]})
-            assert not matrices_satisfy_relations(swapped), (n, m)
+            scaled, swapped = mod.actions.copy(), mod.actions.copy()
+            scaled[0] = 2 * scaled[0] % p
+            swapped[1] = swapped[1][:, [1, 0, *range(2, mod.dim)]]
+            assert not matrices_satisfy_relations(replace(mod, actions=scaled)), (n, m)
+            assert not matrices_satisfy_relations(replace(mod, actions=swapped)), (n, m)
 
 
 def _small_modules():
@@ -215,11 +218,10 @@ def _mutations(count, seed=26):
     mods = _small_modules()
     for _ in range(count):
         mod = rng.choice(mods)
-        name = rng.choice(sorted(mod.matrices))
-        mat = mod.matrices[name].copy()
-        i, j = rng.randrange(mod.dim), rng.randrange(mod.dim)
-        mat[i, j] = (mat[i, j] + rng.randrange(1, mod.point.prime)) % mod.point.prime
-        yield replace(mod, matrices={**mod.matrices, name: mat})
+        actions = mod.actions.copy()
+        x, i, j = rng.randrange(mod.n), rng.randrange(mod.dim), rng.randrange(mod.dim)
+        actions[x, i, j] = (actions[x, i, j] + rng.randrange(1, mod.point.prime)) % mod.point.prime
+        yield replace(mod, actions=actions)
 
 
 def test_stacked_relations_match_the_per_relation_reference():
@@ -468,6 +470,54 @@ def test_word_basis_check_holds_one_squared_basis_at_a_time(monkeypatch):
     assert len(refs) == n + 1 and all(ref() is None for ref in refs)
 
 
+def test_a_squared_basis_keeps_its_prefixes_and_a_module_one_action_block():
+    # the words are built as they are read, every read starts over, and the
+    # relation check reads the module's action stack without writing it
+    from dataclasses import fields
+
+    from blobalg.walks import SquaredBasis
+
+    assert [f.name for f in fields(SquaredBasis)] == ["n", "m", "prefixes", "middle"]
+    sq = squared_basis(5, 1)
+    first = tuple(sq.words)
+    assert first == tuple(sq.words) and len(first) == len(sq.prefixes) ** 2
+    assert [w for row in sq.grid() for w in row] == list(first)
+    mod = standard_module(5, 1, POINTS[0])
+    assert mod.actions.shape == (5, mod.dim, mod.dim) and mod.actions.dtype == np.int64
+    before = mod.actions.copy()
+    assert matrices_satisfy_relations(mod)
+    assert (mod.actions == before).all()
+
+
+def test_the_word_basis_check_holds_less_than_one_squared_basis():
+    # past what the space, the diagram list and the layer ideals already
+    # hold, the check's peak is below one weight's words held at once
+    import tracemalloc
+
+    from blobalg.diagrams import all_diagrams
+    from blobalg.reports import streaming
+    from blobalg.towers import blob_ideal
+
+    n = 9  # the largest squared basis has weight 1: 126 prefixes, 15,876 words
+    diagram_space(n), all_diagrams(n)
+    for m in range(-n, n + 1, 2):
+        blob_ideal(n, m) if m > 0 else through_ideal(n, -m)
+    squared_basis(n, 1)  # fills the walk-word caches the traced build reads
+    tracemalloc.start()
+    try:
+        held = list(squared_basis(n, 1).words)
+        words = tracemalloc.get_traced_memory()[0]
+        del held
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        with streaming(lambda line: None):
+            assert check_word_basis(n).passed
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < words, f"check peak {peak / 2**20:.1f} MiB, one squared basis {words / 2**20:.1f} MiB"
+
+
 @pytest.mark.parametrize("clash", ["across weights m and -m", "within one weight"])
 def test_a_shared_image_fails_distinct_and_onto(monkeypatch, capsys, clash):
     # the distinct count is the union of the per-weight masks, so a word
@@ -477,8 +527,8 @@ def test_a_shared_image_fails_distinct_and_onto(monkeypatch, capsys, clash):
     from blobalg.cli import main
 
     n, real = 4, towers.DiagramSpace.image
-    word = squared_basis(n, 2).words[0]
-    other = squared_basis(n, -2 if clash == "across weights m and -m" else 2).words[1]
+    word = tuple(squared_basis(n, 2).words)[0]
+    other = tuple(squared_basis(n, -2 if clash == "across weights m and -m" else 2).words)[1]
     target = real(diagram_space(n), other)
     assert real(diagram_space(n), word) != target
     monkeypatch.setattr(towers.DiagramSpace, "image",
