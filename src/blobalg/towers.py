@@ -20,7 +20,9 @@ identity's state, the word ends at its basis index, and its step counts
 give its monomial, so no word image is a diagram.  ``flip`` is an
 anti-automorphism of b_n fixing every generator, and it maps halves to
 halves, so the left action is the right one read through a flip computed
-on halves.  Both actions sit in one array, ``DiagramSpace.steps``.
+on halves: g d = flip(flip(d) g).  ``DiagramSpace`` keeps one action
+table, the right one, beside the flip permutation, and reads the left
+action through the flip where a sweep needs it.
 
 Every ideal, tower and quotient span is a closure: start from some
 diagrams and multiply by generators on the required side(s), which is
@@ -29,8 +31,8 @@ product of generators, so x b_k is the right closure of x's diagram under
 the letters of b_k, which are the first k, and left * b_n * right
 multiplies each diagram of left * b_n once by right; ``compose`` still
 runs there, through ``compose_scaled``.  A closure is swept one frontier
-at a time: the frontier's images under every table it uses, less what
-was reached before.
+at a time: the frontier's right images, its left images read through the
+flip, or both, less what was reached before.
 
 A closure holds every state it reaches, so the ideal of a word x lies in
 an ideal Y exactly when Y holds x's basis index.  Each ideal inclusion is
@@ -98,12 +100,12 @@ class DiagramSpace:
     index of state (t, s), -1 where there is none, and the one map from a
     state to its index.  ``flip`` maps the state (t, s) to (top[s],
     bottom[blobbed(s)][t]) (see ``_Halves.flips``), so the flip permutation
-    of the basis is one gather from ``_where``, and each left table is its
-    right table conjugated by it.  ``steps[side, letter]`` is the table of
-    one generator, side 0 acting on the left and side 1 on the right.  No
-    diagram is kept per basis element: `diagram` rebuilds one from its
-    halves and `index_of` splits one.  `image` reads a word's image off
-    the tables, as a basis index and a monomial.
+    of the basis is one gather from ``_where``.  ``right[letter]`` is the
+    right action table of one generator, and the only action table kept:
+    the left action is the right one conjugated by the flip, read where it
+    is needed (`images`).  No diagram is kept per basis element: `diagram`
+    rebuilds one from its halves and `index_of` splits one.  `image` reads
+    a word's image off the tables, as a basis index and a monomial.
     """
 
     def __init__(self, n: int):
@@ -116,12 +118,11 @@ class DiagramSpace:
         tops, bottoms = (np.frombuffer(a, dtype=np.int32) for a in (self.tops, self.bottoms))
         flip_top, flip_bottom = halves.flips()
         flags = np.array([b[3] for b in halves.bottoms], dtype=np.int64)
-        self.flip = op = self._where[np.array(flip_top)[bottoms],
-                                     np.array(flip_bottom)[flags[bottoms], tops]]
-        steps = self.steps = np.empty((2, n, self.dim), dtype=np.int32)
+        self.flip = self._where[np.array(flip_top)[bottoms],
+                                np.array(flip_bottom)[flags[bottoms], tops]]
+        self.right = np.empty((n, self.dim), dtype=np.int32)
         for letter in range(n):
-            steps[1, letter] = np.frombuffer(right.pop(0), dtype=np.int32)  # freed once copied
-            steps[0, letter] = op[steps[1, letter, op]]
+            self.right[letter] = np.frombuffer(right.pop(0), dtype=np.int32)  # freed once copied
 
     def diagram(self, i: int) -> BlobDiagram:
         """The basis diagram of index i, rebuilt from its halves."""
@@ -150,11 +151,21 @@ class DiagramSpace:
         diagram, so this is the mask of their diagram indices."""
         return self.mask(self.image(w)[0] for w in words)
 
+    def images(self, front: np.ndarray, sides: str, k: Optional[int] = None) -> np.ndarray:
+        """The mask of the diagrams g * d (L in `sides`) and d * g (R in
+        `sides`) over the generators g of b_k, the first k letters (default:
+        all of b_n), and the indices d in `front`.  The left image g * d is
+        flip(flip(d) * g), as flip fixes every generator."""
+        out, right = np.zeros(self.dim, dtype=bool), self.right[:k]
+        if "R" in sides:
+            out[right[:, front]] = True
+        if "L" in sides:
+            out[self.flip[right[:, self.flip[front]]]] = True
+        return out
+
     def left_images(self, span: np.ndarray) -> np.ndarray:
         """The diagrams g * d over every generator g and every d in span."""
-        out = np.zeros(self.dim, dtype=bool)
-        out[self.steps[0][:, span]] = True
-        return out
+        return self.images(np.flatnonzero(span), "L")
 
 
 @lru_cache(maxsize=10)
@@ -162,23 +173,18 @@ def diagram_space(n: int) -> DiagramSpace:
     return DiagramSpace(n)
 
 
-_SIDES = {"L": slice(0, 1), "R": slice(1, 2), "LR": slice(0, 2)}
-
-
 def _closure(space: DiagramSpace, seeds: np.ndarray, sides: str,
              k: Optional[int] = None) -> np.ndarray:
     """Span of the seed mask closed under multiplication on `sides` by the
     generators of b_k, the first k letters (default: all of b_n): the
-    states reachable from the seeds, one frontier at a time over the
-    stacked action tables.  The mask is read-only, as caches share it."""
-    tables = space.steps[_SIDES[sides], :space.n if k is None else k]
+    states reachable from the seeds, one frontier at a time, each sweep
+    marking the frontier's images (`DiagramSpace.images`).  The mask is
+    read-only, as caches share it."""
     reached = np.zeros(space.dim, dtype=bool)
     front = np.flatnonzero(seeds)
     while front.size:
         reached[front] = True
-        new = np.zeros(space.dim, dtype=bool)
-        new[tables[..., front]] = True
-        front = np.flatnonzero(new > reached)
+        front = np.flatnonzero(space.images(front, sides, k) > reached)
     reached.flags.writeable = False
     return reached
 

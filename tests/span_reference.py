@@ -20,14 +20,15 @@ any input:
 * `reference_closure`: the rank-stabilizing closure of arbitrary seed
   vectors under those tables;
 * `bfs_closure`: the closure of basis indices one index at a time over
-  the action tables of a `DiagramSpace`, the oracle for its frontier sweep;
+  the right action table of a `DiagramSpace` and its left tables, built
+  here through the flip, the oracle for its frontier sweep;
 * `reference_conjugated_span` and `reference_subalgebra_span`: the tower
   spans left * b_n * right and x * b_k as the diagram sets of explicit
   products with every regular-basis word, the definition that
   `towers` replaces by closures over the action tables;
 * `reference_left_images`: the diagrams of every generator times every
   given word, each product evaluated as its own word, which the
-  span-closure check replaces by one step of the left action tables;
+  span-closure check replaces by one step of the left action;
 * `reference_standard_module`: the action matrices and cyclic vector of a
   standard module from dense word vectors, a `ReferenceSpan` for the
   quotient span and a `ReferenceSolver` for coordinates;
@@ -247,10 +248,13 @@ def reference_closure(space, seeds: np.ndarray, point: SpecPoint, sides: str,
 def bfs_closure(space, seeds, sides: str, k: Optional[int] = None) -> np.ndarray:
     """The seed mask closed under the generators of b_k, the first k
     letters (default: all of b_n), on `sides`, one basis index at a time
-    over the action tables of `space`: the search `towers` replaces by a
-    sweep over whole frontiers."""
+    over the action tables of `space`, each left table its right table
+    conjugated by the flip: the search `towers` replaces by a sweep over
+    whole frontiers."""
     letters = space.letters if k is None else range(k)
-    used = [space.steps["LR".index(side), letter].tolist() for side in sides for letter in letters]
+    flip = space.flip
+    tables = {"R": space.right, "L": flip[space.right[:, flip]]}
+    used = [tables[side][letter].tolist() for side in sides for letter in letters]
     seen = set(np.flatnonzero(seeds).tolist())
     queue = list(seen)
     while queue:

@@ -390,8 +390,8 @@ def test_table_entries_equal_compose_on_every_diagram(cold_evaluate_word):
 
 
 def test_generator_steps_carry_one_of_four_scalars():
-    # also: the action tables of diagram_space, whose left tables come
-    # through flip, agree with compose on every basis diagram
+    # also: the right action table of diagram_space, and the left action
+    # read through flip, agree with compose on every basis diagram
     allowed = set(presentation._STEP_SCALARS)
     for n in range(1, 7):
         gens = [generator_diagram(n, letter) for letter in range(n)]
@@ -403,8 +403,8 @@ def test_generator_steps_carry_one_of_four_scalars():
                 right, left = compose(d, g), compose(g, d)
                 seen.add(right.coeff)
                 seen.add(left.coeff)
-                assert space.steps[1, letter, i] == space.index_of(right.diagram)
-                assert space.steps[0, letter, i] == space.index_of(left.diagram)
+                assert space.right[letter, i] == space.index_of(right.diagram)
+                assert space.flip[space.right[letter, space.flip[i]]] == space.index_of(left.diagram)
         assert seen <= allowed, seen - allowed
         assert seen == allowed or n == 1
 
@@ -420,7 +420,8 @@ def test_action_tables_agree_with_compose_on_a_sample(n):
         side, letter, i = rng.randrange(2), rng.randrange(n), rng.randrange(space.dim)
         d, g = space.diagram(i), generator_diagram(n, letter)
         step = compose(g, d) if side == 0 else compose(d, g)
-        assert space.steps[side, letter, i] == space.index_of(step.diagram), (side, letter, i)
+        got = space.right[letter, i] if side else space.flip[space.right[letter, space.flip[i]]]
+        assert got == space.index_of(step.diagram), (side, letter, i)
         assert step.coeff._exps is not None and step.coeff in allowed, (side, letter, i)
 
 

@@ -748,6 +748,27 @@ def test_no_letters_close_to_the_seeds():
         assert not _closure(space, space.mask(()), sides).any()
 
 
+def test_a_space_keeps_one_action_table():
+    # the right table and the flip permutation; no left table is stored
+    space = diagram_space(8)
+    kept = sum(a.size for name, a in vars(space).items()
+               if isinstance(a, np.ndarray) and name != "_where")
+    assert kept <= (space.n + 2) * space.dim
+    assert not hasattr(space, "steps")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_left_closure_is_the_flipped_right_closure(n):
+    # flip fixes every generator and reverses products, so it carries the
+    # left closure of a mask to the right closure of the flipped mask
+    space, rng = diagram_space(n), random.Random(n)
+    for k in (None, n - 1):
+        for size in (1, 2, 5):
+            seeds = space.mask(rng.sample(range(space.dim), min(size, space.dim)))
+            want = _closure(space, seeds[space.flip], "R", k)[space.flip]
+            assert (_closure(space, seeds, "L", k) == want).all(), (n, k, np.flatnonzero(seeds))
+
+
 @pytest.fixture
 def cold_spaces():
     """Empty word tables and every cache built from them, before and after;
